@@ -8,9 +8,6 @@ Core layout:
 - :mod:`lpevo.lp` -- dyadic decomposition and Besov/Sobolev norms
 - :mod:`lpevo.gfunction` -- square functions with singular time weights
 - :mod:`lpevo.maximal` -- maximal/sharp functions and dyadic filtrations
-- :mod:`lpevo.rademacher` -- sign sampling and moment estimates
-- :mod:`lpevo.verify` -- the estimate-by-estimate verification harness
-- :mod:`lpevo.service` -- FastAPI front end; :mod:`lpevo.cli` -- thin client
 """
 
 from lpevo.grid import (

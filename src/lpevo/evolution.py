@@ -9,6 +9,7 @@ kernel mass sums to the multiplier value at xi = 0.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -40,24 +41,45 @@ _GL_ORDER = 8
 _PANEL_WIDTH = 0.25
 
 
+@functools.cache
 def _gl_rule(order: int = _GL_ORDER):
-    nodes, weights = roots_legendre(order)
-    return nodes, weights
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
+    return roots_legendre(order)
 
 
-def _scalar_integral(fn, s: float, t: float, order: int = _GL_ORDER) -> float:
-    """Composite Gauss-Legendre integral of a scalar function over [s, t],
-    with panel boundaries anchored to the global lattice of width
-    _PANEL_WIDTH so that adjacent windows share panels."""
-    nodes, weights = _gl_rule(order)
+def _panel_edges(s: float, t: float) -> list[float]:
+    """s, the multiples of _PANEL_WIDTH strictly inside (s, t), then t.
+
+    Anchoring the inner edges to one global lattice makes windows that end
+    at the same t share all their panels but the first."""
     lo = np.ceil(s / _PANEL_WIDTH)
     hi = np.floor(t / _PANEL_WIDTH)
-    edges = [s] + [e * _PANEL_WIDTH for e in np.arange(lo, hi + 1) if s < e * _PANEL_WIDTH < t] + [t]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        total += half * np.sum(weights * np.asarray([fn(mid + half * z) for z in nodes]))
-    return float(total)
+    return [s] + [e * _PANEL_WIDTH for e in np.arange(lo, hi + 1) if s < e * _PANEL_WIDTH < t] + [t]
+
+
+def _coeff_integrals(symbol: SymbolSpec, s: np.ndarray, t: float) -> np.ndarray:
+    """integral_s^t time_coeff(max(r, 0)) dr for every entry of s (all < t).
+
+    Composite Gauss-Legendre on the panels of :func:`_panel_edges`.  Shared
+    panels are evaluated once for the whole batch, and each window adds its
+    panels left to right, as it would on its own.
+    """
+    s = np.asarray(s, dtype=float)
+    z, w = _gl_rule()
+    coeff = symbol.time_coeff
+
+    def panels(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        r = mid[:, None] + half[:, None] * z
+        vals = np.asarray([coeff(max(x, 0.0)) for x in r.ravel()]).reshape(r.shape)
+        return half * np.sum(w * vals, axis=-1)
+
+    edges = np.asarray(_panel_edges(float(np.min(s)), t)[1:])  # anchors, then t
+    first = np.searchsorted(edges[:-1], s, side="right")  # first edge above each s
+    total = panels(s, edges[first])
+    for k, p in enumerate(panels(edges[:-1], edges[1:])):
+        total = np.where(first <= k, total + p, total)
+    return total
 
 
 def integrated_symbol(symbol: SymbolSpec, s: float, t: float, xi: np.ndarray) -> np.ndarray:
@@ -72,12 +94,10 @@ def integrated_symbol(symbol: SymbolSpec, s: float, t: float, xi: np.ndarray) ->
     if symbol.time_independent:
         return (t - s) * eval_symbol(symbol, 0.0, xi)
     if symbol.separable:
-        coeff = _scalar_integral(lambda r: symbol.time_coeff(max(r, 0.0)), s, t)
+        coeff = _coeff_integrals(symbol, np.asarray([s]), t)[0]
         return coeff * np.asarray(symbol.xi_profile(xi), dtype=complex)
     nodes, weights = _gl_rule()
-    lo = np.ceil(s / _PANEL_WIDTH)
-    hi = np.floor(t / _PANEL_WIDTH)
-    edges = [s] + [e * _PANEL_WIDTH for e in np.arange(lo, hi + 1) if s < e * _PANEL_WIDTH < t] + [t]
+    edges = _panel_edges(s, t)
     total = np.zeros(xi.shape[:-1], dtype=complex)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0

@@ -10,6 +10,14 @@ s_k = t - (t-a) (k/K)^(1/beta) becomes uniform panels in u, integrated with
 fixed-order Gauss-Legendre per panel.  The first panel is refined
 geometrically toward u = 0 because the substitution trades the weight
 singularity for a u^(1/beta) Hölder kink of the transformed integrand there.
+
+The core works one output time t at a time and batches its s nodes: the
+time interpolation of the field's transform, the window multipliers
+exp(integral_s^t psi2) and the product with psi1 are built for a whole batch
+of nodes, which then takes one inverse transform.  A batch holds at most
+_CHUNK_ENTRIES complex entries (nodes x lattice points x V components), so
+memory stays flat however many nodes the quadrature has.  The per-node
+terms are summed in node order, so batching leaves G unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from lpevo.grid import (
     SpaceTimeField,
@@ -29,7 +36,7 @@ from lpevo.grid import (
     vector_norm,
 )
 from lpevo.symbols import SymbolSpec, eval_symbol
-from lpevo.evolution import integrated_symbol, symbol_on_lattice
+from lpevo.evolution import _coeff_integrals, _gl_rule, integrated_symbol, symbol_on_lattice
 
 __all__ = [
     "QuadratureSpec",
@@ -40,6 +47,10 @@ __all__ = [
     "g_lp_norm",
     "g_to_csv",
 ]
+
+# complex entries (nodes x lattice points x V components) per batched inverse
+# transform; larger batches buy little speed for their memory
+_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ def graded_quadrature(
     first = big_u / quad.panels
     sub = [first * quad.split_ratio**-j for j in range(1, quad.split_levels + 1)]
     edges = [0.0] + sub[::-1] + edges
-    z, w = roots_legendre(quad.order)
+    z, w = _gl_rule(quad.order)
     nodes, weights = [], []
     for ua, ub in zip(edges[:-1], edges[1:]):
         mid, half = (ua + ub) / 2.0, (ub - ua) / 2.0
@@ -118,39 +129,26 @@ class GFunctionResult:
             raise ValueError("square-function values must be finite and nonnegative")
 
 
-class _WindowMultipliers:
-    """exp(integral_s^t psi(r, xi) dr) on the lattice for batches of s at a
-    fixed t, with fast paths for time-independent and separable symbols."""
-
-    def __init__(self, symbol: SymbolSpec, grid: SpectralGrid):
-        self.symbol = symbol
-        self.grid = grid
-        self.static = None
-        self.profile = None
-        if symbol.time_independent:
-            self.static = eval_symbol(symbol, 0.0, grid.freq_vectors())
-        elif symbol.separable:
-            self.profile = np.asarray(symbol.xi_profile(grid.freq_vectors()), dtype=complex)
-
-    def _coeff_integral(self, s: float, t: float) -> float:
-        from lpevo.evolution import _scalar_integral
-
-        return _scalar_integral(lambda r: self.symbol.time_coeff(max(r, 0.0)), s, t)
-
-    def multiplier(self, s: float, t: float) -> np.ndarray:
-        if self.static is not None:
-            return np.exp((t - s) * self.static)
-        if self.profile is not None:
-            return np.exp(self._coeff_integral(s, t) * self.profile)
-        return np.exp(integrated_symbol(self.symbol, s, t, self.grid.freq_vectors()))
+def _window_exponents(
+    symbol: SymbolSpec, base: np.ndarray | None, s: np.ndarray, t: float, xi: np.ndarray
+) -> np.ndarray:
+    """integral_s^t psi(r, xi) dr for every s node at a fixed t, stacked on a
+    leading axis.  ``base`` is psi(0, xi) for time-independent symbols and
+    the xi profile for separable ones; other symbols integrate per node."""
+    lead = (-1,) + (1,) * (xi.ndim - 1)
+    if symbol.time_independent:
+        return (t - s).reshape(lead) * base
+    if symbol.separable:
+        return _coeff_integrals(symbol, s, t).reshape(lead) * base
+    return np.stack([integrated_symbol(symbol, r, t, xi) for r in s])
 
 
-def _interp_transform(f_hat: np.ndarray, t_grid: np.ndarray, s: float) -> np.ndarray:
-    """Linear time interpolation of per-node lattice transforms."""
-    idx = np.searchsorted(t_grid, s, side="right") - 1
-    idx = min(max(idx, 0), len(t_grid) - 2)
+def _interp_transform(f_hat: np.ndarray, t_grid: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Linear time interpolation of per-node lattice transforms at every s,
+    stacked on a leading axis."""
+    idx = np.clip(np.searchsorted(t_grid, s, side="right") - 1, 0, len(t_grid) - 2)
     t0, t1 = t_grid[idx], t_grid[idx + 1]
-    lam = (s - t0) / (t1 - t0)
+    lam = ((s - t0) / (t1 - t0)).reshape((-1,) + (1,) * (f_hat.ndim - 1))
     return (1.0 - lam) * f_hat[idx] + lam * f_hat[idx + 1]
 
 
@@ -183,10 +181,16 @@ def _g_core(
                 )
     beta = q * psi1.gamma / psi2.gamma
     f_hat = lattice_forward(f.values, grid)  # (T, spatial..., m)
-    windows = _WindowMultipliers(psi2, grid)
+    xi = grid.freq_vectors()
+    base = None
+    if psi2.time_independent:
+        base = eval_symbol(psi2, 0.0, xi)
+    elif psi2.separable:
+        base = np.asarray(psi2.xi_profile(xi), dtype=complex)
     psi1_fixed = None
     if l_mode == "fixed":
         psi1_fixed = symbol_on_lattice(psi1, l, grid)
+    chunk = max(1, _CHUNK_ENTRIES // (grid.n**grid.d * f.m))
     out = np.zeros((len(grid.t_grid),) + grid.spatial_shape())
     for i, t in enumerate(grid.t_grid):
         if t <= a + 1e-15:
@@ -194,11 +198,15 @@ def _g_core(
         mult1 = psi1_fixed if psi1_fixed is not None else symbol_on_lattice(psi1, t, grid)
         s_nodes, w_nodes = graded_quadrature(a, float(t), beta, quad)
         acc = np.zeros(grid.spatial_shape())
-        for s, w in zip(s_nodes, w_nodes):
-            fs = _interp_transform(f_hat, grid.t_grid, s)
-            spec = mult1[..., None] * windows.multiplier(s, float(t)) [..., None] * fs
+        for lo in range(0, len(s_nodes), chunk):
+            s, w = s_nodes[lo : lo + chunk], w_nodes[lo : lo + chunk]
+            window = np.exp(_window_exponents(psi2, base, s, float(t), xi))
+            spec = mult1[..., None] * window[..., None] * _interp_transform(f_hat, grid.t_grid, s)
             u = lattice_inverse(spec, grid)
-            acc += w * vector_norm(u) ** q
+            terms = w.reshape((-1,) + (1,) * grid.d) * vector_norm(u) ** q
+            # adding acc into the first term keeps the node-by-node sum order
+            terms[0] += acc
+            acc = np.sum(terms, axis=0)
         out[i] = acc ** (1.0 / q)
     meta = quad.to_dict()
     meta["beta"] = beta

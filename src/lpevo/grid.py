@@ -10,7 +10,7 @@ Parseval's identity on the lattice.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -186,17 +186,13 @@ def _axis_sign(n: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
-def _sign_mesh(grid: SpectralGrid, offset: int = 0) -> np.ndarray:
+def _sign_mesh(grid: SpectralGrid) -> np.ndarray:
     s = _axis_sign(grid.n)
     if grid.d == 1:
         out = s
     else:
         out = np.multiply.outer(s, s)
     return out
-
-
-def _spatial_axes(ndim_extra: int, d: int) -> tuple[int, ...]:
-    return tuple(range(d))
 
 
 def _transform_axes(values: np.ndarray, grid: SpectralGrid) -> tuple[int, ...]:

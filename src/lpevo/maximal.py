@@ -125,6 +125,8 @@ def _uniform_maximal_1d(
     if r_floor > 0:
         # the value just above the floor bounds the sup on (r_floor, next bp)
         r = r_floor * (1 + 1e-9)
+        if mode == "wrap":
+            r = min(r, n * width / 2.0)
         pos = (np.arange(n) + 0.5) * width
         grid_edges = np.arange(n + 1) * width
         lo_p, hi_p = pos - r, pos + r
@@ -208,6 +210,11 @@ def maximal_values(
         raise ValueError("maximal_values expects nonnegative values")
     if axis == "space":
         if grid.d == 1:
+            if r_floor >= grid.half_length:
+                # no radius of the half-open set (r_floor, half period] is left
+                raise ValueError(
+                    f"r_floor = {r_floor} must be below half the period ({grid.half_length})"
+                )
             return _uniform_maximal_1d(values, grid.dx, "wrap", r_floor)
         if grid.d == 2:
             return _ball_maximal_2d(values, grid, r_floor)
@@ -231,7 +238,10 @@ def maximal(
     h: SpaceTimeField | SpatialField, axis: str, r_floor: float = 0.0
 ) -> SpaceTimeField | SpatialField:
     """Pointwise supremum over radii r > r_floor of window averages of
-    the V-norm of h, along space (periodic) or time (zero extension)."""
+    the V-norm of h, along space (periodic) or time (zero extension).
+
+    In d = 1 the space radii stop at half the period, so r_floor must lie
+    below it."""
     vn = vector_norm(h.values)
     out = maximal_values(vn, h.grid, axis, r_floor)
     if isinstance(h, SpaceTimeField):

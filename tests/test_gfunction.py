@@ -3,6 +3,8 @@ import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
+import lpevo.gfunction as gfunction
+from lpevo.evolution import integrated_symbol
 from lpevo.gfunction import (
     GFunctionResult,
     QuadratureSpec,
@@ -12,8 +14,8 @@ from lpevo.gfunction import (
     g_to_csv,
     graded_quadrature,
 )
-from lpevo.grid import SpaceTimeField, make_grid
-from lpevo.symbols import power_symbol
+from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, make_grid, vector_norm
+from lpevo.symbols import SymbolSpec, eval_symbol, power_symbol
 
 
 def _grid(n=64, L=np.pi, nt=17, t1=1.0):
@@ -212,3 +214,126 @@ def test_g_csv_header():
     grid = _grid(n=16, nt=3)
     res = GFunctionResult(grid, 2.0, 0.0, 0.0, "fixed", np.zeros((3, 16)))
     assert g_to_csv(res).splitlines()[0] == "t,x,g"
+
+
+# -- the batched core against node-by-node references -------------------------
+
+def _interp_hat(f_hat, t_grid, s):
+    """f^ linearly interpolated in time at one s, as the method defines it."""
+    j = min(max(int(np.searchsorted(t_grid, s, side="right")) - 1, 0), len(t_grid) - 2)
+    lam = (s - t_grid[j]) / (t_grid[j + 1] - t_grid[j])
+    return (1.0 - lam) * f_hat[j] + lam * f_hat[j + 1]
+
+
+def per_node_reference(f, psi1, psi2, l, a, q, quad):
+    """G f with one inverse transform per (t, s-node); l = None tracks t."""
+    grid = f.grid
+    xi = grid.freq_vectors()
+    beta = q * psi1.gamma / psi2.gamma
+    f_hat = lattice_forward(f.values, grid)
+    out = np.zeros((len(grid.t_grid),) + grid.spatial_shape())
+    for i, t in enumerate(grid.t_grid):
+        if t <= a:
+            continue
+        mult1 = eval_symbol(psi1, t if l is None else l, xi)
+        s_nodes, w_nodes = graded_quadrature(a, float(t), beta, quad)
+        for s, w in zip(s_nodes, w_nodes):
+            window = np.exp(integrated_symbol(psi2, s, float(t), xi))
+            spec = (mult1 * window)[..., None] * _interp_hat(f_hat, grid.t_grid, s)
+            out[i] += w * vector_norm(lattice_inverse(spec, grid)) ** q
+    return out ** (1.0 / q)
+
+
+def _random_field(d, n, m, nt, seed):
+    grid = make_grid(d, n, 0.5, (np.arange(nt) + 0.5) / nt)
+    rng = np.random.default_rng(seed)
+    shape = (nt,) + (n,) * d + (m,)
+    return SpaceTimeField(grid, m, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _modulated(gamma, d, amp=0.5, rate=2.0):
+    return power_symbol(
+        1.0, gamma, k_fn=lambda t: amp * np.exp(-rate * t), k_bound=amp,
+        k_deriv_bound=amp * rate, d=d,
+    )
+
+
+def _non_separable(d):
+    # psi(t, xi) = -|xi|^2 (1 + 0.5 t / (1 + |xi|)): no time/frequency split
+    def evaluate(t, xi):
+        r = np.sqrt(np.sum(xi**2, axis=-1))
+        return -(r**2) * (1.0 + 0.5 * t / (1.0 + r)) + 0j
+
+    return SymbolSpec(eval_fn=evaluate, kappa=1.0, mu=10.0, gamma=2.0, n_derivs=2, d=d)
+
+
+class TestBatchedCore:
+    # 144 nodes: more than one chunk of 128 (n^d m = 128) and not a multiple
+    QUAD = QuadratureSpec(panels=20, order=6, split_levels=4)
+
+    @pytest.mark.parametrize("d,n,m", [(1, 64, 2), (1, 32, 1), (2, 8, 1), (2, 8, 2)])
+    @pytest.mark.parametrize("kind", ["static", "separable", "general"])
+    @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
+    def test_matches_per_node_reference(self, d, n, m, kind, variant):
+        f = _random_field(d, n, m, nt=4, seed=20 + d + m)
+        psi2 = {
+            "static": power_symbol(1.0, 2.0, d=d),
+            "separable": _modulated(2.0, d),
+            "general": _non_separable(d),
+        }[kind]
+        psi1 = _modulated(1.0, d, amp=0.3, rate=1.0)
+        quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
+        if variant == "g_function":
+            got = g_function(f, psi1, psi2, l=0.2, a=f.grid.a, q=3.0, quad=quad).values
+            want = per_node_reference(f, psi1, psi2, 0.2, f.grid.a, 3.0, quad)
+        else:
+            got = g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values
+            want = per_node_reference(f, psi1, psi2, None, f.grid.a, 3.0, quad)
+        assert np.max(want) > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_reference_case_spans_a_partial_chunk(self):
+        chunk = gfunction._CHUNK_ENTRIES // (64 * 2)
+        nodes = len(graded_quadrature(0.0, 1.0, 1.0, self.QUAD)[0])
+        assert nodes > chunk and nodes % chunk != 0
+
+
+class TestParsevalOracle:
+    """q = 2: sum_x G(t, x)^2 dx^d equals, by lattice Parseval,
+    sum_s w_s sum_xi |psi1|^2 |exp int_s^t psi2|^2 |f^(s, xi)|^2 dxi^d,
+    with closed-form symbols and no inverse transform."""
+
+    @pytest.mark.parametrize("d,n,m", [(1, 64, 2), (2, 16, 1)])
+    @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
+    def test_energy_per_time(self, d, n, m, variant):
+        f = _random_field(d, n, m, nt=6, seed=30 + d)
+        grid = f.grid
+        k1, g1, amp1, rate1 = 1.0, 1.0, 0.3, 1.0
+        k2, g2, amp2, rate2 = 1.0, 2.0, 0.5, 2.0
+        psi1 = _modulated(g1, d, amp1, rate1)
+        psi2 = _modulated(g2, d, amp2, rate2)
+        quad = QuadratureSpec(panels=16, order=6, split_levels=6)
+        l = 0.4
+        if variant == "g_function":
+            res = g_function(f, psi1, psi2, l=l, a=grid.a, q=2.0, quad=quad)
+        else:
+            res = g_tilde(f, psi1, psi2, a=grid.a, q=2.0, quad=quad)
+        got = np.sum(res.values**2, axis=tuple(range(1, d + 1))) * grid.dx**d
+
+        r = grid.freq_norm()
+        f_hat = lattice_forward(f.values, grid)
+        beta = 2.0 * g1 / g2
+        want = np.zeros(len(grid.t_grid))
+        for i, t in enumerate(grid.t_grid):
+            if t <= grid.a:
+                continue
+            t1 = l if variant == "g_function" else t
+            psi1_sq = ((k1 + amp1 * np.exp(-rate1 * t1)) * r**g1) ** 2
+            for s, w in zip(*graded_quadrature(grid.a, float(t), beta, quad)):
+                # int_s^t -(k2 + amp2 e^(-rate2 r)) dr, times |xi|^g2
+                c = -k2 * (t - s) - amp2 / rate2 * (np.exp(-rate2 * s) - np.exp(-rate2 * t))
+                energy = vector_norm(_interp_hat(f_hat, grid.t_grid, s)) ** 2
+                want[i] += w * np.sum(psi1_sq * np.exp(2.0 * c * r**g2) * energy)
+        want *= grid.dxi**d
+        assert np.max(want) > 0
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)

@@ -66,6 +66,24 @@ class TestMaximalSpace:
         m_big = maximal(f, "space", r_floor=0.5).values.real
         assert np.all(m_big <= m_small + 1e-12)
 
+    def test_r_floor_monotone_below_half_period(self):
+        # L = 1: the radii stop at the half period 1, so floors approach it
+        g = _grid(n=16, L=1.0)
+        h = np.abs(np.random.default_rng(12).normal(size=(4, 16)))
+        floors = np.concatenate([np.linspace(0.0, 1.0, 41)[:-1], 1.0 - np.logspace(-3, -12, 10)])
+        outs = [maximal_values(h, g, "space", r_floor=r) for r in floors]
+        for wide, narrow in zip(outs, outs[1:]):
+            assert np.all(narrow <= wide + 1e-12)
+
+    @pytest.mark.parametrize("r_floor", [1.0, 1.5, 3.0])
+    def test_r_floor_at_half_period_rejected(self, r_floor):
+        g = _grid(n=16, L=1.0)
+        h = np.abs(np.random.default_rng(12).normal(size=(16, 1))) + 0j
+        with pytest.raises(ValueError, match="half the period"):
+            maximal(SpatialField(g, 1, h), "space", r_floor=r_floor)
+        with pytest.raises(ValueError, match="half the period"):
+            maximal_values(h[None, :, 0].real, g, "space", r_floor=r_floor)
+
     def test_dominates_pointwise_value(self):
         g = _grid(n=128, L=4.0)
         rng = np.random.default_rng(1)
