@@ -15,6 +15,15 @@ Conventions shared by every operator here:
   is the set of cells whose centers fall inside, so each ladder radius
   yields an integer window shape.
 
+The sharp function is exact and costs no pass per window offset.  For each
+window shape, centers whose windows cover the same in-box time rows form one
+time class that shares the mean and the oscillation, and the zero rows
+outside the box enter in closed form.  The 2mx+1 periodic space shifts fold
+onto at most n distinct shifts per axis, each weighted by its multiplicity.
+The (class, in-box row) pairs are gathered in chunks of at most
+_CHUNK_ENTRIES floats, so its transient memory is a few such blocks whatever
+the window size.
+
 The filtration uses the nested variant of the anisotropic dyadic partition:
 level n has time side 2^-n and space side 2^-floor(n/gamma), so each cube
 sits inside exactly one parent cube with measure ratio at most 2^(1+d).
@@ -27,9 +36,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from lpevo.grid import SpaceTimeField, SpatialField, SpectralGrid, vector_norm
+
+# floats in one gathered block of sharp_parabolic: (class, row) pairs x
+# points of the lattice wrapped once; larger blocks buy little speed on two
+# cores and raise the peak memory of an estimate
+_CHUNK_ENTRIES = 2**16
 
 __all__ = [
     "ParabolicCube",
@@ -154,21 +167,21 @@ def _graded_maximal_time(
     n = b_shape[-1]
     widths = np.diff(edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
+    # candidate radii per center: every cell edge beyond r_floor, plus the
+    # radius just above the floor, which bounds the sup up to the next edge
+    radii = np.abs(edges[None, :] - centers[:, None])
+    keep = radii > r_floor
+    if r_floor > 0:
+        radii = np.concatenate([radii, np.full((n, 1), r_floor * (1 + 1e-9))], axis=1)
+        keep = np.concatenate([keep, np.ones((n, 1), dtype=bool)], axis=1)
+    reach = np.stack([centers[:, None] + radii, centers[:, None] - radii])
     flat = batch.reshape(-1, n)
     out = np.zeros_like(flat)
     for b, row in enumerate(flat):
         prefix = np.concatenate([[0.0], np.cumsum(row * widths)])
-        best = np.zeros(n)
-        for i, c in enumerate(centers):
-            radii = np.abs(edges - c)
-            radii = radii[radii > r_floor]
-            if r_floor > 0:
-                radii = np.append(radii, r_floor * (1 + 1e-9))
-            if radii.size == 0:
-                continue
-            mass = np.interp(c + radii, edges, prefix) - np.interp(c - radii, edges, prefix)
-            best[i] = np.max(mass / (2.0 * radii))
-        out[b] = best
+        hi, lo = np.interp(reach, edges, prefix)
+        avg = np.where(keep, (hi - lo) / (2.0 * radii), -np.inf)
+        out[b] = np.where(keep.any(axis=1), avg.max(axis=1), 0.0)
     return out.reshape(b_shape)
 
 
@@ -180,9 +193,14 @@ def _ball_maximal_2d(batch: np.ndarray, grid: SpectralGrid, r_floor: float) -> n
     radii = []
     r = dx
     while r <= grid.half_length * np.sqrt(2):
-        if r > r_floor:
-            radii.append(r)
+        radii.append(r)
         r *= 2.0 ** 0.25
+    if r_floor >= radii[-1]:
+        # an empty sup would read 0, below the field itself
+        raise ValueError(
+            f"r_floor = {r_floor} must be below the largest ball radius ({radii[-1]})"
+        )
+    radii = [r for r in radii if r > r_floor]
     flat = batch.reshape(-1, n, n)
     spec = np.fft.fft2(flat, axes=(-2, -1))
     offs = np.fft.fftfreq(n, d=1.0 / n)  # integer offsets 0..n/2, -n/2..-1
@@ -240,8 +258,9 @@ def maximal(
     """Pointwise supremum over radii r > r_floor of window averages of
     the V-norm of h, along space (periodic) or time (zero extension).
 
-    In d = 1 the space radii stop at half the period, so r_floor must lie
-    below it."""
+    In d = 1 the space radii stop at half the period, and in d = 2 at the
+    largest ball radius of the ladder (about L*sqrt(2)), so r_floor must
+    lie below it."""
     vn = vector_norm(h.values)
     out = maximal_values(vn, h.grid, axis, r_floor)
     if isinstance(h, SpaceTimeField):
@@ -275,19 +294,46 @@ def _window_halfwidths(radius: float, gamma: float, dt: float, dx: float) -> tup
     return mt, mx
 
 
-def _window_sum(values: np.ndarray, mt: int, mx: int, d: int) -> np.ndarray:
-    """Sum over the (2mt+1) x (2mx+1)^d window centered at each cell.
+def _time_classes(T: int, mt: int, ext: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-box row intervals of the windows centered at rows -ext..T-1+ext.
 
-    The time axis (leading) is summed over contiguous slices, so the result
-    has 2mt fewer rows: row c sums input rows c..c+2mt.  Space axes are
-    n-periodic and summed over rolled copies.  Cells are added directly, so
-    a one-cell window returns the cell value exactly.
+    Returns the distinct intervals as (first row, row count) and, for each
+    center, the index of its interval.
     """
-    rows = values.shape[0] - 2 * mt
-    out = sum(values[k : k + rows] for k in range(2 * mt + 1))
-    for ax in range(1, d + 1):
-        out = sum(np.roll(out, -k, axis=ax) for k in range(-mx, mx + 1))
-    return out
+    centers = np.arange(-ext, T + ext)
+    lo = np.maximum(centers - mt, 0)
+    hi = np.minimum(centers + mt, T - 1)
+    keys, of_center = np.unique(lo * T + hi, return_inverse=True)
+    lo, hi = np.divmod(keys, T)
+    return lo, hi - lo + 1, of_center
+
+
+def _pair_chunks(lo: np.ndarray, count: np.ndarray, width: int):
+    """The (class, in-box row) pairs of the time classes, in chunks of at
+    most _CHUNK_ENTRIES // width pairs (at least one).
+
+    Yields each chunk's rows, the class of each pair and the starts of the
+    class segments (for ``np.add.reduceat``).  A class cut by a chunk edge
+    gives one segment in each chunk.
+    """
+    cls = np.repeat(np.arange(count.size), count)
+    rows = lo[cls] + np.arange(cls.size) - (np.cumsum(count) - count)[cls]
+    step = max(1, _CHUNK_ENTRIES // width)
+    for a in range(0, cls.size, step):
+        part = cls[a : a + step]
+        yield rows[a : a + step], part, np.flatnonzero(np.diff(part, prepend=-1))
+
+
+def _sliding_max(a: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """Max over the windows a[i..i+2*half] along ``axis``, which comes out
+    2*half entries shorter; windows of doubling width take log passes."""
+    a = np.moveaxis(a, axis, 0)
+    width, span = 2 * half + 1, 1
+    while 2 * span <= width:
+        a = np.maximum(a[:-span], a[span:])
+        span *= 2
+    # two windows of `span` entries cover one of `width`
+    return np.moveaxis(np.maximum(a[: a.shape[0] - (width - span)], a[width - span :]), 0, axis)
 
 
 def sharp_parabolic(
@@ -304,6 +350,21 @@ def sharp_parabolic(
     also ranges over every window position containing the point (via a
     maximum filter), matching the definition's arbitrary cube centers.
     Time extends by zero outside the box; space wraps periodically.
+
+    The oscillation is exact, not sampled.  Per window shape it is reduced
+    to the distinct work:
+
+    - centers whose windows cover the same in-box rows share the mean and
+      the oscillation, so each such time class is computed once; its zero
+      rows outside the box add (out-of-box cells) x |mean| in closed form;
+    - the space shifts fold onto at most n distinct periodic shifts per
+      axis, each weighted by how often it occurs.
+
+    Window sums add cells directly, so a one-cell window returns the cell
+    value exactly.  The (class, in-box row) pairs are gathered in chunks:
+    a chunk's rows on the lattice wrapped once hold at most _CHUNK_ENTRIES
+    floats (one pair if a lattice alone is larger), and its three other
+    temporaries are no larger, however large the window.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(grid.t_grid),) + grid.spatial_shape():
@@ -314,30 +375,60 @@ def sharp_parabolic(
 
     shapes = sorted({_window_halfwidths(r, gamma, dt, grid.dx) for r in np.asarray(ladder)})
     T = values.shape[0]
+    d, n = grid.d, grid.n
+    spatial = grid.spatial_shape()
+    # time last: each space shift of a gathered block is then a contiguous run
+    space_first = np.ascontiguousarray(np.moveaxis(values, 0, -1))
     sharp = np.zeros_like(values)
-    d = grid.d
-    space_axes = tuple(range(1, d + 1))
     for mt, mx in shapes:
-        cells = (2 * mt + 1) * (2 * mx + 1) ** d
+        side = (2 * mx + 1) ** d
+        cells = (2 * mt + 1) * side
         # centers whose window can reach an in-box point sit up to `ext`
-        # rows outside the box (ext = mt once offsets move the windows);
-        # their windows reach mt rows further, so zero-pad time by ext + mt
+        # rows outside the box once offsets move the windows
         ext = mt if offsets else 0
-        padded = np.pad(values, [(ext + mt, ext + mt)] + [(0, 0)] * d)
-        rows = T + 2 * ext
-        mu = _window_sum(padded, mt, mx, d) / cells
-        acc = np.zeros_like(mu)
-        for shift in itertools.product(range(-mx, mx + 1), repeat=d):
-            rolled = np.roll(padded, [-s for s in shift], axis=space_axes)
-            for k in range(2 * mt + 1):
-                acc += np.abs(rolled[k : k + rows] - mu)
-        osc = acc / cells
+        lo, count, of_center = _time_classes(T, mt, ext)
+        # distinct periodic space shifts and how many of -mx..mx land on
+        # each: a window longer than the period counts cells more than once
+        shifts, mult = np.unique(np.arange(-mx, mx + 1) % n, return_counts=True)
+        # the largest temporary is a chunk's rows on the lattice wrapped once
+        chunks = list(_pair_chunks(lo, count, (n + int(shifts[-1])) ** d))
+
+        window = space_first
+        for ax in range(d):
+            window = sum(k * np.roll(window, -s, axis=ax) for s, k in zip(shifts, mult))
+        mu = np.zeros(spatial + (count.size,))
+        for rows, cls, seg in chunks:
+            mu[..., cls[seg]] += np.add.reduceat(window[..., rows], seg, axis=-1)
+        mu /= cells
+
+        acc = (2 * mt + 1 - count) * side * np.abs(mu)
+        # space shift s reads cells s..s+n-1 of the lattice wrapped once
+        wrapped = np.pad(space_first, [(0, int(shifts[-1]))] * d + [(0, 0)], mode="wrap")
+        moves = [
+            (tuple(slice(k, k + n) for k in ks), math.prod(ws))
+            for ks, ws in zip(itertools.product(shifts, repeat=d), itertools.product(mult, repeat=d))
+        ]
+        for rows, cls, seg in chunks:
+            block = wrapped[..., rows]
+            mu_pairs = mu[..., cls]
+            dev = np.empty_like(mu_pairs)
+            total = np.zeros_like(mu_pairs)
+            for cut, weight in moves:
+                np.abs(np.subtract(block[cut], mu_pairs, out=dev), out=dev)
+                if weight != 1:
+                    dev *= weight
+                total += dev
+            acc[..., cls[seg]] += np.add.reduceat(total, seg, axis=-1)
+        osc = np.moveaxis(acc / cells, -1, 0)[of_center]
         if offsets:
-            # every in-box row sees only computed centers, so the time mode
-            # never acts; space wraps with the true period n
-            size = (2 * mt + 1,) + (2 * mx + 1,) * d
-            osc = maximum_filter(osc, size=size, mode=["constant"] + ["wrap"] * d, cval=0.0)
-        sharp = np.maximum(sharp, osc[ext : ext + T])
+            # sup over the window positions containing each point: the
+            # centers of in-box rows are all computed, and space wraps
+            osc = _sliding_max(osc, mt, 0)
+            for ax in range(1, d + 1):
+                pad = [(0, 0)] * (d + 1)
+                pad[ax] = (mx, mx)
+                osc = _sliding_max(np.pad(osc, pad, mode="wrap"), mx, ax)
+        sharp = np.maximum(sharp, osc)
     return sharp
 
 

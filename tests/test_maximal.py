@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpevo import maximal as maximal_module
 from lpevo.grid import SpaceTimeField, SpatialField, make_grid
 from lpevo.maximal import (
     FiltrationLevel,
     ParabolicCube,
+    _graded_maximal_time,
     box_lp_norm,
     build_filtration_levels,
     containment_radius,
@@ -27,6 +31,61 @@ def _cells_grid(n=16, L=1.0, T=64, span=1.0):
     # time nodes at cell centers of a dyadic box [0, span)
     t = (np.arange(T) + 0.5) * (span / T)
     return make_grid(1, n, L, t)
+
+
+def _window_grid(d, n, T, mt, mx):
+    """Grid and gamma = 1 cube radius whose lattice window is (mt, mx):
+    the radius sits half a cell past mt time cells and mx space cells."""
+    dt = 1.0 / T
+    r = (mt + 0.5) * dt
+    dx = r / (mx + 0.5)
+    return make_grid(d, n, n * dx / 2.0, (np.arange(T) + 0.5) * dt), r
+
+
+def _sharp_oracle(h, mt, mx, offsets):
+    """Direct enumeration of the sharp function for one window shape.
+
+    The mean oscillation of the (2mt+1) x (2mx+1)^d window centered at each
+    center, with zero rows outside the box and n-periodic space; with
+    offsets, the sup over every window position containing the point.
+    """
+    T, n, d = h.shape[0], h.shape[1], h.ndim - 1
+    ext = mt if offsets else 0
+    padded = np.pad(h, [(ext + mt, ext + mt)] + [(0, 0)] * d)
+    span = np.arange(-mx, mx + 1)
+    osc = np.empty((T + 2 * ext,) + h.shape[1:])
+    for idx in np.ndindex(osc.shape):
+        c, x = idx[0], idx[1:]  # center row c - ext
+        cells = padded[np.ix_(np.arange(c, c + 2 * mt + 1), *[(xi + span) % n for xi in x])]
+        osc[idx] = np.mean(np.abs(cells - cells.mean()))
+    if not offsets:
+        return osc
+    out = np.empty_like(h)
+    for idx in np.ndindex(h.shape):
+        i, x = idx[0], idx[1:]
+        out[idx] = osc[np.ix_(np.arange(i, i + 2 * mt + 1), *[(xi + span) % n for xi in x])].max()
+    return out
+
+
+def _graded_loop_reference(batch, edges, r_floor):
+    # the per-center loop that _graded_maximal_time vectorizes
+    n = batch.shape[-1]
+    widths = np.diff(edges)
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    flat = batch.reshape(-1, n)
+    out = np.zeros_like(flat)
+    for b, row in enumerate(flat):
+        prefix = np.concatenate([[0.0], np.cumsum(row * widths)])
+        for i, c in enumerate(centers):
+            radii = np.abs(edges - c)
+            radii = radii[radii > r_floor]
+            if r_floor > 0:
+                radii = np.append(radii, r_floor * (1 + 1e-9))
+            if radii.size == 0:
+                continue
+            mass = np.interp(c + radii, edges, prefix) - np.interp(c - radii, edges, prefix)
+            out[b, i] = np.max(mass / (2.0 * radii))
+    return out.reshape(batch.shape)
 
 
 class TestMaximalSpace:
@@ -130,6 +189,17 @@ class TestMaximalSpace:
         out = maximal(f, "space")
         assert np.allclose(out.values[..., 0].real, 2.0)
 
+    @pytest.mark.parametrize("r_floor", [1.5, 3.0])
+    def test_2d_r_floor_past_largest_ball_rejected(self, r_floor):
+        # L = 1: the ball radii stop near sqrt(2); an empty sup would read 0
+        g = make_grid(2, 16, 1.0, [0.0, 1.0])
+        h = 1.0 + np.abs(np.random.default_rng(14).normal(size=(16, 16)))
+        assert np.all(maximal_values(h, g, "space", r_floor=1.4) > 0)
+        with pytest.raises(ValueError, match="largest ball radius"):
+            maximal_values(h, g, "space", r_floor=r_floor)
+        with pytest.raises(ValueError, match="largest ball radius"):
+            maximal(SpatialField(g, 1, h[..., None] + 0j), "space", r_floor=r_floor)
+
 
 class TestMaximalTime:
     def test_constant(self):
@@ -155,6 +225,14 @@ class TestMaximalTime:
                     lo, hi = max(i - k, 0), min(i + k + 1, 16)
                     best = max(best, np.sum(col[lo:hi]) * dt / (2 * r))
                 assert out[i, j] == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("r_floor", [0.0, 0.05, 0.3, 2.0])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+    def test_graded_equals_loop(self, batch, r_floor):
+        edges = np.concatenate([[0.0], np.cumsum(np.random.default_rng(15).uniform(0.05, 0.4, 9))])
+        h = np.abs(np.random.default_rng(16).normal(size=batch + (9,)))
+        out = _graded_maximal_time(h, edges, r_floor)
+        assert np.array_equal(out, _graded_loop_reference(h, edges, r_floor))
 
     def test_graded_time_grid(self):
         t = np.array([0.0, 0.1, 0.3, 0.7, 1.5])
@@ -218,6 +296,52 @@ class TestSharpParabolic:
                     for b in range(j - mx, j + mx + 1)
                 )
                 assert out[i, j] == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("offsets", [False, True])
+    @pytest.mark.parametrize(
+        "d, n, T, mt, mx",
+        [
+            (1, 8, 6, 2, 1),
+            (1, 8, 3, 4, 6),  # time window past the box, space window past the period
+            (1, 16, 5, 40, 2),  # radius far past the box: one time class in the box
+            (2, 8, 4, 1, 2),
+            (2, 8, 3, 3, 5),
+            (2, 8, 4, 12, 1),
+        ],
+    )
+    def test_direct_enumeration_oracle(self, d, n, T, mt, mx, offsets):
+        g, r = _window_grid(d, n, T, mt, mx)
+        h = np.random.default_rng(17).normal(size=(T,) + (n,) * d)
+        out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=offsets)
+        np.testing.assert_allclose(out, _sharp_oracle(h, mt, mx, offsets), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("cap", [1, 100, 1000, 2**15])
+    def test_chunk_cap_leaves_values(self, monkeypatch, d, cap):
+        # chunks of one pair, chunks that cut time classes, one chunk
+        monkeypatch.setattr(maximal_module, "_CHUNK_ENTRIES", cap)
+        g, r = _window_grid(d, 8, 6, 4, 2)
+        h = np.random.default_rng(18).normal(size=(6,) + (8,) * d)
+        out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
+        np.testing.assert_allclose(out, _sharp_oracle(h, 4, 2, True), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        n=st.sampled_from([8, 16]),
+        T=st.integers(min_value=2, max_value=5),
+        mt=st.integers(min_value=0, max_value=7),
+        mx=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_oracle_property(self, d, n, T, mt, mx, seed):
+        g, r = _window_grid(d, n, T, mt, mx)
+        h = np.random.default_rng(seed).normal(size=(T,) + (n,) * d)
+        centered = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=False)
+        full = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
+        np.testing.assert_allclose(centered, _sharp_oracle(h, mt, mx, False), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(full, _sharp_oracle(h, mt, mx, True), rtol=1e-12, atol=0.0)
+        assert np.all(full >= centered * (1 - 1e-12))
 
     def test_shift_invariance(self):
         g = _cells_grid(n=16, T=32)
