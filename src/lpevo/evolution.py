@@ -5,27 +5,29 @@ multiplying its lattice transform with exp(integral_s^t psi(r, xi) dr); the
 associated convolution kernel is normalized so that operator application
 equals the plain discrete convolution sum_y k(x - y) f(y) dx^d and the
 kernel mass sums to the multiplier value at xi = 0.
+
+Two primitives carry every operator here.  :func:`integrated_symbol` is the
+one path to integral_s^t psi(r, xi) dr, for a scalar or a whole array of
+window starts s: exact for time-independent symbols, and otherwise composite
+Gauss-Legendre on panels anchored to one global lattice, evaluated by the
+one panel routine for separable coefficients and generic symbols alike.
+:func:`lpevo.grid.apply_multiplier` is the one forward -> multiply -> inverse
+path; T(t, s) and L(l) only build their multipliers.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from lpevo.grid import (
-    SpatialField,
-    SpectralGrid,
-    lattice_forward,
-    lattice_inverse,
-)
+from lpevo.grid import SpatialField, SpectralGrid, apply_multiplier, lattice_inverse
 from lpevo.symbols import SymbolSpec, eval_symbol
 
 __all__ = [
-    "MultiplierCache",
     "EvolutionKernel",
     "integrated_symbol",
     "evolution_multiplier",
@@ -34,7 +36,6 @@ __all__ = [
     "apply_pseudo_diff",
     "symbol_on_lattice",
     "kernel_l1_norm",
-    "kernel_to_csv",
 ]
 
 _GL_ORDER = 8
@@ -57,84 +58,67 @@ def _panel_edges(s: float, t: float) -> list[float]:
     return [s] + [e * _PANEL_WIDTH for e in np.arange(lo, hi + 1) if s < e * _PANEL_WIDTH < t] + [t]
 
 
-def _coeff_integrals(symbol: SymbolSpec, s: np.ndarray, t: float) -> np.ndarray:
-    """integral_s^t time_coeff(max(r, 0)) dr for every entry of s (all < t).
+def _panel_integrals(
+    integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarray, t: float
+) -> np.ndarray:
+    """integral_s^t integrand(r) dr for every entry of a 1-d array s (all < t).
 
-    Composite Gauss-Legendre on the panels of :func:`_panel_edges`.  Shared
-    panels are evaluated once for the whole batch, and each window adds its
-    panels left to right, as it would on its own.
+    ``integrand`` maps an array r of times to values of shape
+    r.shape + tail; the result has shape s.shape + tail.  Composite
+    Gauss-Legendre on the panels of :func:`_panel_edges`.  Shared panels are
+    evaluated once for the whole batch, and each window adds its panels left
+    to right, as it would on its own.
     """
-    s = np.asarray(s, dtype=float)
     z, w = _gl_rule()
-    coeff = symbol.time_coeff
 
     def panels(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        r = mid[:, None] + half[:, None] * z
-        vals = np.asarray([coeff(max(x, 0.0)) for x in r.ravel()]).reshape(r.shape)
-        return half * np.sum(w * vals, axis=-1)
+        vals = integrand(mid[:, None] + half[:, None] * z)
+        tail = (1,) * (vals.ndim - 2)
+        return half.reshape((-1,) + tail) * np.sum(w.reshape((-1,) + tail) * vals, axis=1)
 
     edges = np.asarray(_panel_edges(float(np.min(s)), t)[1:])  # anchors, then t
     first = np.searchsorted(edges[:-1], s, side="right")  # first edge above each s
     total = panels(s, edges[first])
+    first = first.reshape(first.shape + (1,) * (total.ndim - 1))
     for k, p in enumerate(panels(edges[:-1], edges[1:])):
         total = np.where(first <= k, total + p, total)
     return total
 
 
-def integrated_symbol(symbol: SymbolSpec, s: float, t: float, xi: np.ndarray) -> np.ndarray:
-    """integral_s^t psi(r, xi) dr on an (..., d) frequency array.
+def integrated_symbol(
+    symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray
+) -> np.ndarray:
+    """integral_s^t psi(r, xi) dr for a scalar or an array of window starts s
+    on an (..., d) frequency array, with shape s.shape + xi.shape[:-1].
 
     Exact to roundoff for time-independent symbols; separable symbols reduce
-    to a scalar time integral times the frequency profile.
+    to the time integral of the coefficient times the frequency profile.
+    Every s must lie before t.
     """
-    if t <= s:
-        raise ValueError(f"integrated symbol requires t > s, got s={s}, t={t}")
+    s = np.asarray(s, dtype=float)
+    if np.any(s >= t):
+        raise ValueError(f"integrated symbol requires t > s, got max s={np.max(s)}, t={t}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    lead = s.shape + (1,) * (xi.ndim - 1)
     if symbol.time_independent:
-        return (t - s) * eval_symbol(symbol, 0.0, xi)
+        return (t - s).reshape(lead) * eval_symbol(symbol, 0.0, xi)
     if symbol.separable:
-        coeff = _coeff_integrals(symbol, np.asarray([s]), t)[0]
-        return coeff * np.asarray(symbol.xi_profile(xi), dtype=complex)
-    nodes, weights = _gl_rule()
-    edges = _panel_edges(s, t)
-    total = np.zeros(xi.shape[:-1], dtype=complex)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for z, w in zip(nodes, weights):
-            total += half * w * eval_symbol(symbol, mid + half * z, xi)
-    return total
+        coeff = _panel_integrals(lambda r: symbol.time_coeff(np.maximum(r, 0.0)), s.ravel(), t)
+        return coeff.reshape(lead) * np.asarray(symbol.xi_profile(xi), dtype=complex)
+
+    def psi(r: np.ndarray) -> np.ndarray:
+        # np.asarray, not np.stack: a batch with no shared panel passes no r
+        vals = np.asarray([eval_symbol(symbol, x, xi) for x in r.ravel()])
+        return vals.reshape(r.shape + xi.shape[:-1])
+
+    return _panel_integrals(psi, s.ravel(), t).reshape(s.shape + xi.shape[:-1])
 
 
 def evolution_multiplier(symbol: SymbolSpec, s: float, t: float, grid: SpectralGrid) -> np.ndarray:
     """exp(integral_s^t psi(r, xi) dr) on the full frequency lattice."""
     xi = grid.freq_vectors()
     return np.exp(integrated_symbol(symbol, s, t, xi))
-
-
-class MultiplierCache:
-    """Write-once-per-(s, t) LRU cache of evolution multipliers on a grid."""
-
-    def __init__(self, grid: SpectralGrid, symbol: SymbolSpec, max_entries: int = 256):
-        self.grid = grid
-        self.symbol = symbol
-        self.max_entries = max_entries
-        self._table: OrderedDict[tuple[float, float], np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def get(self, s: float, t: float) -> np.ndarray:
-        key = (round(float(s), 12), round(float(t), 12))
-        hit = self._table.get(key)
-        if hit is not None:
-            self._table.move_to_end(key)
-            return hit
-        value = evolution_multiplier(self.symbol, s, t, self.grid)
-        self._table[key] = value
-        if len(self._table) > self.max_entries:
-            self._table.popitem(last=False)
-        return value
 
 
 @dataclass(frozen=True)
@@ -167,13 +151,7 @@ def evolution_kernel(symbol: SymbolSpec, s: float, t: float, grid: SpectralGrid)
     return EvolutionKernel(grid=grid, s=s, t=t, values=values)
 
 
-def apply_evolution(
-    symbol: SymbolSpec,
-    s: float,
-    t: float,
-    f: SpatialField,
-    cache: MultiplierCache | None = None,
-) -> SpatialField:
+def apply_evolution(symbol: SymbolSpec, s: float, t: float, f: SpatialField) -> SpatialField:
     """T(t, s) f for t >= s as a Fourier multiplier; t = s returns f."""
     if t < s:
         raise ValueError(f"apply_evolution requires t >= s, got s={s}, t={t}")
@@ -181,15 +159,7 @@ def apply_evolution(
         raise ValueError("apply_evolution expects a space-side field")
     if t == s:
         return f
-    if cache is not None:
-        if cache.grid is not f.grid:
-            raise ValueError("cache grid does not match field grid")
-        mult = cache.get(s, t)
-    else:
-        mult = evolution_multiplier(symbol, s, t, f.grid)
-    spec = lattice_forward(f.values, f.grid)
-    spec *= mult[..., None]
-    return f.with_values(lattice_inverse(spec, f.grid), side="space")
+    return apply_multiplier(f, evolution_multiplier(symbol, s, t, f.grid))
 
 
 def symbol_on_lattice(symbol: SymbolSpec, l: float, grid: SpectralGrid) -> np.ndarray:
@@ -199,12 +169,7 @@ def symbol_on_lattice(symbol: SymbolSpec, l: float, grid: SpectralGrid) -> np.nd
 
 def apply_pseudo_diff(symbol: SymbolSpec, l: float, f: SpatialField) -> SpatialField:
     """L(l) f: multiply the lattice transform by psi(l, xi)."""
-    if f.side != "space":
-        raise ValueError("apply_pseudo_diff expects a space-side field")
-    mult = symbol_on_lattice(symbol, l, f.grid)
-    spec = lattice_forward(f.values, f.grid)
-    spec *= mult[..., None]
-    return f.with_values(lattice_inverse(spec, f.grid), side="space")
+    return apply_multiplier(f, symbol_on_lattice(symbol, l, f.grid))
 
 
 def kernel_l1_norm(kernel: EvolutionKernel | np.ndarray, grid: SpectralGrid | None = None) -> float:
@@ -216,13 +181,3 @@ def kernel_l1_norm(kernel: EvolutionKernel | np.ndarray, grid: SpectralGrid | No
             raise ValueError("grid required for raw kernel arrays")
         values = kernel
     return float(np.sum(np.abs(values)) * grid.cell_volume())
-
-
-def kernel_to_csv(kernel: EvolutionKernel) -> str:
-    """CSV dump (x, re, im) for plotting; d=1 kernels only."""
-    if kernel.grid.d != 1:
-        raise ValueError("CSV export supports d=1 kernels only")
-    lines = ["x,re,im"]
-    for xj, v in zip(kernel.grid.x, kernel.values):
-        lines.append(f"{float(xj)!r},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,10 @@ singularity for a u^(1/beta) Hölder kink of the transformed integrand there.
 The core works one output time t at a time and batches its s nodes: the
 time interpolation of the field's transform, the window multipliers
 exp(integral_s^t psi2) and the product with psi1 are built for a whole batch
-of nodes, which then takes one inverse transform.  A batch holds at most
+of nodes, which then takes one inverse transform.  The window exponents of a
+batch come from one :func:`lpevo.evolution.integrated_symbol` call on the
+batch's array of s nodes, the same path every other multiplier takes, so the
+core holds no symbol-specific code of its own.  A batch holds at most
 _CHUNK_ENTRIES complex entries (nodes x lattice points x V components), so
 memory stays flat however many nodes the quadrature has.  The per-node
 terms are summed in node order, so batching leaves G unchanged.
@@ -35,8 +38,8 @@ from lpevo.grid import (
     time_weights,
     vector_norm,
 )
-from lpevo.symbols import SymbolSpec, eval_symbol
-from lpevo.evolution import _coeff_integrals, _gl_rule, integrated_symbol, symbol_on_lattice
+from lpevo.symbols import SymbolSpec
+from lpevo.evolution import _gl_rule, integrated_symbol, symbol_on_lattice
 
 __all__ = [
     "QuadratureSpec",
@@ -45,7 +48,6 @@ __all__ = [
     "g_function",
     "g_tilde",
     "g_lp_norm",
-    "g_to_csv",
 ]
 
 # complex entries (nodes x lattice points x V components) per batched inverse
@@ -129,20 +131,6 @@ class GFunctionResult:
             raise ValueError("square-function values must be finite and nonnegative")
 
 
-def _window_exponents(
-    symbol: SymbolSpec, base: np.ndarray | None, s: np.ndarray, t: float, xi: np.ndarray
-) -> np.ndarray:
-    """integral_s^t psi(r, xi) dr for every s node at a fixed t, stacked on a
-    leading axis.  ``base`` is psi(0, xi) for time-independent symbols and
-    the xi profile for separable ones; other symbols integrate per node."""
-    lead = (-1,) + (1,) * (xi.ndim - 1)
-    if symbol.time_independent:
-        return (t - s).reshape(lead) * base
-    if symbol.separable:
-        return _coeff_integrals(symbol, s, t).reshape(lead) * base
-    return np.stack([integrated_symbol(symbol, r, t, xi) for r in s])
-
-
 def _interp_transform(f_hat: np.ndarray, t_grid: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Linear time interpolation of per-node lattice transforms at every s,
     stacked on a leading axis."""
@@ -182,11 +170,6 @@ def _g_core(
     beta = q * psi1.gamma / psi2.gamma
     f_hat = lattice_forward(f.values, grid)  # (T, spatial..., m)
     xi = grid.freq_vectors()
-    base = None
-    if psi2.time_independent:
-        base = eval_symbol(psi2, 0.0, xi)
-    elif psi2.separable:
-        base = np.asarray(psi2.xi_profile(xi), dtype=complex)
     psi1_fixed = None
     if l_mode == "fixed":
         psi1_fixed = symbol_on_lattice(psi1, l, grid)
@@ -200,7 +183,7 @@ def _g_core(
         acc = np.zeros(grid.spatial_shape())
         for lo in range(0, len(s_nodes), chunk):
             s, w = s_nodes[lo : lo + chunk], w_nodes[lo : lo + chunk]
-            window = np.exp(_window_exponents(psi2, base, s, float(t), xi))
+            window = np.exp(integrated_symbol(psi2, s, float(t), xi))
             spec = mult1[..., None] * window[..., None] * _interp_transform(f_hat, grid.t_grid, s)
             u = lattice_inverse(spec, grid)
             terms = w.reshape((-1,) + (1,) * grid.d) * vector_norm(u) ** q
@@ -243,21 +226,10 @@ def g_tilde(
 
 
 def g_lp_norm(g: GFunctionResult, p: float) -> float:
-    """Space-time L^p norm of the square function; the estimates require
-    p >= q."""
-    if p < g.q:
-        raise ValueError(f"p must be >= q = {g.q}, got {p}")
+    """Space-time L^p norm of the square function for finite p; the
+    estimates require p >= q."""
+    if not g.q <= p < np.inf:
+        raise ValueError(f"p must be finite and >= q = {g.q}, got {p}")
     w = time_weights(g.grid.t_grid).reshape((-1,) + (1,) * g.grid.d)
     total = np.sum(g.values**p * w) * g.grid.cell_volume()
     return float(total ** (1.0 / p))
-
-
-def g_to_csv(g: GFunctionResult) -> str:
-    """CSV dump (t, x, G) for plotting; d=1 grids only."""
-    if g.grid.d != 1:
-        raise ValueError("CSV export supports d=1 only")
-    lines = ["t,x,g"]
-    for i, t in enumerate(g.grid.t_grid):
-        for j, x in enumerate(g.grid.x):
-            lines.append(f"{float(t)!r},{float(x)!r},{float(g.values[i, j])!r}")
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ Parseval's identity on the lattice.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,13 +25,7 @@ __all__ = [
     "lebesgue_norm",
     "vector_norm",
     "time_weights",
-    "field_to_bytes",
-    "field_from_bytes",
-    "field_to_csv",
 ]
-
-_MAGIC = b"LPEV"
-_FORMAT_VERSION = 1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -244,7 +237,10 @@ def inverse_transform(g: SpatialField) -> SpatialField:
 
 
 def apply_multiplier(f: SpatialField, multiplier: np.ndarray) -> SpatialField:
-    """Apply a Fourier multiplier m(xi) to a space-side field."""
+    """Apply a Fourier multiplier m(xi) to a space-side field: the one
+    forward -> multiply -> inverse path for spatial fields."""
+    if f.side != "space":
+        raise ValueError("apply_multiplier expects a space-side field")
     multiplier = np.asarray(multiplier)
     if multiplier.shape != f.grid.spatial_shape():
         raise ValueError("multiplier shape does not match the frequency lattice")
@@ -269,9 +265,10 @@ def time_weights(t_grid: np.ndarray) -> np.ndarray:
 
 
 def lebesgue_norm(f: SpatialField | SpaceTimeField, p: float) -> float:
-    """Discrete L^p norm: trapezoid weights in time, cell weights in space."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    """Discrete L^p norm for finite p >= 1: trapezoid weights in time, cell
+    weights in space."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     vn = vector_norm(f.values)
     cell = f.grid.cell_volume()
     if isinstance(f, SpaceTimeField):
@@ -281,67 +278,3 @@ def lebesgue_norm(f: SpatialField | SpaceTimeField, p: float) -> float:
     else:
         total = np.sum(vn**p) * cell
     return float(total ** (1.0 / p))
-
-
-# -- serialization ----------------------------------------------------------
-
-def field_to_bytes(f: SpatialField | SpaceTimeField) -> bytes:
-    """Flat little-endian binary layout: header then float64 (re, im) pairs."""
-    is_st = isinstance(f, SpaceTimeField)
-    t = f.grid.t_grid
-    header = struct.pack(
-        "<4sIIIIIdI",
-        _MAGIC,
-        _FORMAT_VERSION,
-        f.grid.d,
-        f.grid.n,
-        f.m,
-        1 if is_st else 0,
-        f.grid.half_length,
-        len(t),
-    )
-    body = t.astype("<f8").tobytes()
-    flat = np.ascontiguousarray(f.values, dtype=complex)
-    pairs = np.empty(flat.shape + (2,), dtype="<f8")
-    pairs[..., 0] = flat.real
-    pairs[..., 1] = flat.imag
-    return header + body + pairs.tobytes()
-
-
-def field_from_bytes(data: bytes) -> SpatialField | SpaceTimeField:
-    head_size = struct.calcsize("<4sIIIIIdI")
-    magic, version, d, n, m, is_st, half_length, nt = struct.unpack(
-        "<4sIIIIIdI", data[:head_size]
-    )
-    if magic != _MAGIC:
-        raise ValueError("bad magic in field data")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    off = head_size
-    t = np.frombuffer(data[off : off + 8 * nt], dtype="<f8").copy()
-    off += 8 * nt
-    grid = make_grid(d, n, half_length, t)
-    shape = ((nt,) if is_st else ()) + (n,) * d + (m,)
-    count = int(np.prod(shape)) * 2
-    raw = np.frombuffer(data[off : off + 8 * count], dtype="<f8").reshape(shape + (2,))
-    values = raw[..., 0] + 1j * raw[..., 1]
-    if is_st:
-        return SpaceTimeField(grid, m, values)
-    return SpatialField(grid, m, values)
-
-
-def field_to_csv(f: SpatialField) -> str:
-    """CSV dump for small 1-d grids: x, then re/im per component."""
-    if f.grid.d != 1:
-        raise ValueError("CSV export supports d=1 only")
-    cols = ["x"]
-    for c in range(f.m):
-        cols += [f"re{c}", f"im{c}"]
-    lines = [",".join(cols)]
-    for j, xj in enumerate(f.grid.x):
-        row = [repr(float(xj))]
-        for c in range(f.m):
-            v = f.values[j, c]
-            row += [repr(float(v.real)), repr(float(v.imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

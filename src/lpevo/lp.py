@@ -33,7 +33,6 @@ __all__ = [
     "besov_norm",
     "besov_norm_report",
     "sobolev_norm",
-    "partition_to_csv",
 ]
 
 
@@ -149,13 +148,3 @@ def sobolev_norm(f: SpatialField, alpha: float, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     mult = (1.0 + f.grid.freq_norm() ** 2) ** (alpha / 2.0)
     return lebesgue_norm(apply_multiplier(f, mult), p)
-
-
-def partition_to_csv(part: DyadicPartition) -> str:
-    """Profile as (xi, Phi(xi)) pairs over the positive lattice frequencies."""
-    lines = ["xi,phi"]
-    for xi in part.grid.freq:
-        if xi <= 0:
-            continue
-        lines.append(f"{float(xi)!r},{float(dyadic_profile(np.array(xi)))!r}")
-    return "\n".join(lines) + "\n"

@@ -45,7 +45,6 @@ from lpevo.grid import SpaceTimeField, SpatialField, SpectralGrid, vector_norm
 _CHUNK_ENTRIES = 2**16
 
 __all__ = [
-    "ParabolicCube",
     "FiltrationLevel",
     "maximal",
     "maximal_values",
@@ -59,34 +58,6 @@ __all__ = [
     "nested_n1",
     "default_radius_ladder",
 ]
-
-
-@dataclass(frozen=True)
-class ParabolicCube:
-    """Anisotropic cube (t-R, t+R) x B(R^(1/gamma))(x) around a center."""
-
-    t: float
-    x: tuple[float, ...]
-    radius: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("cube radius must be positive")
-
-    @property
-    def space_radius(self) -> float:
-        return self.radius ** (1.0 / self.gamma)
-
-    def measure(self, d: int) -> float:
-        ball = {1: 2.0 * self.space_radius, 2: np.pi * self.space_radius**2}[d]
-        return 2.0 * self.radius * ball
-
-    def contains(self, t: float, x) -> bool:
-        x = np.atleast_1d(x)
-        return abs(t - self.t) < self.radius and (
-            np.sqrt(np.sum((x - np.asarray(self.x)) ** 2)) < self.space_radius
-        )
 
 
 # -- exact one-dimensional maximal averages ---------------------------------
@@ -591,9 +562,9 @@ def containment_radius(level: FiltrationLevel, grid: SpectralGrid) -> float:
 
 def box_lp_norm(values: np.ndarray, grid: SpectralGrid, p: float) -> float:
     """L^p norm with the plain cell-counting measure (the discrete measure of
-    the filtration's measure space)."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    the filtration's measure space), for finite p > 0."""
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
     dt = _uniform_dt(grid)
     cell = dt * grid.dx**grid.d
     return float((np.sum(np.abs(values) ** p) * cell) ** (1.0 / p))

@@ -15,7 +15,7 @@ derivatives by Richardson-extrapolated central differences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,6 @@ __all__ = [
     "fractional_laplacian_symbol",
     "eval_symbol",
     "check_symbol_class",
-    "symbol_registry",
-    "make_symbol",
 ]
 
 CLASS_S = "S"
@@ -50,7 +48,9 @@ class SymbolSpec:
     ``eval_fn(t, xi)`` takes a scalar time and an (..., d) frequency array
     and returns a complex (...) array.  ``time_coeff``/``xi_profile`` are an
     optional separable factorization psi(t, xi) = time_coeff(t)*xi_profile(xi)
-    used for fast time integration; ``time_independent`` marks symbols with
+    used for fast time integration; ``time_coeff`` takes a scalar or an array
+    of times and returns values of the same shape, and is called once per
+    array of quadrature nodes.  ``time_independent`` marks symbols with
     psi(t, xi) = psi(xi).
     """
 
@@ -62,7 +62,7 @@ class SymbolSpec:
     class_flag: str = CLASS_S
     d: int = 1
     time_independent: bool = False
-    time_coeff: Callable[[float], float] | None = None
+    time_coeff: Callable[[np.ndarray], np.ndarray] | None = None
     xi_profile: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
 
@@ -117,13 +117,14 @@ def power_symbol(
     """psi(t, xi) = -(kappa + k(t))*|xi|^gamma with bounded modulation k >= 0.
 
     With k differentiable and |k| <= k_bound, |k'| <= k_deriv_bound this
-    family satisfies (S1), (S2) and (S3).
+    family satisfies (S1), (S2) and (S3).  ``k_fn`` is called on arrays of
+    times, as ``time_coeff`` is.
     """
     if k_fn is None:
-        coeff = lambda t: -kappa
+        coeff = lambda t: -kappa + 0.0 * t  # keeps the shape of t, and scalars stay cheap
         time_indep = True
     else:
-        coeff = lambda t: -(kappa + k_fn(max(t, 0.0)))
+        coeff = lambda t: -(kappa + k_fn(np.maximum(t, 0.0)))
         time_indep = False
     profile = lambda xi: _xi_norm(xi) ** gamma
 
@@ -343,48 +344,3 @@ def check_symbol_class(
         passed_s2=passed_s2,
         passed_s3=passed_s3,
     )
-
-
-# -- registry (CLI/service symbol selection) ---------------------------------
-
-def _make_power(params: dict) -> SymbolSpec:
-    kappa = float(params.get("kappa", 1.0))
-    gamma = float(params.get("gamma", 2.0))
-    d = int(params.get("d", 1))
-    mod = params.get("k_mod")
-    if mod:
-        amp = float(mod.get("amplitude", 0.5))
-        rate = float(mod.get("rate", 1.0))
-        return power_symbol(
-            kappa,
-            gamma,
-            k_fn=lambda t: amp * np.exp(-rate * t),
-            k_bound=amp,
-            k_deriv_bound=amp * rate,
-            d=d,
-        )
-    return power_symbol(kappa, gamma, d=d)
-
-
-def _make_fractional(params: dict) -> SymbolSpec:
-    return fractional_laplacian_symbol(float(params.get("order", 1.0)), d=int(params.get("d", 1)))
-
-
-def symbol_registry() -> dict[str, Callable[[dict], SymbolSpec]]:
-    return {"power": _make_power, "fractional_laplacian": _make_fractional}
-
-
-def make_symbol(name: str, params: dict | None = None) -> SymbolSpec:
-    """Build a registered symbol, or load a plugin via a ``module:function``
-    dotted path (the pluggable extension point for user symbols)."""
-    params = params or {}
-    reg = symbol_registry()
-    if name in reg:
-        return reg[name](params)
-    if ":" in name:
-        import importlib
-
-        mod_name, fn_name = name.split(":", 1)
-        fn = getattr(importlib.import_module(mod_name), fn_name)
-        return fn(params)
-    raise ValueError(f"unknown symbol {name!r}; registry has {sorted(reg)}")

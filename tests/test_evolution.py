@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from lpevo.evolution import (
-    MultiplierCache,
     apply_evolution,
     apply_pseudo_diff,
     evolution_kernel,
     evolution_multiplier,
     integrated_symbol,
     kernel_l1_norm,
-    kernel_to_csv,
 )
-from lpevo.grid import SpatialField, lebesgue_norm, make_grid
-from lpevo.symbols import power_symbol
+from lpevo.grid import SpatialField, apply_multiplier, lebesgue_norm, make_grid
+from lpevo.symbols import SymbolSpec, power_symbol
 
 
 def _grid(n=256, L=20.0, t=(0.0, 1.0)):
@@ -23,6 +21,25 @@ def _modulated():
     return power_symbol(
         1.0, 2.0, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5
     )
+
+
+def _generic():
+    # the modulated symbol without the separable hints
+    return SymbolSpec(
+        eval_fn=lambda t, xi: -(1.0 + 0.5 * np.exp(-t)) * np.sum(xi**2, axis=-1) + 0j,
+        kappa=1.0,
+        mu=10.0,
+        gamma=2.0,
+        n_derivs=2,
+    )
+
+
+def _modulated_integral(s, t):
+    """integral_s^t -(1 + 0.5 e^{-r}) dr for 0 <= s < t."""
+    return -((t - s) + 0.5 * (np.exp(-s) - np.exp(-t)))
+
+
+_SYMBOL_KINDS = {"static": lambda: power_symbol(1.0, 2.0), "separable": _modulated, "generic": _generic}
 
 
 def _random_band_limited(grid, seed=0, m=1, j_hi=16):
@@ -47,6 +64,10 @@ class TestIntegratedSymbol:
         expected = -(1.0 + 0.5 * (1.0 - np.exp(-1.0)))
         got = integrated_symbol(spec, 0.0, 1.0, np.array([1.0]))
         assert got == pytest.approx(expected, rel=1e-13)
+        # a batch of window starts, sharing panels, against the same closed form
+        s = np.array([0.0, 0.1, 0.3, 0.5, 0.9])
+        got = integrated_symbol(spec, s, 1.0, np.array([1.0]))
+        np.testing.assert_allclose(got, _modulated_integral(s, 1.0), rtol=1e-13)
 
     def test_zero_frequency(self):
         spec = _modulated()
@@ -56,21 +77,41 @@ class TestIntegratedSymbol:
         spec = power_symbol(1.0, 2.0)
         with pytest.raises(ValueError):
             integrated_symbol(spec, 1.0, 1.0, np.array([1.0]))
+        for make in _SYMBOL_KINDS.values():
+            for s in ([0.1, 1.0], [[0.2, 0.4], [1.5, 0.3]]):
+                with pytest.raises(ValueError):
+                    integrated_symbol(make(), np.array(s), 1.0, np.array([1.0]))
 
     def test_generic_callable_path(self):
-        # same modulated symbol without the separable hints
-        from lpevo.symbols import SymbolSpec
-
-        generic = SymbolSpec(
-            eval_fn=lambda t, xi: -(1.0 + 0.5 * np.exp(-t)) * np.sum(xi**2, axis=-1) + 0j,
-            kappa=1.0,
-            mu=10.0,
-            gamma=2.0,
-            n_derivs=2,
-        )
+        generic = _generic()
         expected = -(1.0 + 0.5 * (1.0 - np.exp(-1.0))) * 4.0
         got = integrated_symbol(generic, 0.0, 1.0, np.array([2.0]))
         assert got == pytest.approx(expected, rel=1e-12)
+        s = np.array([0.0, 0.1, 0.3, 0.5, 0.9])
+        got = integrated_symbol(generic, s, 1.0, np.array([2.0]))
+        np.testing.assert_allclose(got, 4.0 * _modulated_integral(s, 1.0), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "starts, t",
+        [
+            # 2-d starts: shared panels, a start on a panel anchor, and
+            # windows that begin in different panels
+            ([[0.0, 0.1, 0.3], [0.26, 0.5, 0.74]], 1.0),
+            # no multiple of the panel width inside any window: no shared panel
+            ([0.05, 0.1, 0.15], 0.2),
+        ],
+        ids=["2d-shared", "no-shared-panel"],
+    )
+    @pytest.mark.parametrize("kind", sorted(_SYMBOL_KINDS))
+    def test_batched_equals_scalar(self, kind, starts, t):
+        spec = _SYMBOL_KINDS[kind]()
+        s = np.array(starts)
+        xi = np.array([[0.0], [1.0], [-2.5]])
+        got = integrated_symbol(spec, s, t, xi)
+        assert got.shape == s.shape + (3,)
+        for idx in np.ndindex(s.shape):
+            want = integrated_symbol(spec, float(s[idx]), t, xi)
+            np.testing.assert_allclose(got[idx], want, rtol=1e-15, atol=0)
 
 
 class TestKernels:
@@ -109,11 +150,6 @@ class TestKernels:
         g = _grid()
         with pytest.raises(ValueError):
             evolution_kernel(power_symbol(1.0, 2.0), 1.0, 1.0, g)
-
-    def test_csv_header(self):
-        g = _grid(n=16, L=1.0)
-        k = evolution_kernel(power_symbol(1.0, 2.0), 0.0, 1.0, g)
-        assert kernel_to_csv(k).splitlines()[0] == "x,re,im"
 
 
 class TestApplyEvolution:
@@ -172,23 +208,6 @@ class TestApplyEvolution:
         bound = np.exp(-spec.kappa * 0.3 * g.freq_norm() ** spec.gamma)
         assert np.all(np.abs(mult) <= bound + 1e-12)
 
-    def test_cache_reuse_and_eviction(self):
-        g = _grid(n=32)
-        cache = MultiplierCache(g, power_symbol(1.0, 2.0), max_entries=2)
-        a = cache.get(0.0, 1.0)
-        assert cache.get(0.0, 1.0) is a
-        cache.get(0.0, 0.5)
-        cache.get(0.0, 0.25)  # evicts (0.0, 1.0)
-        assert len(cache) == 2
-        assert cache.get(0.0, 1.0) is not a
-
-    def test_grid_mismatch_rejected(self):
-        g1, g2 = _grid(n=32), _grid(n=64)
-        f = _random_band_limited(g1, j_hi=8)
-        cache = MultiplierCache(g2, power_symbol(1.0, 2.0))
-        with pytest.raises(ValueError):
-            apply_evolution(power_symbol(1.0, 2.0), 0.0, 1.0, f, cache=cache)
-
 
 class TestApplyPseudoDiff:
     def test_eigenfunction(self):
@@ -198,9 +217,15 @@ class TestApplyPseudoDiff:
         out = apply_pseudo_diff(power_symbol(1.0, 2.0), 0.0, f)
         assert np.max(np.abs(out.values - (-(xi0**2)) * f.values)) < 1e-10
 
-    def test_iterate_equals_squared_symbol(self):
-        from lpevo.symbols import SymbolSpec
+    def test_rejects_frequency_side_field(self):
+        g = _grid(n=16, L=1.0)
+        f = SpatialField(g, 1, np.ones((16, 1)), side="freq")
+        with pytest.raises(ValueError):
+            apply_pseudo_diff(power_symbol(1.0, 2.0), 0.0, f)
+        with pytest.raises(ValueError):
+            apply_multiplier(f, np.ones(16))
 
+    def test_iterate_equals_squared_symbol(self):
         g = _grid(n=64, L=5.0)
         spec = power_symbol(1.0, 1.5)
         sq = SymbolSpec(

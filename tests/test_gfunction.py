@@ -11,7 +11,6 @@ from lpevo.gfunction import (
     g_function,
     g_lp_norm,
     g_tilde,
-    g_to_csv,
     graded_quadrature,
 )
 from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, make_grid, vector_norm
@@ -209,11 +208,12 @@ class TestGLpNorm:
         with pytest.raises(ValueError):
             g_lp_norm(res, 2.0)
 
-
-def test_g_csv_header():
-    grid = _grid(n=16, nt=3)
-    res = GFunctionResult(grid, 2.0, 0.0, 0.0, "fixed", np.zeros((3, 16)))
-    assert g_to_csv(res).splitlines()[0] == "t,x,g"
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_rejects_non_finite_p(self, p):
+        grid = _grid(n=32, nt=5)
+        res = GFunctionResult(grid, 2.0, 0.0, 0.0, "fixed", np.full((5, 32), 3.0))
+        with pytest.raises(ValueError):
+            g_lp_norm(res, p)
 
 
 # -- the batched core against node-by-node references -------------------------

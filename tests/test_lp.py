@@ -8,7 +8,6 @@ from lpevo.lp import (
     build_partition,
     delta_j,
     dyadic_profile,
-    partition_to_csv,
     s0_project,
     smooth_cutoff,
     sobolev_norm,
@@ -223,9 +222,3 @@ class TestNorms:
         assert rep["norm"] == pytest.approx(besov_norm(part, f, 0.0, 2.0))
         assert 0.0 <= rep["truncated_energy_fraction"] <= 1.0
 
-
-def test_partition_csv():
-    g = _grid(n=64)
-    part = build_partition(g)
-    csv = partition_to_csv(part)
-    assert csv.splitlines()[0] == "xi,phi"

@@ -7,7 +7,6 @@ from lpevo import maximal as maximal_module
 from lpevo.grid import SpaceTimeField, SpatialField, make_grid
 from lpevo.maximal import (
     FiltrationLevel,
-    ParabolicCube,
     _graded_maximal_time,
     box_lp_norm,
     build_filtration_levels,
@@ -454,17 +453,15 @@ class TestFiltration:
             build_filtration_levels(g, gamma=2.0)
 
 
-class TestParabolicCube:
-    def test_measure_and_membership(self):
-        q = ParabolicCube(0.5, (0.0,), 0.25, 2.0)
-        assert q.space_radius == pytest.approx(0.5)
-        assert q.measure(1) == pytest.approx(2 * 0.25 * 2 * 0.5)
-        assert q.contains(0.6, 0.3)
-        assert not q.contains(0.8, 0.0)
-
-
 def test_box_lp_norm_constant():
     g = _cells_grid(n=16, L=1.0, T=64)
     h = np.full((64, 16), 2.0)
     # measure of the box [0,1) x [-1,1) is 2
     assert box_lp_norm(h, g, 2.0) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_box_lp_norm_rejects_non_finite_p(p):
+    g = _cells_grid(n=16, L=1.0, T=64)
+    with pytest.raises(ValueError):
+        box_lp_norm(np.full((64, 16), 3.0), g, p)

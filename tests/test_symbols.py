@@ -8,7 +8,6 @@ from lpevo.symbols import (
     SymbolSpec,
     check_symbol_class,
     eval_symbol,
-    make_symbol,
     power_symbol,
 )
 
@@ -35,6 +34,18 @@ class TestEvalSymbol:
         assert eval_symbol(spec, -5.0, np.array([1.0])) == eval_symbol(
             spec, 0.0, np.array([1.0])
         )
+
+    @pytest.mark.parametrize("k_fn", [None, lambda t: 0.5 * np.exp(-t)], ids=["static", "modulated"])
+    def test_time_coeff_takes_arrays(self, k_fn):
+        # the panel quadrature calls time_coeff once per array of nodes; the
+        # modulated coefficient clamps negative times to zero as eval_symbol does
+        spec = power_symbol(1.0, 2.0, k_fn=k_fn, k_bound=0.5, k_deriv_bound=0.5)
+        t = np.array([[-1.0, 0.0, 0.3], [0.5, 1.0, 2.0]])
+        got = spec.time_coeff(t)
+        assert got.shape == t.shape
+        want = [[spec.time_coeff(float(x)) for x in row] for row in t]
+        assert np.array_equal(got, np.array(want))
+        assert got[0, 0] == got[0, 1]
 
     def test_nan_reported_as_evaluation_failure(self):
         bad = SymbolSpec(
@@ -130,20 +141,3 @@ class TestClassCheck:
         report = check_symbol_class(spec)
         assert report.passed
 
-
-class TestRegistry:
-    def test_power_by_name(self):
-        spec = make_symbol("power", {"kappa": 2.0, "gamma": 1.0})
-        assert eval_symbol(spec, 0.0, np.array([3.0])) == pytest.approx(-6.0)
-
-    def test_modulated_by_name(self):
-        spec = make_symbol("power", {"kappa": 1.0, "gamma": 2.0, "k_mod": {"amplitude": 0.5, "rate": 1.0}})
-        assert eval_symbol(spec, 0.0, np.array([1.0])) == pytest.approx(-1.5)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            make_symbol("nope")
-
-    def test_plugin_path(self):
-        spec = make_symbol("lpevo.symbols:_make_power", {"kappa": 1.0, "gamma": 1.0})
-        assert eval_symbol(spec, 0.0, np.array([2.0])) == pytest.approx(-2.0)
