@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from lpevo.grid import SpatialField, SpectralGrid, apply_multiplier, lattice_inverse
 from lpevo.symbols import SymbolSpec, eval_symbol
@@ -45,7 +44,7 @@ _PANEL_WIDTH = 0.25
 @functools.cache
 def _gl_rule(order: int = _GL_ORDER):
     """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
-    return roots_legendre(order)
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_edges(s: float, t: float) -> list[float]:

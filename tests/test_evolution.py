@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lpevo.evolution import (
+    _gl_rule,
     apply_evolution,
     apply_pseudo_diff,
     evolution_kernel,
@@ -51,6 +52,45 @@ def _random_band_limited(grid, seed=0, m=1, j_hi=16):
     from lpevo.grid import lattice_inverse
 
     return SpatialField(grid, m, lattice_inverse(coeffs, grid))
+
+
+def _mp_gauss_legendre(n, dps=40):
+    """Gauss-Legendre nodes and weights by Newton iteration on P_n at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        nodes, weights = [], []
+        for i in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(100):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):  # Bonnet: k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x**2 - 1)
+                step = p1 / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** (-dps + 5):
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x**2) * dp**2))
+        order = sorted(range(n), key=lambda j: nodes[j])
+        return (np.array([float(nodes[j]) for j in order]), np.array([float(weights[j]) for j in order]))
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_integrates_monomials_exactly(self, n):
+        z, w = _gl_rule(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(w * z**k) - exact) <= 1e-14, k
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_matches_40_digit_newton(self, n):
+        z, w = _gl_rule(n)
+        z_ref, w_ref = _mp_gauss_legendre(n)
+        assert np.max(np.abs(z - z_ref)) <= 2e-14
+        assert np.max(np.abs(w - w_ref) / w_ref) <= 2e-14
 
 
 class TestIntegratedSymbol:

@@ -1,8 +1,16 @@
+import warnings
+from dataclasses import replace
+from math import prod
+
 import numpy as np
 import pytest
 
+from lpevo.gfunction import g_function, g_tilde
+from lpevo.grid import SpaceTimeField, make_grid
 from lpevo.symbols import (
     CLASS_S_T,
+    _CHEB_POINTS,
+    _BoxRule,
     SymbolEvaluationError,
     SymbolSampleSpec,
     SymbolSpec,
@@ -119,11 +127,6 @@ class TestClassCheck:
         with pytest.raises(ValueError):
             SymbolSampleSpec(np.array([0.0]), np.array([[0.0, 1.0]]))
 
-    def test_rejects_fd_underflow(self):
-        spec = power_symbol(1.0, 2.0)
-        with pytest.raises(ValueError):
-            check_symbol_class(spec, fd_step=1e-15)
-
     def test_fd_matches_analytic_second_order(self):
         # |d^2/dxi^2 (-|xi|^gamma)| = gamma(gamma-1)|xi|^(gamma-2) in d=1
         gamma = 1.7
@@ -131,13 +134,130 @@ class TestClassCheck:
         report = check_symbol_class(spec)
         assert report.s2_constants[2] == pytest.approx(abs(gamma * (gamma - 1)), rel=0.05)
 
-    def test_randomized_orders_flagged_for_large_n(self):
-        spec = power_symbol(kappa=1.0, gamma=2.0, n_derivs=6)
-        report = check_symbol_class(spec)
-        assert report.randomized_orders
-
     def test_2d_power_symbol_passes(self):
         spec = power_symbol(kappa=1.0, gamma=2.0, d=2, n_derivs=2)
         report = check_symbol_class(spec)
         assert report.passed
 
+
+
+def _falling(gamma: float, k: int) -> float:
+    """|gamma (gamma - 1) ... (gamma - k + 1)|: the d = 1 (S2) constant of
+    order k of -|xi|^gamma, the same at every xi."""
+    return abs(prod(gamma - i for i in range(k)))
+
+
+def _modulation(rate):
+    """k_fn, k_bound and k_deriv_bound of k(t) = 0.5*exp(-rate*t)."""
+    return dict(k_fn=lambda t: 0.5 * np.exp(-rate * t), k_bound=0.5, k_deriv_bound=0.5 * rate)
+
+
+class TestChebyshevClassCheck:
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_1d_constants_match_falling_factorial(self, gamma):
+        report = check_symbol_class(power_symbol(1.0, gamma))
+        assert sorted(report.s2_constants) == list(range(7))
+        for k, c in report.s2_constants.items():
+            assert abs(c - _falling(gamma, k)) <= 1e-5 * max(1.0, _falling(gamma, k)), k
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_2d_derivatives_match_sympy(self, gamma):
+        import sympy
+
+        x, y = sympy.symbols("x y", real=True)
+        exponent = sympy.Rational(str(gamma)) / 2
+        exact = {(0, 0): -((x**2 + y**2) ** exponent)}
+        for k in range(1, 7):
+            for a in range(k + 1):
+                b = k - a
+                exact[(a, b)] = sympy.diff(exact[(a - 1, b)] if a else exact[(a, b - 1)], x if a else y)
+        xi = SymbolSampleSpec.log_spaced(2).xi_values
+        spec = power_symbol(1.0, gamma, d=2)
+        got = _BoxRule(xi, _CHEB_POINTS, 6).derivatives(spec, 0.0)
+        r = np.linalg.norm(xi, axis=-1)
+        values = sympy.lambdify((x, y), list(exact.values()), "numpy")(xi[:, 0], xi[:, 1])
+        for (a, b), want in zip(exact, values):
+            err = np.abs(got[:, a, b] - want) / r ** (gamma - a - b)
+            assert np.max(err) <= 1e-5, (a, b)
+
+    def test_verdict_flips_at_exact_constant(self):
+        # falling factorials of 5.5 peak at order 5: 5.5*4.5*3.5*2.5*1.5
+        gamma = 5.5
+        exact = max(_falling(gamma, k) for k in range(7))
+        assert exact == _falling(gamma, 5)
+        spec = power_symbol(1.0, gamma)
+        above = check_symbol_class(replace(spec, mu=1.01 * exact))
+        below = check_symbol_class(replace(spec, mu=0.99 * exact))
+        assert above.passed_s2 and above.passed
+        assert not below.passed_s2 and not below.passed
+        assert below.s2_margin == pytest.approx(1 / 0.99, rel=1e-6)
+
+    @pytest.mark.parametrize("rate", [None, 2.0], ids=["static", "modulated"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_default_power_symbols_pass(self, gamma, d, rate):
+        spec = power_symbol(1.0, gamma, d=d, **(_modulation(rate) if rate else {}))
+        report = check_symbol_class(spec)
+        assert report.passed
+        assert len(report.orders_checked) == (7 if d == 1 else 28)  # every |alpha| <= 6
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0])
+    def test_1d_time_derivative_constants(self, rate):
+        # d/dt of -(1 + 0.5 e^{-rate t})|xi|^gamma peaks at t = 0 with 0.5*rate
+        gamma = 1.5
+        report = check_symbol_class(power_symbol(1.0, gamma, **_modulation(rate)))
+        for k in range(5):
+            assert report.s3_constants[k] == pytest.approx(0.5 * rate * _falling(gamma, k), rel=1e-3)
+
+    def test_derivative_error_flags_symbol_not_smooth_on_box(self):
+        # -sum |xi_i|^(3/2) is not smooth on the axes, which the boxes of the
+        # default d = 2 samples (angles down to 0.2 rad) cross
+        rough = SymbolSpec(
+            eval_fn=lambda t, xi: (-np.sum(np.abs(xi) ** 1.5, axis=-1)).astype(complex),
+            kappa=0.5,
+            mu=1.0,
+            gamma=1.5,
+            n_derivs=6,
+            d=2,
+        )
+        rough_report = check_symbol_class(rough)
+        assert rough_report.derivative_error > 0.1 * max(rough_report.s2_constants.values())
+        for gamma in (0.5, 1.0):
+            spec = power_symbol(1.0, gamma, d=2)
+            report = check_symbol_class(spec)
+            assert report.derivative_error * spec.mu <= 1e-4 * max(report.s2_constants.values())
+            assert report.to_dict()["derivative_error"] == report.derivative_error
+
+    def test_rejects_orders_beyond_rule_accuracy(self):
+        spec = SymbolSpec(
+            eval_fn=lambda t, xi: -np.sum(xi**2, axis=-1) + 0j,
+            kappa=1.0,
+            mu=1e6,
+            gamma=2.0,
+            n_derivs=8,
+        )
+        with pytest.raises(ValueError):
+            check_symbol_class(spec)
+
+    @pytest.mark.parametrize(
+        "d,psi1,psi2,variant",
+        [
+            (1, (0.5, None), (1.0, None), "g_function"),  # static-1d
+            (1, (0.25, 1.0), (1.0, 2.0), "g_tilde"),  # modulated-graded-1d
+            (2, (1.0, None), (1.0, None), "g_function"),  # sharp-2d
+        ],
+    )
+    def test_benchmark_symbols_check_without_warning(self, d, psi1, psi2, variant):
+        # psi = -(1 + 0.5 e^{-rate t})|xi|^gamma, as the benchmark workloads build them
+        p1, p2 = (
+            power_symbol(1.0, g, d=d, **(_modulation(rate) if rate else {})) for g, rate in (psi1, psi2)
+        )
+        assert check_symbol_class(p1).passed and check_symbol_class(p2).passed
+        grid = make_grid(d, 8, 0.5, np.array([0.0, 0.5, 1.0]))
+        f = SpaceTimeField(grid, 1, np.ones((3,) + (8,) * d + (1,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if variant == "g_function":
+                g_function(f, p1, p2, 0.0, 0.0, 2.0, check_classes=True)
+            else:
+                g_tilde(f, p1, p2, 0.0, 2.0, check_classes=True)
