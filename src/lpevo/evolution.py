@@ -28,6 +28,7 @@ from lpevo.symbols import SymbolSpec, eval_symbol
 
 __all__ = [
     "EvolutionKernel",
+    "frequency_factor",
     "integrated_symbol",
     "evolution_multiplier",
     "evolution_kernel",
@@ -85,26 +86,49 @@ def _panel_integrals(
     return total
 
 
+def frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
+    """The frequency factor of a symbol that splits off its time dependence:
+    psi(0, xi) when time-independent, the profile when separable, else None.
+
+    :func:`integrated_symbol` takes it as ``factor``, so that callers
+    integrating many windows over one lattice evaluate it once.
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if symbol.time_independent:
+        return eval_symbol(symbol, 0.0, xi)
+    if symbol.separable:
+        return np.asarray(symbol.xi_profile(xi), dtype=complex)
+    return None
+
+
 def integrated_symbol(
-    symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray
+    symbol: SymbolSpec,
+    s: float | np.ndarray,
+    t: float,
+    xi: np.ndarray,
+    factor: np.ndarray | None = None,
 ) -> np.ndarray:
     """integral_s^t psi(r, xi) dr for a scalar or an array of window starts s
     on an (..., d) frequency array, with shape s.shape + xi.shape[:-1].
 
     Exact to roundoff for time-independent symbols; separable symbols reduce
     to the time integral of the coefficient times the frequency profile.
-    Every s must lie before t.
+    ``factor`` is :func:`frequency_factor` on the same xi, if the caller
+    holds it (its real part alone, where the imaginary part is exactly
+    zero); generic symbols ignore it.  Every s must lie before t.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s >= t):
         raise ValueError(f"integrated symbol requires t > s, got max s={np.max(s)}, t={t}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     lead = s.shape + (1,) * (xi.ndim - 1)
+    if factor is None:
+        factor = frequency_factor(symbol, xi)
     if symbol.time_independent:
-        return (t - s).reshape(lead) * eval_symbol(symbol, 0.0, xi)
+        return (t - s).reshape(lead) * factor
     if symbol.separable:
         coeff = _panel_integrals(lambda r: symbol.time_coeff(np.maximum(r, 0.0)), s.ravel(), t)
-        return coeff.reshape(lead) * np.asarray(symbol.xi_profile(xi), dtype=complex)
+        return coeff.reshape(lead) * factor
 
     def psi(r: np.ndarray) -> np.ndarray:
         # np.asarray, not np.stack: a batch with no shared panel passes no r

@@ -17,10 +17,25 @@ exp(integral_s^t psi2) and the product with psi1 are built for a whole batch
 of nodes, which then takes one inverse transform.  The window exponents of a
 batch come from one :func:`lpevo.evolution.integrated_symbol` call on the
 batch's array of s nodes, the same path every other multiplier takes, so the
-core holds no symbol-specific code of its own.  A batch holds at most
-_CHUNK_ENTRIES complex entries (nodes x lattice points x V components), so
-memory stays flat however many nodes the quadrature has.  The per-node
-terms are summed in node order, so batching leaves G unchanged.
+core holds no symbol-specific code of its own; the frequency factor of psi2
+is evaluated once per G and handed to that call.
+
+Layout.  The field is transformed once, component-major, as a contiguous
+(T, m, n^d..., 1) array whose trailing singleton is the component axis of
+the (..., *spatial, component) convention, so each V component of a batch is
+its own contiguous transform.  The time step f_hat[j+1] - f_hat[j] is taken
+once, and a node's transform is f_hat[j] + lambda * step[j].  A batch holds
+at most _CHUNK_ENTRIES complex entries (nodes x lattice points x V
+components) in two work arrays allocated once per G, and is transformed in
+place, so memory stays flat however many nodes the quadrature has.
+
+Arithmetic.  Where the imaginary part of psi1 on the lattice or of a batch's
+window exponents is exactly zero, only the real part is kept, so exp and the
+products run on real arrays; this is an exact test, not a tolerance, and a
+complex symbol keeps the complex path.  |u|_V^q is taken in one pass as
+(sum over components of re^2 + im^2)^(q/2).  The per-node terms are summed
+in node order, the running sum added into the first term of each batch, so
+G is bit-identical whatever the batch size.
 """
 
 from __future__ import annotations
@@ -36,10 +51,9 @@ from lpevo.grid import (
     lattice_forward,
     lattice_inverse,
     time_weights,
-    vector_norm,
 )
 from lpevo.symbols import SymbolSpec
-from lpevo.evolution import _gl_rule, integrated_symbol, symbol_on_lattice
+from lpevo.evolution import _gl_rule, frequency_factor, integrated_symbol, symbol_on_lattice
 
 __all__ = [
     "QuadratureSpec",
@@ -92,19 +106,14 @@ def graded_quadrature(
     if beta <= 0:
         raise ValueError("weight exponent beta must be positive")
     big_u = (t - a) ** beta
-    edges = list(big_u * np.arange(1, quad.panels + 1) / quad.panels)
     first = big_u / quad.panels
-    sub = [first * quad.split_ratio**-j for j in range(1, quad.split_levels + 1)]
-    edges = [0.0] + sub[::-1] + edges
+    sub = [first * quad.split_ratio**-j for j in range(quad.split_levels, 0, -1)]
+    edges = np.concatenate(([0.0], sub, big_u * np.arange(1, quad.panels + 1) / quad.panels))
     z, w = _gl_rule(quad.order)
-    nodes, weights = [], []
-    for ua, ub in zip(edges[:-1], edges[1:]):
-        mid, half = (ua + ub) / 2.0, (ub - ua) / 2.0
-        u = mid + half * z
-        nodes.append(t - u ** (1.0 / beta))
-        weights.append(half * w / beta)
-    s_nodes = np.concatenate(nodes)
-    w_nodes = np.concatenate(weights)
+    ua, ub = edges[:-1, None], edges[1:, None]
+    mid, half = (ua + ub) / 2.0, (ub - ua) / 2.0
+    s_nodes = (t - (mid + half * z) ** (1.0 / beta)).ravel()
+    w_nodes = (half * w / beta).ravel()
     # guard against roundoff pushing a node to exactly t or below a
     s_nodes = np.clip(s_nodes, a, np.nextafter(t, a))
     return s_nodes, w_nodes
@@ -131,13 +140,11 @@ class GFunctionResult:
             raise ValueError("square-function values must be finite and nonnegative")
 
 
-def _interp_transform(f_hat: np.ndarray, t_grid: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Linear time interpolation of per-node lattice transforms at every s,
-    stacked on a leading axis."""
-    idx = np.clip(np.searchsorted(t_grid, s, side="right") - 1, 0, len(t_grid) - 2)
-    t0, t1 = t_grid[idx], t_grid[idx + 1]
-    lam = ((s - t0) / (t1 - t0)).reshape((-1,) + (1,) * (f_hat.ndim - 1))
-    return (1.0 - lam) * f_hat[idx] + lam * f_hat[idx + 1]
+def _real_if_exact(x: np.ndarray | None) -> np.ndarray | None:
+    """x.real when every imaginary part of x is exactly zero, else x.
+
+    An exact test, not a tolerance: complex symbols keep the complex path."""
+    return x.real if np.iscomplexobj(x) and not np.any(x.imag) else x
 
 
 def _g_core(
@@ -168,25 +175,48 @@ def _g_core(
                     "evaluating the square function anyway"
                 )
     beta = q * psi1.gamma / psi2.gamma
-    f_hat = lattice_forward(f.values, grid)  # (T, spatial..., m)
+    t_grid = grid.t_grid
+    spatial = grid.spatial_shape()
+    # component-major (T, m, spatial..., 1): each V component is a contiguous
+    # transform, and the trailing singleton is the transform's component axis
+    f_hat = lattice_forward(np.ascontiguousarray(np.moveaxis(f.values, -1, 1))[..., None], grid)
+    step = f_hat[1:] - f_hat[:-1]
     xi = grid.freq_vectors()
-    psi1_fixed = None
-    if l_mode == "fixed":
-        psi1_fixed = symbol_on_lattice(psi1, l, grid)
+    # psi2's frequency factor and a frozen psi1 are evaluated once per G
+    factor2 = _real_if_exact(frequency_factor(psi2, xi))
+    mult1 = _real_if_exact(symbol_on_lattice(psi1, l, grid)) if l_mode == "fixed" else None
     chunk = max(1, _CHUNK_ENTRIES // (grid.n**grid.d * f.m))
-    out = np.zeros((len(grid.t_grid),) + grid.spatial_shape())
-    for i, t in enumerate(grid.t_grid):
+    spec_buf = rows_buf = None
+    out = np.zeros((len(t_grid),) + spatial)
+    for i, t in enumerate(t_grid):
         if t <= a + 1e-15:
             continue
-        mult1 = psi1_fixed if psi1_fixed is not None else symbol_on_lattice(psi1, t, grid)
+        if l_mode != "fixed":
+            mult1 = _real_if_exact(symbol_on_lattice(psi1, t, grid))
         s_nodes, w_nodes = graded_quadrature(a, float(t), beta, quad)
-        acc = np.zeros(grid.spatial_shape())
+        if spec_buf is None:
+            # batch work arrays, allocated once per G (every window has the
+            # same node count): fresh ones would page-fault on every batch
+            rows = (min(chunk, len(s_nodes)),) + f_hat.shape[1:]
+            spec_buf, rows_buf = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex)
+        acc = np.zeros(spatial)
         for lo in range(0, len(s_nodes), chunk):
             s, w = s_nodes[lo : lo + chunk], w_nodes[lo : lo + chunk]
-            window = np.exp(integrated_symbol(psi2, s, float(t), xi))
-            spec = mult1[..., None] * window[..., None] * _interp_transform(f_hat, grid.t_grid, s)
-            u = lattice_inverse(spec, grid)
-            terms = w.reshape((-1,) + (1,) * grid.d) * vector_norm(u) ** q
+            expo = _real_if_exact(integrated_symbol(psi2, s, float(t), xi, factor2))
+            mult = (mult1 * np.exp(expo)).reshape((len(s), 1) + spatial + (1,))
+            idx = np.clip(np.searchsorted(t_grid, s, side="right") - 1, 0, len(t_grid) - 2)
+            lam = (s - t_grid[idx]) / (t_grid[idx + 1] - t_grid[idx])
+            # f_hat(s) = f_hat[idx] + lam * step[idx], times the batch multipliers
+            spec = np.take(step, idx, axis=0, out=spec_buf[: len(s)], mode="clip")
+            spec *= lam.reshape((-1,) + (1,) * (spec.ndim - 1))
+            spec += np.take(f_hat, idx, axis=0, out=rows_buf[: len(s)], mode="clip")
+            spec *= mult
+            u = lattice_inverse(spec, grid, out=spec)
+            # |u|_V^q = (sum over components of re^2 + im^2)^(q/2)
+            sq = u.view(float)
+            np.square(sq, out=sq)
+            power = np.sum(sq[..., 0] + sq[..., 1], axis=1)
+            terms = w.reshape((-1,) + (1,) * grid.d) * power ** (q / 2.0)
             # adding acc into the first term keeps the node-by-node sum order
             terms[0] += acc
             acc = np.sum(terms, axis=0)

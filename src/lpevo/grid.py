@@ -9,6 +9,7 @@ Parseval's identity on the lattice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,18 +174,13 @@ class SpaceTimeField:
         return SpatialField(self.grid, self.m, self.values[i])
 
 
-def _axis_sign(n: int) -> np.ndarray:
-    # (-1)^k for k = c - n/2, c = 0..n-1
-    k = np.arange(n) - n // 2
-    return np.where(k % 2 == 0, 1.0, -1.0)
-
-
-def _sign_mesh(grid: SpectralGrid) -> np.ndarray:
-    s = _axis_sign(grid.n)
-    if grid.d == 1:
-        out = s
-    else:
-        out = np.multiply.outer(s, s)
+@functools.cache
+def _parity_sign(n: int, d: int) -> np.ndarray:
+    """(-1)^(c_1 + ... + c_d) over the storage indices of an n^d array,
+    built once per (n, d)."""
+    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    out = s if d == 1 else np.multiply.outer(s, s)
+    out.flags.writeable = False
     return out
 
 
@@ -195,10 +191,23 @@ def _transform_axes(values: np.ndarray, grid: SpectralGrid) -> tuple[int, ...]:
     return tuple(range(values.ndim - 1 - grid.d, values.ndim - 1))
 
 
-def _broadcast_sign(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    sign = _sign_mesh(grid)
+def _broadcast_sign(values: np.ndarray, grid: SpectralGrid, scale: float) -> np.ndarray:
+    """scale * (-1)^(c_1 + ... + c_d), shaped to broadcast over ``values``.
+
+    With n even, x_j = -L + j dx and xi_c = pi (c - n/2) / L, each axis has
+    exp(-i x_j xi_c) = (-1)^(n/2) (-1)^c (-1)^j exp(-2 pi i c j / n), so both
+    lattice transforms are a plain FFT between two parity-sign multiplies,
+    the second carrying (-1)^(d n/2) and the normalization: no shift of the
+    centred lattice.
+    """
+    sign = _parity_sign(grid.n, grid.d) * scale
     lead = values.ndim - 1 - grid.d
     return sign.reshape((1,) * lead + sign.shape + (1,))
+
+
+def _phase(grid: SpectralGrid) -> float:
+    """(-1)^(d n/2), carried by the second parity-sign multiply."""
+    return (-1.0) ** (grid.d * (grid.n // 2))
 
 
 def lattice_forward(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -209,19 +218,27 @@ def lattice_forward(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     axes (e.g. time) pass through untouched.
     """
     axes = _transform_axes(values, grid)
-    out = np.fft.fftn(values, axes=axes)
-    out = np.fft.fftshift(out, axes=axes)
-    sign = _broadcast_sign(values, grid)
-    return (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dx**grid.d * sign * out
+    work = np.multiply(values, _broadcast_sign(values, grid, 1.0), dtype=complex)
+    np.fft.fftn(work, axes=axes, out=work)
+    scale = _phase(grid) * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dx**grid.d
+    work *= _broadcast_sign(values, grid, scale)
+    return work
 
 
-def lattice_inverse(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Inverse of :func:`lattice_forward`; exact roundtrip on the lattice."""
+def lattice_inverse(
+    values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of :func:`lattice_forward`; exact roundtrip on the lattice.
+
+    The result goes to ``out`` when given, which may be ``values`` itself.
+    """
     axes = _transform_axes(values, grid)
-    sign = _broadcast_sign(values, grid)
-    work = np.fft.ifftshift(sign * values, axes=axes)
-    out = np.fft.ifftn(work, axes=axes) * grid.n**grid.d
-    return (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d * out
+    work = np.multiply(values, _broadcast_sign(values, grid, 1.0), out=out, dtype=complex)
+    np.fft.ifftn(work, axes=axes, out=work)
+    # ifftn's 1/n^d undone with the (2*pi)^(-d/2) dxi^d normalization, in one pass
+    scale = _phase(grid) * grid.n**grid.d * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d
+    work *= _broadcast_sign(values, grid, scale)
+    return work
 
 
 def forward_transform(f: SpatialField) -> SpatialField:

@@ -4,7 +4,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 import lpevo.gfunction as gfunction
-from lpevo.evolution import integrated_symbol
+from lpevo.evolution import _gl_rule, integrated_symbol
 from lpevo.gfunction import (
     GFunctionResult,
     QuadratureSpec,
@@ -35,7 +35,48 @@ def window_integral_oracle(a, t, beta, c):
     return gamma_fn(beta) * gammainc(beta, c * (t - a)) / c**beta
 
 
+def panel_loop_quadrature(a, t, beta, quad=QuadratureSpec()):
+    """The graded quadrature built one panel at a time: the reference the
+    vectorized graded_quadrature must reproduce bit for bit."""
+    big_u = (t - a) ** beta
+    edges = list(big_u * np.arange(1, quad.panels + 1) / quad.panels)
+    first = big_u / quad.panels
+    sub = [first * quad.split_ratio**-j for j in range(1, quad.split_levels + 1)]
+    edges = [0.0] + sub[::-1] + edges
+    z, w = _gl_rule(quad.order)
+    nodes, weights = [], []
+    for ua, ub in zip(edges[:-1], edges[1:]):
+        mid, half = (ua + ub) / 2.0, (ub - ua) / 2.0
+        u = mid + half * z
+        nodes.append(t - u ** (1.0 / beta))
+        weights.append(half * w / beta)
+    s_nodes = np.clip(np.concatenate(nodes), a, np.nextafter(t, a))
+    return s_nodes, np.concatenate(weights)
+
+
 class TestGradedQuadrature:
+    @pytest.mark.parametrize("a,t", [(0.0, 1.0), (-0.75, 0.3), (0.2, 0.2 + 1e-9), (1.5, 17.0)])
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            QuadratureSpec(),
+            QuadratureSpec(panels=16, order=4, split_levels=8),
+            QuadratureSpec(panels=3, order=1, split_levels=0),
+            QuadratureSpec(panels=7, order=5, split_levels=3, split_ratio=2.5),
+        ],
+    )
+    def test_matches_panel_loop_reference(self, a, t, quad):
+        for beta in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+            s, w = graded_quadrature(a, t, beta, quad)
+            s_ref, w_ref = panel_loop_quadrature(a, t, beta, quad)
+            assert np.array_equal(s, s_ref) and np.array_equal(w, w_ref), beta
+
+    def test_reference_grid_reaches_the_clip_at_t(self):
+        # beta < 1 and a window from a < 0: the nodes nearest t round onto t
+        # and are clipped to the float just below it
+        s, _ = graded_quadrature(-0.75, 0.3, 0.25)
+        assert np.sum(s == np.nextafter(0.3, -0.75)) > 1 and np.all(s < 0.3)
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("c", [0.5, 4.0, 30.0])
     def test_matches_gamma_oracle(self, beta, c):
@@ -267,6 +308,24 @@ def _non_separable(d):
     return SymbolSpec(eval_fn=evaluate, kappa=1.0, mu=10.0, gamma=2.0, n_derivs=2, d=d)
 
 
+def _drift(gamma, d, c=0.7):
+    # psi(t, xi) = -|xi|^gamma + i c (1 + t) xi_1: complex on the lattice, so
+    # the core must keep its imaginary part
+    def evaluate(t, xi):
+        r = np.sqrt(np.sum(xi**2, axis=-1))
+        return -(r**gamma) + 1j * c * (1.0 + t) * xi[..., 0]
+
+    return SymbolSpec(eval_fn=evaluate, kappa=1.0, mu=10.0, gamma=gamma, n_derivs=2, d=d)
+
+
+def _psi2(kind, d):
+    return {
+        "static": power_symbol(1.0, 2.0, d=d),
+        "separable": _modulated(2.0, d),
+        "general": _non_separable(d),
+    }[kind]
+
+
 class TestBatchedCore:
     # 144 nodes: more than one chunk of 128 (n^d m = 128) and not a multiple
     QUAD = QuadratureSpec(panels=20, order=6, split_levels=4)
@@ -276,11 +335,7 @@ class TestBatchedCore:
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
     def test_matches_per_node_reference(self, d, n, m, kind, variant):
         f = _random_field(d, n, m, nt=4, seed=20 + d + m)
-        psi2 = {
-            "static": power_symbol(1.0, 2.0, d=d),
-            "separable": _modulated(2.0, d),
-            "general": _non_separable(d),
-        }[kind]
+        psi2 = _psi2(kind, d)
         psi1 = _modulated(1.0, d, amp=0.3, rate=1.0)
         quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
         if variant == "g_function":
@@ -292,10 +347,95 @@ class TestBatchedCore:
         assert np.max(want) > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
+    @pytest.mark.parametrize("which", ["psi1", "psi2"])
+    @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
+    def test_complex_symbol_matches_per_node_reference(self, d, n, which, variant):
+        f = _random_field(d, n, 2, nt=4, seed=40 + d)
+        if which == "psi1":
+            psi1, psi2 = _drift(1.0, d), power_symbol(1.0, 2.0, d=d)
+            quad = self.QUAD
+        else:
+            psi1, psi2 = _modulated(1.0, d, amp=0.3, rate=1.0), _drift(2.0, d)
+            quad = QuadratureSpec(panels=4, order=4, split_levels=2)
+        l = 0.2 if variant == "g_function" else None
+        if variant == "g_function":
+            got = g_function(f, psi1, psi2, l=l, a=f.grid.a, q=3.0, quad=quad).values
+        else:
+            got = g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values
+        want = per_node_reference(f, psi1, psi2, l, f.grid.a, 3.0, quad)
+        assert np.max(want) > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
     def test_reference_case_spans_a_partial_chunk(self):
         chunk = gfunction._CHUNK_ENTRIES // (64 * 2)
         nodes = len(graded_quadrature(0.0, 1.0, 1.0, self.QUAD)[0])
         assert nodes > chunk and nodes % chunk != 0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["static", "separable", "general"])
+    def test_batch_size_leaves_g_unchanged(self, monkeypatch, kind, m):
+        f = _random_field(1, 32, m, nt=4, seed=50 + m)
+        psi1, psi2 = _modulated(1.0, 1, amp=0.3, rate=1.0), _psi2(kind, 1)
+        quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
+        per_node = 32 * m
+        results = []
+        for entries in (per_node, 7 * per_node, gfunction._CHUNK_ENTRIES, 2**20):
+            monkeypatch.setattr(gfunction, "_CHUNK_ENTRIES", entries)
+            results.append(g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values)
+        assert np.max(results[0]) > 0
+        assert all(np.array_equal(results[0], r) for r in results[1:])
+
+    @pytest.mark.parametrize("d,n,m", [(1, 64, 2), (2, 16, 2)])
+    def test_one_forward_and_one_inverse_per_batch(self, monkeypatch, d, n, m):
+        calls = {"forward": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(gfunction, "lattice_forward", counted("forward", lattice_forward))
+        monkeypatch.setattr(gfunction, "lattice_inverse", counted("inverse", lattice_inverse))
+        f = _random_field(d, n, m, nt=5, seed=60)
+        a = 0.25
+        g_function(f, _modulated(1.0, d), power_symbol(1.0, 2.0, d=d), 0.0, a, 3.0, self.QUAD)
+        chunk = gfunction._CHUNK_ENTRIES // (n**d * m)
+        batches = sum(
+            -(-len(graded_quadrature(a, float(t), 1.5, self.QUAD)[0]) // chunk)
+            for t in f.grid.t_grid
+            if t > a
+        )
+        assert batches > sum(f.grid.t_grid > a)  # more than one batch per time
+        assert calls == {"forward": 1, "inverse": batches}
+
+    @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
+    def test_static_symbols_evaluated_once_per_g(self, variant):
+        calls = []
+
+        def counted(spec):
+            def evaluate(t, xi):
+                calls.append(spec.name)
+                return spec.eval_fn(t, xi)
+
+            return SymbolSpec(
+                eval_fn=evaluate, kappa=spec.kappa, mu=spec.mu, gamma=spec.gamma,
+                n_derivs=spec.n_derivs, time_independent=True, name=spec.name,
+            )
+
+        f = _random_field(1, 64, 2, nt=6, seed=70)
+        psi1 = counted(power_symbol(1.0, 1.0))
+        psi2 = counted(power_symbol(1.0, 2.0))
+        if variant == "g_function":
+            g_function(f, psi1, psi2, 0.0, f.grid.a, 3.0, self.QUAD)
+            assert sorted(calls) == sorted([psi1.name, psi2.name])
+        else:
+            g_tilde(f, psi1, psi2, f.grid.a, 3.0, self.QUAD)
+            # psi1 tracks the output time: once per time after a, and psi2 once
+            assert calls.count(psi2.name) == 1
+            assert calls.count(psi1.name) == len(f.grid.t_grid) - 1
 
 
 class TestParsevalOracle:

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from lpevo.grid import (
     SpaceTimeField,
     SpatialField,
+    SpectralGrid,
     forward_transform,
     inverse_transform,
+    lattice_forward,
+    lattice_inverse,
     lebesgue_norm,
     make_grid,
     vector_norm,
@@ -94,6 +97,53 @@ class TestTransforms:
         f = SpatialField(g, 1, rng.normal(size=(16, 16, 1)) * (1 + 0j))
         back = inverse_transform(forward_transform(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+
+class TestLatticeArrays:
+    """lattice_forward/lattice_inverse on (..., *spatial, component) arrays
+    against the defining sums, evaluated as dense matrices."""
+
+    @staticmethod
+    def _dft(g, sign):
+        # exp(sign * i x_j xi_k) over the spatial lattice and the centred frequencies
+        return np.exp(sign * 1j * np.multiply.outer(g.x, g.freq))
+
+    # n = 6 is built directly, as make_grid takes powers of two >= 8 only:
+    # it is the even n with odd n/2, whose transforms carry a factor -1
+    @pytest.mark.parametrize("n,L", [(6, 2.0), (8, 1.0), (16, 0.5), (32, 3.0)])
+    def test_1d_matches_direct_sum(self, n, L):
+        g = SpectralGrid(1, n, L, np.array([0.0, 1.0]))
+        rng = np.random.default_rng(n)
+        vals = rng.normal(size=(3, n, 2)) + 1j * rng.normal(size=(3, n, 2))
+        want = (2 * np.pi) ** -0.5 * g.dx * np.einsum("jk,tjc->tkc", self._dft(g, -1), vals)
+        got = lattice_forward(vals, g)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        back = (2 * np.pi) ** -0.5 * g.dxi * np.einsum("jk,tkc->tjc", self._dft(g, 1), vals)
+        assert np.max(np.abs(lattice_inverse(vals, g) - back)) < 1e-13 * np.max(np.abs(back))
+
+    def test_2d_matches_direct_sum(self):
+        g = make_grid(2, 8, 2.0, [0.0, 1.0])
+        rng = np.random.default_rng(5)
+        vals = rng.normal(size=(8, 8, 1)) + 1j * rng.normal(size=(8, 8, 1))
+        e = self._dft(g, -1)
+        want = (2 * np.pi) ** -1 * g.dx**2 * np.einsum("ak,bl,abc->klc", e, e, vals)
+        got = lattice_forward(vals, g)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_inverse_into_its_input(self):
+        g = make_grid(1, 16, 1.0, [0.0, 1.0])
+        rng = np.random.default_rng(6)
+        vals = rng.normal(size=(4, 16, 1)) + 1j * rng.normal(size=(4, 16, 1))
+        want = lattice_inverse(vals, g)
+        work = vals.copy()
+        got = lattice_inverse(work, g, out=work)
+        assert got is work and np.array_equal(got, want)
+
+    def test_real_input(self):
+        g = make_grid(1, 16, 1.0, [0.0, 1.0])
+        vals = np.random.default_rng(7).normal(size=(16, 1))
+        assert np.array_equal(lattice_inverse(vals, g), lattice_inverse(vals + 0j, g))
+        assert np.array_equal(lattice_forward(vals, g), lattice_forward(vals + 0j, g))
 
 
 class TestLebesgueNorm:
