@@ -28,7 +28,6 @@ from lpevo.symbols import SymbolSpec, eval_symbol
 
 __all__ = [
     "EvolutionKernel",
-    "frequency_factor",
     "integrated_symbol",
     "evolution_multiplier",
     "evolution_kernel",
@@ -86,12 +85,12 @@ def _panel_integrals(
     return total
 
 
-def frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
+def _frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
     """The frequency factor of a symbol that splits off its time dependence:
     psi(0, xi) when time-independent, the profile when separable, else None.
 
-    :func:`integrated_symbol` takes it as ``factor``, so that callers
-    integrating many windows over one lattice evaluate it once.
+    The square-function core evaluates it once per G and hands it to
+    :func:`integrated_symbol` as ``factor``.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if symbol.time_independent:
@@ -113,9 +112,10 @@ def integrated_symbol(
 
     Exact to roundoff for time-independent symbols; separable symbols reduce
     to the time integral of the coefficient times the frequency profile.
-    ``factor`` is :func:`frequency_factor` on the same xi, if the caller
-    holds it (its real part alone, where the imaginary part is exactly
-    zero); generic symbols ignore it.  Every s must lie before t.
+    ``factor`` is an internal precompute for the square-function core:
+    :func:`_frequency_factor` of this symbol on this xi, or its real part
+    where the imaginary part is exactly zero.  It is not checked, so leave it
+    None elsewhere; generic symbols ignore it.  Every s must lie before t.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s >= t):
@@ -123,7 +123,7 @@ def integrated_symbol(
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     lead = s.shape + (1,) * (xi.ndim - 1)
     if factor is None:
-        factor = frequency_factor(symbol, xi)
+        factor = _frequency_factor(symbol, xi)
     if symbol.time_independent:
         return (t - s).reshape(lead) * factor
     if symbol.separable:

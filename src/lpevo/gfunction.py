@@ -53,7 +53,12 @@ from lpevo.grid import (
     time_weights,
 )
 from lpevo.symbols import SymbolSpec
-from lpevo.evolution import _gl_rule, frequency_factor, integrated_symbol, symbol_on_lattice
+from lpevo.evolution import (
+    _frequency_factor,
+    _gl_rule,
+    integrated_symbol,
+    symbol_on_lattice,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -183,10 +188,13 @@ def _g_core(
     step = f_hat[1:] - f_hat[:-1]
     xi = grid.freq_vectors()
     # psi2's frequency factor and a frozen psi1 are evaluated once per G
-    factor2 = _real_if_exact(frequency_factor(psi2, xi))
+    factor2 = _real_if_exact(_frequency_factor(psi2, xi))
     mult1 = _real_if_exact(symbol_on_lattice(psi1, l, grid)) if l_mode == "fixed" else None
     chunk = max(1, _CHUNK_ENTRIES // (grid.n**grid.d * f.m))
-    spec_buf = rows_buf = None
+    # batch work arrays, allocated once per G: fresh ones would page-fault on
+    # every batch
+    rows = (min(chunk, (quad.panels + quad.split_levels) * quad.order),) + f_hat.shape[1:]
+    spec_buf, rows_buf = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex)
     out = np.zeros((len(t_grid),) + spatial)
     for i, t in enumerate(t_grid):
         if t <= a + 1e-15:
@@ -194,11 +202,6 @@ def _g_core(
         if l_mode != "fixed":
             mult1 = _real_if_exact(symbol_on_lattice(psi1, t, grid))
         s_nodes, w_nodes = graded_quadrature(a, float(t), beta, quad)
-        if spec_buf is None:
-            # batch work arrays, allocated once per G (every window has the
-            # same node count): fresh ones would page-fault on every batch
-            rows = (min(chunk, len(s_nodes)),) + f_hat.shape[1:]
-            spec_buf, rows_buf = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex)
         acc = np.zeros(spatial)
         for lo in range(0, len(s_nodes), chunk):
             s, w = s_nodes[lo : lo + chunk], w_nodes[lo : lo + chunk]

@@ -191,8 +191,9 @@ def _transform_axes(values: np.ndarray, grid: SpectralGrid) -> tuple[int, ...]:
     return tuple(range(values.ndim - 1 - grid.d, values.ndim - 1))
 
 
-def _broadcast_sign(values: np.ndarray, grid: SpectralGrid, scale: float) -> np.ndarray:
-    """scale * (-1)^(c_1 + ... + c_d), shaped to broadcast over ``values``.
+def _broadcast_sign(values: np.ndarray, grid: SpectralGrid, scale: float | None = None) -> np.ndarray:
+    """(-1)^(c_1 + ... + c_d), times ``scale`` if given, shaped to broadcast
+    over ``values``.
 
     With n even, x_j = -L + j dx and xi_c = pi (c - n/2) / L, each axis has
     exp(-i x_j xi_c) = (-1)^(n/2) (-1)^c (-1)^j exp(-2 pi i c j / n), so both
@@ -200,7 +201,9 @@ def _broadcast_sign(values: np.ndarray, grid: SpectralGrid, scale: float) -> np.
     the second carrying (-1)^(d n/2) and the normalization: no shift of the
     centred lattice.
     """
-    sign = _parity_sign(grid.n, grid.d) * scale
+    sign = _parity_sign(grid.n, grid.d)
+    if scale is not None:
+        sign = sign * scale
     lead = values.ndim - 1 - grid.d
     return sign.reshape((1,) * lead + sign.shape + (1,))
 
@@ -218,7 +221,7 @@ def lattice_forward(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     axes (e.g. time) pass through untouched.
     """
     axes = _transform_axes(values, grid)
-    work = np.multiply(values, _broadcast_sign(values, grid, 1.0), dtype=complex)
+    work = np.multiply(values, _broadcast_sign(values, grid), dtype=complex)
     np.fft.fftn(work, axes=axes, out=work)
     scale = _phase(grid) * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dx**grid.d
     work *= _broadcast_sign(values, grid, scale)
@@ -233,10 +236,10 @@ def lattice_inverse(
     The result goes to ``out`` when given, which may be ``values`` itself.
     """
     axes = _transform_axes(values, grid)
-    work = np.multiply(values, _broadcast_sign(values, grid, 1.0), out=out, dtype=complex)
-    np.fft.ifftn(work, axes=axes, out=work)
-    # ifftn's 1/n^d undone with the (2*pi)^(-d/2) dxi^d normalization, in one pass
-    scale = _phase(grid) * grid.n**grid.d * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d
+    work = np.multiply(values, _broadcast_sign(values, grid), out=out, dtype=complex)
+    # in place (numpy >= 2.0): a fresh array per batch of G would page-fault
+    np.fft.ifftn(work, axes=axes, norm="forward", out=work)
+    scale = _phase(grid) * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d
     work *= _broadcast_sign(values, grid, scale)
     return work
 
