@@ -1,34 +1,26 @@
-"""lpevo: spectral evolution-system operators and an inequality verification harness.
+"""lpevo: a numerical laboratory for L^p estimates of square functions of
+evolution systems on periodic space-time lattices.
 
-Core layout:
+Modules:
 
-- :mod:`lpevo.grid` -- periodic space-time lattices and transforms
-- :mod:`lpevo.symbols` -- operator symbols and class-condition checkers
-- :mod:`lpevo.evolution` -- evolution kernels and Fourier-multiplier operators
-- :mod:`lpevo.lp` -- dyadic decomposition and Besov/Sobolev norms
+- :mod:`lpevo.grid` -- space-time lattices, the lattice transforms and
+  Lebesgue norms
+- :mod:`lpevo.symbols` -- operator symbols and their class-condition check
+- :mod:`lpevo.evolution` -- the integrated symbol and the lattice symbol,
+  the two multipliers of the square function
 - :mod:`lpevo.gfunction` -- square functions with singular time weights
-- :mod:`lpevo.maximal` -- maximal/sharp functions and dyadic filtrations
+- :mod:`lpevo.maximal` -- maximal and sharp functions and the dyadic
+  filtration
 """
 
-from lpevo.grid import (
-    SpatialField,
-    SpaceTimeField,
-    SpectralGrid,
-    forward_transform,
-    inverse_transform,
-    lebesgue_norm,
-    make_grid,
-)
+from lpevo.grid import SpaceTimeField, SpectralGrid, lebesgue_norm, make_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SpectralGrid",
-    "SpatialField",
     "SpaceTimeField",
     "make_grid",
-    "forward_transform",
-    "inverse_transform",
     "lebesgue_norm",
     "__version__",
 ]

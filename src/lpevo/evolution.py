@@ -1,41 +1,26 @@
-"""Evolution kernels and Fourier-multiplier operators for admissible symbols.
+"""The integrated symbol and the lattice symbol, the two multipliers of G.
 
-The two-parameter operator family T(t, s) acts on a spatial field by
-multiplying its lattice transform with exp(integral_s^t psi(r, xi) dr); the
-associated convolution kernel is normalized so that operator application
-equals the plain discrete convolution sum_y k(x - y) f(y) dx^d and the
-kernel mass sums to the multiplier value at xi = 0.
-
-Two primitives carry every operator here.  :func:`integrated_symbol` is the
-one path to integral_s^t psi(r, xi) dr, for a scalar or a whole array of
-window starts s: exact for time-independent symbols, and otherwise composite
-Gauss-Legendre on panels anchored to one global lattice, evaluated by the
-one panel routine for separable coefficients and generic symbols alike.
-:func:`lpevo.grid.apply_multiplier` is the one forward -> multiply -> inverse
-path; T(t, s) and L(l) only build their multipliers.
+The square function builds L(l) T(t, s) from two multipliers on the
+frequency lattice: :func:`symbol_on_lattice` gives psi1(l, xi), and
+:func:`integrated_symbol` gives the exponent integral_s^t psi2(r, xi) dr of
+T(t, s), for a scalar or a whole array of window starts s.  It is the one
+path to that integral: exact for time-independent symbols, and otherwise
+composite Gauss-Legendre on panels anchored to one global lattice, evaluated
+by the one panel routine for separable coefficients and generic symbols
+alike.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from lpevo.grid import SpatialField, SpectralGrid, apply_multiplier, lattice_inverse
+from lpevo.grid import SpectralGrid
 from lpevo.symbols import SymbolSpec, eval_symbol
 
-__all__ = [
-    "EvolutionKernel",
-    "integrated_symbol",
-    "evolution_multiplier",
-    "evolution_kernel",
-    "apply_evolution",
-    "apply_pseudo_diff",
-    "symbol_on_lattice",
-    "kernel_l1_norm",
-]
+__all__ = ["integrated_symbol", "symbol_on_lattice"]
 
 _GL_ORDER = 8
 _PANEL_WIDTH = 0.25
@@ -138,69 +123,6 @@ def integrated_symbol(
     return _panel_integrals(psi, s.ravel(), t).reshape(s.shape + xi.shape[:-1])
 
 
-def evolution_multiplier(symbol: SymbolSpec, s: float, t: float, grid: SpectralGrid) -> np.ndarray:
-    """exp(integral_s^t psi(r, xi) dr) on the full frequency lattice."""
-    xi = grid.freq_vectors()
-    return np.exp(integrated_symbol(symbol, s, t, xi))
-
-
-@dataclass(frozen=True)
-class EvolutionKernel:
-    """Convolution kernel of T(t, s) sampled on the spatial lattice
-    (scalar, independent of the V dimension)."""
-
-    grid: SpectralGrid
-    s: float
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("kernel values must be finite")
-
-
-def evolution_kernel(symbol: SymbolSpec, s: float, t: float, grid: SpectralGrid) -> EvolutionKernel:
-    """Kernel of T(t, s) for t > s.
-
-    Normalized as a convolution kernel: sum_x k(x) dx^d equals the multiplier
-    at xi = 0 (one whenever psi(., 0) = 0), and applying the operator equals
-    discrete convolution with these samples.  Real-valued to roundoff when
-    psi(t, -xi) = conj(psi(t, xi)).
-    """
-    if t <= s:
-        raise ValueError("the kernel is defined for t > s; t = s is the identity operator")
-    mult = evolution_multiplier(symbol, s, t, grid)
-    values = (2.0 * np.pi) ** (-grid.d / 2.0) * lattice_inverse(mult[..., None], grid)[..., 0]
-    return EvolutionKernel(grid=grid, s=s, t=t, values=values)
-
-
-def apply_evolution(symbol: SymbolSpec, s: float, t: float, f: SpatialField) -> SpatialField:
-    """T(t, s) f for t >= s as a Fourier multiplier; t = s returns f."""
-    if t < s:
-        raise ValueError(f"apply_evolution requires t >= s, got s={s}, t={t}")
-    if f.side != "space":
-        raise ValueError("apply_evolution expects a space-side field")
-    if t == s:
-        return f
-    return apply_multiplier(f, evolution_multiplier(symbol, s, t, f.grid))
-
-
 def symbol_on_lattice(symbol: SymbolSpec, l: float, grid: SpectralGrid) -> np.ndarray:
     """psi(l, xi) evaluated on the full frequency lattice."""
     return eval_symbol(symbol, l, grid.freq_vectors())
-
-
-def apply_pseudo_diff(symbol: SymbolSpec, l: float, f: SpatialField) -> SpatialField:
-    """L(l) f: multiply the lattice transform by psi(l, xi)."""
-    return apply_multiplier(f, symbol_on_lattice(symbol, l, f.grid))
-
-
-def kernel_l1_norm(kernel: EvolutionKernel | np.ndarray, grid: SpectralGrid | None = None) -> float:
-    """Lattice L^1 norm sum |k(x)| dx^d."""
-    if isinstance(kernel, EvolutionKernel):
-        values, grid = kernel.values, kernel.grid
-    else:
-        if grid is None:
-            raise ValueError("grid required for raw kernel arrays")
-        values = kernel
-    return float(np.sum(np.abs(values)) * grid.cell_volume())

@@ -16,9 +16,9 @@ time interpolation of the field's transform, the window multipliers
 exp(integral_s^t psi2) and the product with psi1 are built for a whole batch
 of nodes, which then takes one inverse transform.  The window exponents of a
 batch come from one :func:`lpevo.evolution.integrated_symbol` call on the
-batch's array of s nodes, the same path every other multiplier takes, so the
-core holds no symbol-specific code of its own; the frequency factor of psi2
-is evaluated once per G and handed to that call.
+batch's array of s nodes, the one path to the integrated symbol, so the core
+holds no symbol-specific code of its own; the frequency factor of psi2 is
+evaluated once per G and handed to that call.
 
 Layout.  The field is transformed once, component-major, as a contiguous
 (T, m, n^d..., 1) array whose trailing singleton is the component axis of

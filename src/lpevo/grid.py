@@ -17,12 +17,10 @@ import numpy as np
 
 __all__ = [
     "SpectralGrid",
-    "SpatialField",
     "SpaceTimeField",
     "make_grid",
-    "forward_transform",
-    "inverse_transform",
-    "apply_multiplier",
+    "lattice_forward",
+    "lattice_inverse",
     "lebesgue_norm",
     "vector_norm",
     "time_weights",
@@ -80,22 +78,9 @@ class SpectralGrid:
     def dxi(self) -> float:
         return np.pi / self.half_length
 
-    @property
-    def nyquist(self) -> float:
-        return np.pi * (self.n // 2) / self.half_length
-
-    def freq_mesh(self) -> list[np.ndarray]:
-        """Per-axis frequency meshes with shape n^d."""
-        return list(np.meshgrid(*([self.freq] * self.d), indexing="ij"))
-
     def freq_vectors(self) -> np.ndarray:
         """All lattice frequencies stacked as an (n^d..., d) array."""
-        return np.stack(self.freq_mesh(), axis=-1)
-
-    def freq_norm(self) -> np.ndarray:
-        """|xi| on the frequency lattice, shape n^d."""
-        mesh = self.freq_mesh()
-        return np.sqrt(sum(m**2 for m in mesh))
+        return np.stack(np.meshgrid(*([self.freq] * self.d), indexing="ij"), axis=-1)
 
     def spatial_shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
@@ -122,39 +107,6 @@ def make_grid(d: int, n: int, half_length: float, t_nodes: Sequence[float]) -> S
     return SpectralGrid(d=d, n=n, half_length=half_length, t_grid=t)
 
 
-def _check_values(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field values must be finite (no NaN/Inf)")
-    return values
-
-
-@dataclass(frozen=True)
-class SpatialField:
-    """V-valued samples f(x_j) with V = C^m; last axis indexes V.
-
-    ``side`` records whether the samples live on the spatial lattice
-    ("space") or the frequency lattice ("freq").
-    """
-
-    grid: SpectralGrid
-    m: int
-    values: np.ndarray
-    side: str = "space"
-
-    def __post_init__(self):
-        values = _check_values(self.values)
-        expected = self.grid.spatial_shape() + (self.m,)
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} != expected {expected}")
-        if self.side not in ("space", "freq"):
-            raise ValueError(f"unknown side {self.side!r}")
-        object.__setattr__(self, "values", values)
-
-    def with_values(self, values: np.ndarray, side: str | None = None) -> "SpatialField":
-        return SpatialField(self.grid, self.m, values, side or self.side)
-
-
 @dataclass(frozen=True)
 class SpaceTimeField:
     """V-valued samples f(t_i, x_j); axis 0 is time, last axis indexes V."""
@@ -164,14 +116,13 @@ class SpaceTimeField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _check_values(self.values)
+        values = np.asarray(self.values, dtype=complex)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field values must be finite (no NaN/Inf)")
         expected = (len(self.grid.t_grid),) + self.grid.spatial_shape() + (self.m,)
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape} != expected {expected}")
         object.__setattr__(self, "values", values)
-
-    def at_time(self, i: int) -> SpatialField:
-        return SpatialField(self.grid, self.m, self.values[i])
 
 
 @functools.cache
@@ -244,31 +195,6 @@ def lattice_inverse(
     return work
 
 
-def forward_transform(f: SpatialField) -> SpatialField:
-    if f.side != "space":
-        raise ValueError("forward_transform expects a space-side field")
-    return f.with_values(lattice_forward(f.values, f.grid), side="freq")
-
-
-def inverse_transform(g: SpatialField) -> SpatialField:
-    if g.side != "freq":
-        raise ValueError("inverse_transform expects a frequency-side field")
-    return g.with_values(lattice_inverse(g.values, g.grid), side="space")
-
-
-def apply_multiplier(f: SpatialField, multiplier: np.ndarray) -> SpatialField:
-    """Apply a Fourier multiplier m(xi) to a space-side field: the one
-    forward -> multiply -> inverse path for spatial fields."""
-    if f.side != "space":
-        raise ValueError("apply_multiplier expects a space-side field")
-    multiplier = np.asarray(multiplier)
-    if multiplier.shape != f.grid.spatial_shape():
-        raise ValueError("multiplier shape does not match the frequency lattice")
-    spec = lattice_forward(f.values, f.grid)
-    spec *= multiplier[..., None]
-    return f.with_values(lattice_inverse(spec, f.grid), side="space")
-
-
 def vector_norm(values: np.ndarray) -> np.ndarray:
     """Pointwise V-norm (Euclidean over the trailing component axis)."""
     return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
@@ -284,17 +210,11 @@ def time_weights(t_grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def lebesgue_norm(f: SpatialField | SpaceTimeField, p: float) -> float:
+def lebesgue_norm(f: SpaceTimeField, p: float) -> float:
     """Discrete L^p norm for finite p >= 1: trapezoid weights in time, cell
     weights in space."""
     if not 1 <= p < np.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    vn = vector_norm(f.values)
-    cell = f.grid.cell_volume()
-    if isinstance(f, SpaceTimeField):
-        w = time_weights(f.grid.t_grid)
-        w = w.reshape((-1,) + (1,) * f.grid.d)
-        total = np.sum(vn**p * w) * cell
-    else:
-        total = np.sum(vn**p) * cell
+    w = time_weights(f.grid.t_grid).reshape((-1,) + (1,) * f.grid.d)
+    total = np.sum(vector_norm(f.values) ** p * w) * f.grid.cell_volume()
     return float(total ** (1.0 / p))

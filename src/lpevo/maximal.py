@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lpevo.grid import SpaceTimeField, SpatialField, SpectralGrid, vector_norm
+from lpevo.grid import SpectralGrid
 
 # floats in one gathered block of sharp_parabolic: (class, row) pairs x
 # points of the lattice wrapped once; larger blocks buy little speed on two
@@ -46,15 +46,11 @@ _CHUNK_ENTRIES = 2**16
 
 __all__ = [
     "FiltrationLevel",
-    "maximal",
     "maximal_values",
     "sharp_parabolic",
     "filtration_sharp",
     "build_filtration_levels",
-    "locate_cube",
-    "parent_cube",
-    "box_lp_norm",
-    "nested_n0",
+    "containment_radius",
     "nested_n1",
     "default_radius_ladder",
 ]
@@ -187,13 +183,15 @@ def _ball_maximal_2d(batch: np.ndarray, grid: SpectralGrid, r_floor: float) -> n
 
 
 def maximal_values(
-    values: np.ndarray,
-    grid: SpectralGrid,
-    axis: str,
-    r_floor: float = 0.0,
-    time_leading: bool = True,
+    values: np.ndarray, grid: SpectralGrid, axis: str, r_floor: float = 0.0
 ) -> np.ndarray:
-    """Maximal averages of nonnegative cell values; see :func:`maximal`."""
+    """Pointwise supremum over radii r > r_floor of window averages of
+    nonnegative cell values, along space (periodic) or time (zero extension,
+    time axis leading).
+
+    In d = 1 the space radii stop at half the period, and in d = 2 at the
+    largest ball radius of the ladder (about L*sqrt(2)), so r_floor must
+    lie below it."""
     values = np.asarray(values, dtype=float)
     if np.any(values < 0):
         raise ValueError("maximal_values expects nonnegative values")
@@ -209,8 +207,6 @@ def maximal_values(
             return _ball_maximal_2d(values, grid, r_floor)
         raise ValueError("spatial maximal supports d in (1, 2)")
     if axis == "time":
-        if not time_leading:
-            raise ValueError("time maximal expects the time axis leading")
         t = grid.t_grid
         dt = np.diff(t)
         moved = np.moveaxis(values, 0, -1)
@@ -221,22 +217,6 @@ def maximal_values(
             out = _graded_maximal_time(moved, edges, r_floor)
         return np.moveaxis(out, -1, 0)
     raise ValueError(f"axis must be 'space' or 'time', got {axis!r}")
-
-
-def maximal(
-    h: SpaceTimeField | SpatialField, axis: str, r_floor: float = 0.0
-) -> SpaceTimeField | SpatialField:
-    """Pointwise supremum over radii r > r_floor of window averages of
-    the V-norm of h, along space (periodic) or time (zero extension).
-
-    In d = 1 the space radii stop at half the period, and in d = 2 at the
-    largest ball radius of the ladder (about L*sqrt(2)), so r_floor must
-    lie below it."""
-    vn = vector_norm(h.values)
-    out = maximal_values(vn, h.grid, axis, r_floor)
-    if isinstance(h, SpaceTimeField):
-        return SpaceTimeField(h.grid, 1, out[..., None].astype(complex))
-    return SpatialField(h.grid, 1, out[..., None].astype(complex))
 
 
 # -- parabolic sharp function -------------------------------------------------
@@ -405,11 +385,6 @@ def sharp_parabolic(
 
 # -- nested anisotropic dyadic filtration ------------------------------------
 
-def nested_n0(d: int) -> float:
-    """Parent/child measure-ratio bound of the nested filtration."""
-    return 2.0 ** (1 + d)
-
-
 @dataclass(frozen=True)
 class FiltrationLevel:
     """Level n of the nested filtration: time side 2^-n, space side
@@ -462,28 +437,6 @@ def build_filtration_levels(
             )
         )
     return levels
-
-
-def locate_cube(level: FiltrationLevel, point: tuple[float, ...]) -> tuple[int, ...]:
-    """Indices (i0, i1, ..., id) of the unique level cube containing a point."""
-    t, *xs = point
-    i0 = math.floor((t - level.origin_t) / level.time_side)
-    idx = [i0]
-    for x in xs:
-        idx.append(math.floor((x - level.origin_x) / level.space_side))
-    return tuple(idx)
-
-
-def parent_cube(level: FiltrationLevel, parent: FiltrationLevel, indices: tuple[int, ...]) -> tuple[int, ...]:
-    """Indices of the parent (coarser by one level) cube containing a cube."""
-    if parent.n != level.n - 1:
-        raise ValueError("parent must be exactly one level coarser")
-    t_ratio = round(parent.time_side / level.time_side)
-    x_ratio = round(parent.space_side / level.space_side)
-    out = [math.floor(indices[0] / t_ratio)]
-    for i in indices[1:]:
-        out.append(math.floor(i / x_ratio))
-    return tuple(out)
 
 
 def filtration_sharp(
@@ -558,13 +511,3 @@ def containment_radius(level: FiltrationLevel, grid: SpectralGrid) -> float:
     r_space = ((cpx - 1) * grid.dx) ** level.gamma if cpx > 1 else 0.0
     base = max(r_time, r_space, 0.25 * min(dt, grid.dx**level.gamma))
     return base * (1 + 1e-9)
-
-
-def box_lp_norm(values: np.ndarray, grid: SpectralGrid, p: float) -> float:
-    """L^p norm with the plain cell-counting measure (the discrete measure of
-    the filtration's measure space), for finite p > 0."""
-    if not 0 < p < np.inf:
-        raise ValueError(f"p must be finite and positive, got {p}")
-    dt = _uniform_dt(grid)
-    cell = dt * grid.dx**grid.d
-    return float((np.sum(np.abs(values) ** p) * cell) ** (1.0 / p))

@@ -17,7 +17,9 @@ N_pts for a symbol analytic near the box, while roundoff grows like
 eps*(c*N_pts*|xi|/rho)^k at order k.  With these two fixed, the error on
 power symbols is a few 1e-6 of |xi|^(gamma-k) at k = 6, 1e-4 at k = 7 and
 5e-3 at k = 8, past the checker's 1e-3 tolerance, so N is capped at 7.  The
-t-derivative of (S3) is a central difference.
+t-derivative of (S3) is a difference of step 1e-2: central where t >= 1e-2,
+and the second-order one-sided (-3f(t) + 4f(t+h) - f(t+2h))/(2h) below,
+so it is second order at t = 0 too.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ import numpy as np
 __all__ = [
     "SymbolSpec",
     "SymbolEvaluationError",
-    "SymbolSampleSpec",
     "ClassCheckReport",
     "power_symbol",
-    "fractional_laplacian_symbol",
     "eval_symbol",
     "check_symbol_class",
 ]
@@ -43,12 +43,13 @@ __all__ = [
 CLASS_S = "S"
 CLASS_S_T = "S_T"
 
-# Chebyshev points per box axis, box radius over |xi|, (S3) time step, and
-# the highest derivative order the boxes resolve within the default 1e-3
-# tolerance (see the module docstring)
+# Chebyshev points per box axis, box radius over |xi|, (S3) time step, the
+# tolerance of every verdict, and the highest derivative order the boxes
+# resolve within it (see the module docstring)
 _CHEB_POINTS = 20
 _BOX_RADIUS = 0.4
-_T_STEP = 1e-4
+_T_STEP = 1e-2
+_TOL = 1e-3
 _MAX_ORDER = 7
 
 
@@ -164,45 +165,18 @@ def power_symbol(
     )
 
 
-def fractional_laplacian_symbol(order: float, d: int = 1, n_derivs: int = 6) -> SymbolSpec:
-    """psi(xi) = -|xi|^order, the symbol whose negation realizes (-Delta)^(order/2).
-
-    Only the modulus |psi| enters the verified estimates, so the sign
-    convention is fixed to the admissible (negative real part) branch.
-    """
-    return power_symbol(kappa=1.0, gamma=order, d=d, n_derivs=n_derivs)
-
-
-@dataclass(frozen=True)
-class SymbolSampleSpec:
-    """Sample points for class checking; xi points must avoid the coordinate
-    hyperplanes (some component equal to zero)."""
-
-    t_values: np.ndarray
-    xi_values: np.ndarray  # (n_samples, d)
-
-    def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.t_values, dtype=float))
-        xi = np.atleast_2d(np.asarray(self.xi_values, dtype=float))
-        if np.any(np.min(np.abs(xi), axis=-1) == 0.0):
-            raise ValueError("sample xi points must avoid the coordinate hyperplanes")
-        object.__setattr__(self, "t_values", t)
-        object.__setattr__(self, "xi_values", xi)
-
-    @staticmethod
-    def log_spaced(d: int, xi_lo: float = 0.1, xi_hi: float = 64.0, n_xi: int = 24,
-                   t_values=(0.0, 0.5, 1.0, 2.0)) -> "SymbolSampleSpec":
-        r = np.geomspace(xi_lo, xi_hi, n_xi)
-        if d == 1:
-            xi = np.stack([np.concatenate([r, -r])], axis=-1)
-        else:
-            ang = np.linspace(0.2, np.pi / 2 - 0.2, 4)
-            pts = []
-            for rho in r:
-                for th in ang:
-                    pts.append([rho * np.cos(th), rho * np.sin(th)])
-            xi = np.asarray(pts)
-        return SymbolSampleSpec(np.asarray(t_values), xi)
+def _sample_points(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times and (n_samples, d) frequencies of the class check: 24
+    log-spaced radii in [0.1, 64], on both half-lines in d = 1 and on four
+    rays between the axes in d = 2, so no point lies on a coordinate
+    hyperplane."""
+    r = np.geomspace(0.1, 64.0, 24)
+    if d == 1:
+        xi = np.concatenate([r, -r])[:, None]
+    else:
+        ang = np.linspace(0.2, np.pi / 2 - 0.2, 4)
+        xi = (r[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)).reshape(-1, 2)
+    return np.array([0.0, 0.5, 1.0, 2.0]), xi
 
 
 @dataclass
@@ -302,11 +276,7 @@ class _BoxRule:
         return vals * self.scale
 
 
-def check_symbol_class(
-    spec: SymbolSpec,
-    sample_spec: SymbolSampleSpec | None = None,
-    tol: float = 1e-3,
-) -> ClassCheckReport:
+def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
     """Sample-based verification of (S1), (S2) and, for class S_T, (S3).
 
     (S1) is checked on psi at the sample points.  Every xi-derivative with
@@ -316,20 +286,18 @@ def check_symbol_class(
     Chebyshev points per axis, and each d^alpha at the centre is a
     contraction with cached 1-d weight rows.  A rule of _CHEB_POINTS - 4
     points on the same boxes gives ``derivative_error``.  The t-derivative
-    of (S3) is a central difference of step _T_STEP (one-sided at t = 0) of
-    the contractions.  Raises ValueError for N > _MAX_ORDER, where roundoff,
-    which grows like eps*(c*_CHEB_POINTS*|xi|/rho)^k, exceeds the tolerance.
+    of (S3) is a difference of step _T_STEP of the contractions: central
+    where t >= _T_STEP, else the second-order one-sided start, so no sample
+    reaches below t = 0.  Each verdict allows _TOL.  Raises ValueError for
+    N > _MAX_ORDER, where roundoff, which grows like
+    eps*(c*_CHEB_POINTS*|xi|/rho)^k, exceeds _TOL.
     """
     if spec.n_derivs > _MAX_ORDER:
         raise ValueError(
             f"n_derivs = {spec.n_derivs}: derivatives above order {_MAX_ORDER} "
             "are lost to roundoff on the Chebyshev boxes"
         )
-    if sample_spec is None:
-        sample_spec = SymbolSampleSpec.log_spaced(spec.d)
-    xi = sample_spec.xi_values
-    if xi.shape[-1] != spec.d:
-        raise ValueError("sample dimension does not match symbol dimension")
+    t_values, xi = _sample_points(spec.d)
 
     n = spec.n_derivs
     fine = _BoxRule(xi, _CHEB_POINTS, n)
@@ -346,23 +314,26 @@ def check_symbol_class(
     check_s3 = spec.class_flag == CLASS_S_T
     s1_margin = -np.inf
     s2_raw = s2_coarse = s3_raw = np.zeros(n + 1)
-    for t in sample_spec.t_values:
+    for t in t_values:
         vals = eval_symbol(spec, t, xi)
         s1_margin = max(s1_margin, float(np.max(vals.real + spec.kappa * xnorm**spec.gamma)))
-        s2_raw = np.maximum(s2_raw, constants(fine.derivatives(spec, t)))
+        here = fine.derivatives(spec, t)
+        s2_raw = np.maximum(s2_raw, constants(here))
         s2_coarse = np.maximum(s2_coarse, constants(coarse.derivatives(spec, t)))
         if check_s3:
-            span = _T_STEP + min(_T_STEP, t)  # eval_symbol clamps t - _T_STEP at 0
-            hi = fine.derivatives(spec, t + _T_STEP)
-            lo = fine.derivatives(spec, t - _T_STEP)
-            s3_raw = np.maximum(s3_raw, constants((hi - lo) / span))
+            ahead = fine.derivatives(spec, t + _T_STEP)
+            if t >= _T_STEP:
+                diff = ahead - fine.derivatives(spec, t - _T_STEP)
+            else:
+                diff = 4.0 * ahead - 3.0 * here - fine.derivatives(spec, t + 2.0 * _T_STEP)
+            s3_raw = np.maximum(s3_raw, constants(diff / (2.0 * _T_STEP)))
 
     s2_margin = float(np.max(s2_raw)) / spec.mu
     # (S3) covers m = 0 and m = 1; the m = 0 part is the (S2) family
     s3_margin = max(s2_margin, float(np.max(s3_raw)) / spec.mu) if check_s3 else None
     return ClassCheckReport(
         class_flag=spec.class_flag,
-        tol=tol,
+        tol=_TOL,
         s1_margin=s1_margin,
         s2_margin=s2_margin,
         s3_margin=s3_margin,
@@ -370,7 +341,7 @@ def check_symbol_class(
         s3_constants={k: float(c) for k, c in enumerate(s3_raw)} if check_s3 else {},
         orders_checked=list(_multi_indices(spec.d, n)),
         derivative_error=float(np.max(np.abs(s2_raw - s2_coarse))) / spec.mu,
-        passed_s1=s1_margin <= tol * float(spec.mu),
-        passed_s2=s2_margin <= 1.0 + tol,
-        passed_s3=(s3_margin <= 1.0 + tol) if check_s3 else None,
+        passed_s1=s1_margin <= _TOL * float(spec.mu),
+        passed_s2=s2_margin <= 1.0 + _TOL,
+        passed_s3=(s3_margin <= 1.0 + _TOL) if check_s3 else None,
     )

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from lpevo.evolution import (
-    _gl_rule,
-    apply_evolution,
-    apply_pseudo_diff,
-    evolution_kernel,
-    evolution_multiplier,
-    integrated_symbol,
-    kernel_l1_norm,
-)
-from lpevo.grid import SpatialField, apply_multiplier, lebesgue_norm, make_grid
+from lpevo.evolution import _gl_rule, integrated_symbol, symbol_on_lattice
+from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, lebesgue_norm, make_grid
 from lpevo.symbols import SymbolSpec, power_symbol
 
 
@@ -44,14 +36,26 @@ _SYMBOL_KINDS = {"static": lambda: power_symbol(1.0, 2.0), "separable": _modulat
 
 
 def _random_band_limited(grid, seed=0, m=1, j_hi=16):
+    """(n, m) samples of a random field with lattice modes 1 <= |k| <= j_hi."""
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(grid.spatial_shape() + (m,), dtype=complex)
     k = np.arange(grid.n) - grid.n // 2
     band = (np.abs(k) >= 1) & (np.abs(k) <= j_hi)
     coeffs[band] = rng.normal(size=(band.sum(), m)) + 1j * rng.normal(size=(band.sum(), m))
-    from lpevo.grid import lattice_inverse
+    return lattice_inverse(coeffs, grid)
 
-    return SpatialField(grid, m, lattice_inverse(coeffs, grid))
+
+def _kernel(spec, s, t, g):
+    """(2 pi)^(-1/2) times the inverse transform of exp(integral_s^t psi):
+    the convolution kernel of T(t, s), whose mass is the multiplier at 0."""
+    mult = np.exp(integrated_symbol(spec, s, t, g.freq_vectors()))
+    return (2.0 * np.pi) ** -0.5 * lattice_inverse(mult[:, None], g)[:, 0]
+
+
+def _spatial_norm(values, g, p):
+    """Spatial L^p norm, as the norm of the field held constant on the
+    grid's time interval [0, 1]."""
+    return lebesgue_norm(SpaceTimeField(g, values.shape[-1], [values] * 2), p)
 
 
 def _mp_gauss_legendre(n, dps=40):
@@ -157,138 +161,93 @@ class TestIntegratedSymbol:
 class TestKernels:
     def test_heat_kernel_golden(self):
         g = _grid(n=1024, L=20.0)
-        spec = power_symbol(1.0, 2.0)
-        k = evolution_kernel(spec, 0.0, 1.0, g)
+        k = _kernel(power_symbol(1.0, 2.0), 0.0, 1.0, g)
         exact = (4 * np.pi) ** -0.5 * np.exp(-g.x**2 / 4)
         window = np.abs(g.x) <= g.half_length / 2
-        assert np.max(np.abs(k.values.real - exact)[window]) < 1e-6
-        assert np.max(np.abs(k.values.imag)) < 1e-10
+        assert np.max(np.abs(k.real - exact)[window]) < 1e-6
+        assert np.max(np.abs(k.imag)) < 1e-10
 
     def test_cauchy_kernel_golden(self):
         g = _grid(n=4096, L=64.0)
-        spec = power_symbol(1.0, 1.0)
-        k = evolution_kernel(spec, 0.0, 1.0, g)
+        k = _kernel(power_symbol(1.0, 1.0), 0.0, 1.0, g)
         window = np.abs(g.x) <= 10.0
         exact = (1 / np.pi) / (1 + g.x**2)
-        assert np.max(np.abs(k.values.real - exact)[window]) < 1e-4
+        assert np.max(np.abs(k.real - exact)[window]) < 1e-4
 
     def test_kernel_mass_one(self):
         g = _grid(n=512, L=20.0)
-        k = evolution_kernel(_modulated(), 0.0, 0.7, g)
-        assert np.sum(k.values.real) * g.dx == pytest.approx(1.0, abs=1e-8)
+        k = _kernel(_modulated(), 0.0, 0.7, g)
+        assert np.sum(k.real) * g.dx == pytest.approx(1.0, abs=1e-8)
 
     def test_l1_norm_of_positive_kernel(self):
+        # the heat kernel is positive, so its L^1 norm is its mass
         g = _grid(n=512, L=20.0)
-        k = evolution_kernel(power_symbol(1.0, 2.0), 0.0, 0.5, g)
-        assert kernel_l1_norm(k) == pytest.approx(1.0, abs=1e-8)
-
-    def test_l1_norm_zero(self):
-        g = _grid(n=16, L=1.0)
-        assert kernel_l1_norm(np.zeros(16), g) == 0.0
-
-    def test_rejects_t_equal_s(self):
-        g = _grid()
-        with pytest.raises(ValueError):
-            evolution_kernel(power_symbol(1.0, 2.0), 1.0, 1.0, g)
+        k = _kernel(power_symbol(1.0, 2.0), 0.0, 0.5, g)
+        assert np.sum(np.abs(k)) * g.dx == pytest.approx(1.0, abs=1e-8)
 
 
 class TestApplyEvolution:
-    def test_identity_at_equal_times(self):
-        g = _grid(n=64)
-        f = _random_band_limited(g)
-        out = apply_evolution(power_symbol(1.0, 2.0), 0.5, 0.5, f)
-        assert out is f
+    """T(t, s) f as the lattice transform of f times exp(integral_s^t psi)."""
 
     def test_single_mode_eigenfunction(self):
         g = _grid(n=64, L=np.pi)
         xi0 = g.freq[g.n // 2 + 3]
-        f = SpatialField(g, 1, np.exp(1j * xi0 * g.x)[:, None])
+        f = np.exp(1j * xi0 * g.x)[:, None]
         spec = _modulated()
-        out = apply_evolution(spec, 0.0, 1.0, f)
+        mult = np.exp(integrated_symbol(spec, 0.0, 1.0, g.freq_vectors()))
+        out = lattice_inverse(mult[:, None] * lattice_forward(f, g), g)
         factor = np.exp(integrated_symbol(spec, 0.0, 1.0, np.array([xi0])))
-        assert np.max(np.abs(out.values - factor * f.values)) < 1e-12
+        assert np.max(np.abs(out - factor * f)) < 1e-12
 
     def test_composition_evolution_property(self):
+        # T(1, 0.7) T(0.7, 0) = T(1, 0): the exponents add
         g = _grid(n=128, L=10.0)
-        spec = _modulated()
-        f = _random_band_limited(g, seed=5, m=2)
-        one = apply_evolution(spec, 0.0, 1.0, f)
-        two = apply_evolution(spec, 0.7, 1.0, apply_evolution(spec, 0.0, 0.7, f))
-        assert np.max(np.abs(one.values - two.values)) < 1e-10
+        xi = g.freq_vectors()
+        for spec in (_modulated(), _generic()):
+            split = integrated_symbol(spec, 0.0, 0.7, xi) + integrated_symbol(spec, 0.7, 1.0, xi)
+            np.testing.assert_allclose(split, integrated_symbol(spec, 0.0, 1.0, xi), rtol=1e-13)
 
     def test_matches_direct_convolution(self):
         # small-grid direct circular convolution oracle for the multiplier path
         g = _grid(n=32, L=8.0)
         spec = power_symbol(1.0, 2.0)
         f = _random_band_limited(g, seed=2, j_hi=8)
-        out = apply_evolution(spec, 0.0, 0.5, f)
-        k = evolution_kernel(spec, 0.0, 0.5, g).values
-        direct = np.zeros_like(f.values)
+        mult = np.exp(integrated_symbol(spec, 0.0, 0.5, g.freq_vectors()))
+        out = lattice_inverse(mult[:, None] * lattice_forward(f, g), g)
+        k = _kernel(spec, 0.0, 0.5, g)
+        direct = np.zeros_like(f)
         for i in range(g.n):
             acc = 0.0 + 0j
             for j in range(g.n):
                 # kernel sample at offset (i-j)*dx lives at index i-j+n/2
-                acc += k[(i - j + g.n // 2) % g.n] * f.values[j, 0]
+                acc += k[(i - j + g.n // 2) % g.n] * f[j, 0]
             direct[i, 0] = acc * g.dx
-        assert np.max(np.abs(out.values - direct)) < 1e-10
+        assert np.max(np.abs(out - direct)) < 1e-10
 
     def test_young_inequality(self):
         g = _grid(n=128, L=10.0)
         spec = _modulated()
         f = _random_band_limited(g, seed=9, m=3)
-        k1 = kernel_l1_norm(evolution_kernel(spec, 0.0, 0.4, g))
+        mult = np.exp(integrated_symbol(spec, 0.0, 0.4, g.freq_vectors()))
+        out = lattice_inverse(mult[:, None] * lattice_forward(f, g), g)
+        k1 = np.sum(np.abs(_kernel(spec, 0.0, 0.4, g))) * g.dx
         for p in (1.0, 2.0, 4.0):
-            lhs = lebesgue_norm(apply_evolution(spec, 0.0, 0.4, f), p)
-            assert lhs <= k1 * lebesgue_norm(f, p) * (1 + 1e-6)
+            assert _spatial_norm(out, g, p) <= k1 * _spatial_norm(f, g, p) * (1 + 1e-6)
 
     def test_multiplier_modulus_bound(self):
         g = _grid(n=128, L=10.0)
         spec = _modulated()
-        mult = evolution_multiplier(spec, 0.0, 0.3, g)
-        bound = np.exp(-spec.kappa * 0.3 * g.freq_norm() ** spec.gamma)
+        mult = np.exp(integrated_symbol(spec, 0.0, 0.3, g.freq_vectors()))
+        bound = np.exp(-spec.kappa * 0.3 * np.abs(g.freq) ** spec.gamma)
         assert np.all(np.abs(mult) <= bound + 1e-12)
 
 
 class TestApplyPseudoDiff:
     def test_eigenfunction(self):
+        # L(l) f: the lattice transform of f times psi(l, xi)
         g = _grid(n=64, L=np.pi)
         xi0 = g.freq[g.n // 2 + 5]
-        f = SpatialField(g, 1, np.exp(1j * xi0 * g.x)[:, None])
-        out = apply_pseudo_diff(power_symbol(1.0, 2.0), 0.0, f)
-        assert np.max(np.abs(out.values - (-(xi0**2)) * f.values)) < 1e-10
-
-    def test_rejects_frequency_side_field(self):
-        g = _grid(n=16, L=1.0)
-        f = SpatialField(g, 1, np.ones((16, 1)), side="freq")
-        with pytest.raises(ValueError):
-            apply_pseudo_diff(power_symbol(1.0, 2.0), 0.0, f)
-        with pytest.raises(ValueError):
-            apply_multiplier(f, np.ones(16))
-
-    def test_iterate_equals_squared_symbol(self):
-        g = _grid(n=64, L=5.0)
-        spec = power_symbol(1.0, 1.5)
-        sq = SymbolSpec(
-            eval_fn=lambda t, xi: (np.sum(xi**2, axis=-1) ** 1.5).astype(complex),
-            kappa=1.0,
-            mu=10.0,
-            gamma=3.0,
-            n_derivs=2,
-        )
-        f = _random_band_limited(g, seed=11, j_hi=8)
-        twice = apply_pseudo_diff(spec, 0.0, apply_pseudo_diff(spec, 0.0, f))
-        once = apply_pseudo_diff(sq, 0.0, f)
-        scale = np.max(np.abs(once.values))
-        assert np.max(np.abs(twice.values - once.values)) < 1e-12 * max(scale, 1.0)
-
-    def test_fractional_laplacian_on_mode(self):
-        # |xi|^(gamma/q) multiplier of (-Delta)^(gamma/2q): check on one mode
-        from lpevo.symbols import fractional_laplacian_symbol
-
-        g = _grid(n=64, L=np.pi)
-        gamma, q = 2.0, 2.0
-        spec = fractional_laplacian_symbol(gamma / q)
-        xi0 = g.freq[g.n // 2 + 4]
-        f = SpatialField(g, 1, np.exp(1j * xi0 * g.x)[:, None])
-        out = apply_pseudo_diff(spec, 0.0, f)
-        assert np.max(np.abs(out.values - (-abs(xi0)) * f.values)) < 1e-10
+        f = np.exp(1j * xi0 * g.x)[:, None]
+        mult = symbol_on_lattice(power_symbol(1.0, 2.0), 0.0, g)
+        out = lattice_inverse(mult[:, None] * lattice_forward(f, g), g)
+        assert np.max(np.abs(out - (-(xi0**2)) * f)) < 1e-10

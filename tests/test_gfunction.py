@@ -460,7 +460,7 @@ class TestParsevalOracle:
             res = g_tilde(f, psi1, psi2, a=grid.a, q=2.0, quad=quad)
         got = np.sum(res.values**2, axis=tuple(range(1, d + 1))) * grid.dx**d
 
-        r = grid.freq_norm()
+        r = np.linalg.norm(grid.freq_vectors(), axis=-1)
         f_hat = lattice_forward(f.values, grid)
         beta = 2.0 * g1 / g2
         want = np.zeros(len(grid.t_grid))

@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from lpevo.grid import (
     SpaceTimeField,
-    SpatialField,
     SpectralGrid,
-    forward_transform,
-    inverse_transform,
     lattice_forward,
     lattice_inverse,
     lebesgue_norm,
@@ -53,30 +50,27 @@ class TestTransforms:
     def test_roundtrip_random(self):
         g = _grid_1d()
         rng = np.random.default_rng(0)
-        f = SpatialField(g, 2, rng.normal(size=(g.n, 2)) + 1j * rng.normal(size=(g.n, 2)))
-        back = inverse_transform(forward_transform(f))
-        err = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
+        f = rng.normal(size=(g.n, 2)) + 1j * rng.normal(size=(g.n, 2))
+        back = lattice_inverse(lattice_forward(f, g), g)
+        err = np.max(np.abs(back - f)) / np.max(np.abs(f))
         assert err < 1e-12
 
     def test_gaussian_self_dual(self):
         g = _grid_1d(n=256, L=12.0)
-        f = SpatialField(g, 1, np.exp(-g.x**2 / 2)[:, None])
-        spec = forward_transform(f)
+        spec = lattice_forward(np.exp(-g.x**2 / 2)[:, None], g)
         expected = np.exp(-g.freq**2 / 2)
-        assert np.max(np.abs(spec.values[:, 0] - expected)) < 1e-8
+        assert np.max(np.abs(spec[:, 0] - expected)) < 1e-8
 
     def test_zero_maps_to_zero(self):
         g = _grid_1d()
-        f = SpatialField(g, 1, np.zeros((g.n, 1)))
-        assert np.all(forward_transform(f).values == 0)
+        assert np.all(lattice_forward(np.zeros((g.n, 1)), g) == 0)
 
     def test_single_mode_point_mass(self):
         # geometric-sum oracle: sum_j exp(i(xi0-xi_k)x_j) is n at k=k0, 0 otherwise
         g = _grid_1d(n=32, L=4.0)
         k0 = 5
         xi0 = g.freq[g.n // 2 + k0]
-        f = SpatialField(g, 1, np.exp(1j * xi0 * g.x)[:, None])
-        spec = forward_transform(f).values[:, 0]
+        spec = lattice_forward(np.exp(1j * xi0 * g.x)[:, None], g)[:, 0]
         weight = (2 * np.pi) ** -0.5 * 2 * g.half_length
         expected = np.zeros(g.n, dtype=complex)
         expected[g.n // 2 + k0] = weight
@@ -85,18 +79,18 @@ class TestTransforms:
     def test_parseval(self):
         g = _grid_1d(n=128, L=7.0)
         rng = np.random.default_rng(3)
-        f = SpatialField(g, 3, rng.normal(size=(g.n, 3)) + 1j * rng.normal(size=(g.n, 3)))
-        spec = forward_transform(f)
-        lhs = np.sum(np.abs(f.values) ** 2) * g.dx
-        rhs = np.sum(np.abs(spec.values) ** 2) * g.dxi
+        f = rng.normal(size=(g.n, 3)) + 1j * rng.normal(size=(g.n, 3))
+        spec = lattice_forward(f, g)
+        lhs = np.sum(np.abs(f) ** 2) * g.dx
+        rhs = np.sum(np.abs(spec) ** 2) * g.dxi
         assert abs(lhs - rhs) / lhs < 1e-10
 
     def test_roundtrip_2d(self):
         g = make_grid(2, 16, 3.0, [0.0, 1.0])
         rng = np.random.default_rng(1)
-        f = SpatialField(g, 1, rng.normal(size=(16, 16, 1)) * (1 + 0j))
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
+        f = rng.normal(size=(16, 16, 1)) * (1 + 0j)
+        back = lattice_inverse(lattice_forward(f, g), g)
+        assert np.max(np.abs(back - f)) < 1e-12
 
 
 class TestLatticeArrays:
@@ -161,7 +155,7 @@ class TestLebesgueNorm:
 
     def test_rejects_p_below_one(self):
         g = _grid_1d()
-        f = SpatialField(g, 1, np.ones((g.n, 1)))
+        f = SpaceTimeField(g, 1, np.ones((2, g.n, 1)))
         with pytest.raises(ValueError):
             lebesgue_norm(f, 0.5)
 
@@ -169,7 +163,7 @@ class TestLebesgueNorm:
     def test_rejects_non_finite_p(self, p):
         # the constant 3 used to give 1.0 at p = inf, and nan at p = nan
         g = _grid_1d()
-        f = SpatialField(g, 1, np.full((g.n, 1), 3.0))
+        f = SpaceTimeField(g, 1, np.full((2, g.n, 1), 3.0))
         with pytest.raises(ValueError):
             lebesgue_norm(f, p)
 
@@ -180,37 +174,39 @@ class TestLebesgueNorm:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_homogeneity(self, c, p, seed):
-        g = _grid_1d(n=16)
+        g = _grid_1d(n=16, t=(0.0, 0.3, 1.0))
         rng = np.random.default_rng(seed)
-        v = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-        f = SpatialField(g, 2, v)
-        cf = SpatialField(g, 2, c * v)
+        v = rng.normal(size=(3, 16, 2)) + 1j * rng.normal(size=(3, 16, 2))
+        f = SpaceTimeField(g, 2, v)
+        cf = SpaceTimeField(g, 2, c * v)
         assert lebesgue_norm(cf, p) == pytest.approx(abs(c) * lebesgue_norm(f, p), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16), p=st.floats(min_value=1, max_value=5))
     def test_triangle_inequality(self, seed, p):
-        g = _grid_1d(n=16)
+        g = _grid_1d(n=16, t=(0.0, 0.3, 1.0))
         rng = np.random.default_rng(seed)
-        u = rng.normal(size=(16, 2)) * (1 + 0j)
-        v = rng.normal(size=(16, 2)) * (1 + 0j)
-        fu, fv = SpatialField(g, 2, u), SpatialField(g, 2, v)
-        fs = SpatialField(g, 2, u + v)
+        u = rng.normal(size=(3, 16, 2)) * (1 + 0j)
+        v = rng.normal(size=(3, 16, 2)) * (1 + 0j)
+        fu, fv = SpaceTimeField(g, 2, u), SpaceTimeField(g, 2, v)
+        fs = SpaceTimeField(g, 2, u + v)
         assert lebesgue_norm(fs, p) <= lebesgue_norm(fu, p) + lebesgue_norm(fv, p) + 1e-12
 
 
 class TestFieldValidation:
     def test_rejects_nan(self):
         g = _grid_1d(n=16)
-        v = np.ones((16, 1), dtype=complex)
-        v[3, 0] = np.nan
+        v = np.ones((2, 16, 1), dtype=complex)
+        v[1, 3, 0] = np.nan
         with pytest.raises(ValueError):
-            SpatialField(g, 1, v)
+            SpaceTimeField(g, 1, v)
 
     def test_rejects_bad_shape(self):
         g = _grid_1d(n=16)
         with pytest.raises(ValueError):
-            SpatialField(g, 1, np.ones((8, 1)))
+            SpaceTimeField(g, 1, np.ones((2, 8, 1)))
+        with pytest.raises(ValueError):
+            SpaceTimeField(g, 1, np.ones((3, 16, 1)))
 
 
 def test_vector_norm():

@@ -4,20 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpevo import maximal as maximal_module
-from lpevo.grid import SpaceTimeField, SpatialField, make_grid
+from lpevo.grid import make_grid, vector_norm
 from lpevo.maximal import (
-    FiltrationLevel,
     _graded_maximal_time,
-    box_lp_norm,
     build_filtration_levels,
     containment_radius,
     filtration_sharp,
-    locate_cube,
-    maximal,
     maximal_values,
-    nested_n0,
     nested_n1,
-    parent_cube,
     sharp_parabolic,
 )
 
@@ -90,9 +84,8 @@ def _graded_loop_reference(batch, edges, r_floor):
 class TestMaximalSpace:
     def test_constant(self):
         g = _grid(n=64, L=2.0)
-        f = SpatialField(g, 1, np.full((64, 1), -3.0 + 0j))
-        out = maximal(f, "space")
-        assert np.allclose(out.values[:, 0].real, 3.0)
+        out = maximal_values(vector_norm(np.full((64, 1), -3.0 + 0j)), g, "space")
+        assert np.allclose(out, 3.0)
 
     def test_indicator_analytic_oracle(self):
         # h = 1 on [-1, 1]: maximal = 1 on |x| <= 1; outside, the average
@@ -100,8 +93,7 @@ class TestMaximalSpace:
         # and 1/r after that, so maximal = 1/(1+|x|) away from the wrap
         g = _grid(n=1024, L=16.0)
         vals = (np.abs(g.x) <= 1.0).astype(complex)[:, None]
-        f = SpatialField(g, 1, vals)
-        out = maximal(f, "space").values[:, 0].real
+        out = maximal_values(vector_norm(vals), g, "space")
         window = np.abs(g.x) <= g.half_length / 2
         x = g.x[window]
         exact = np.where(np.abs(x) <= 1.0, 1.0, 1.0 / (1.0 + np.abs(x)))
@@ -112,16 +104,16 @@ class TestMaximalSpace:
         # optimal radius r = 4 at x = 3 gives 1/4
         g = _grid(n=2048, L=16.0)
         vals = (np.abs(g.x) <= 1.0).astype(complex)[:, None]
-        out = maximal(SpatialField(g, 1, vals), "space").values[:, 0].real
+        out = maximal_values(vector_norm(vals), g, "space")
         j = np.argmin(np.abs(g.x - 3.0))
         assert out[j] == pytest.approx(0.25, abs=2 * g.dx)
 
     def test_monotone_in_r_floor(self):
         g = _grid(n=256, L=4.0)
         rng = np.random.default_rng(0)
-        f = SpatialField(g, 1, np.abs(rng.normal(size=(256, 1))) + 0j)
-        m_small = maximal(f, "space", r_floor=0.1).values.real
-        m_big = maximal(f, "space", r_floor=0.5).values.real
+        h = vector_norm(np.abs(rng.normal(size=(256, 1))) + 0j)
+        m_small = maximal_values(h, g, "space", r_floor=0.1)
+        m_big = maximal_values(h, g, "space", r_floor=0.5)
         assert np.all(m_big <= m_small + 1e-12)
 
     def test_r_floor_monotone_below_half_period(self):
@@ -138,16 +130,16 @@ class TestMaximalSpace:
         g = _grid(n=16, L=1.0)
         h = np.abs(np.random.default_rng(12).normal(size=(16, 1))) + 0j
         with pytest.raises(ValueError, match="half the period"):
-            maximal(SpatialField(g, 1, h), "space", r_floor=r_floor)
+            maximal_values(vector_norm(h), g, "space", r_floor=r_floor)
         with pytest.raises(ValueError, match="half the period"):
             maximal_values(h[None, :, 0].real, g, "space", r_floor=r_floor)
 
     def test_dominates_pointwise_value(self):
         g = _grid(n=128, L=4.0)
         rng = np.random.default_rng(1)
-        f = SpatialField(g, 1, np.abs(rng.normal(size=(128, 1))) + 0j)
-        out = maximal(f, "space").values.real
-        assert np.all(out >= np.abs(f.values.real) - 1e-12)
+        vals = np.abs(rng.normal(size=(128, 1))) + 0j
+        out = maximal_values(vector_norm(vals), g, "space")
+        assert np.all(out >= np.abs(vals[:, 0]) - 1e-12)
 
     def test_brute_force_oracle_small_grid(self):
         g = _grid(n=16, L=2.0)
@@ -177,16 +169,15 @@ class TestMaximalSpace:
         g = _cells_grid(n=16, T=8)
         rng = np.random.default_rng(11)
         vals = rng.normal(size=(8, 16, 2)) + 1j * rng.normal(size=(8, 16, 2))
-        out = maximal(SpaceTimeField(g, 2, vals), "space").values[..., 0].real
+        out = maximal_values(vector_norm(vals), g, "space")
         for k in range(8):
-            row = maximal(SpatialField(g, 2, vals[k]), "space").values[:, 0].real
+            row = maximal_values(vector_norm(vals[k]), g, "space")
             assert np.allclose(out[k], row, rtol=0.0, atol=1e-12)
 
     def test_2d_constant(self):
         g = make_grid(2, 16, 2.0, [0.0, 1.0])
-        f = SpatialField(g, 1, np.full((16, 16, 1), 2.0 + 0j))
-        out = maximal(f, "space")
-        assert np.allclose(out.values[..., 0].real, 2.0)
+        out = maximal_values(vector_norm(np.full((16, 16, 1), 2.0 + 0j)), g, "space")
+        assert np.allclose(out, 2.0)
 
     @pytest.mark.parametrize("r_floor", [1.5, 3.0])
     def test_2d_r_floor_past_largest_ball_rejected(self, r_floor):
@@ -197,14 +188,13 @@ class TestMaximalSpace:
         with pytest.raises(ValueError, match="largest ball radius"):
             maximal_values(h, g, "space", r_floor=r_floor)
         with pytest.raises(ValueError, match="largest ball radius"):
-            maximal(SpatialField(g, 1, h[..., None] + 0j), "space", r_floor=r_floor)
+            maximal_values(vector_norm(h[..., None] + 0j), g, "space", r_floor=r_floor)
 
 
 class TestMaximalTime:
     def test_constant(self):
         g = _cells_grid(T=32)
-        f = SpaceTimeField(g, 1, np.full((32, 16, 1), 1.5 + 0j))
-        out = maximal(f, "time").values[..., 0].real
+        out = maximal_values(vector_norm(np.full((32, 16, 1), 1.5 + 0j)), g, "time")
         # zero extension: averages over windows reaching past the box shrink
         assert np.max(out) == pytest.approx(1.5, rel=1e-12)
         assert np.all(out <= 1.5 + 1e-12)
@@ -388,26 +378,17 @@ class TestFiltration:
         assert finest.time_side == pytest.approx(np.diff(g.t_grid)[0])
         assert finest.space_side == pytest.approx(g.dx)
 
-    def test_locate_unit_cells(self):
-        lvl = FiltrationLevel(0, 2.0, 0.0, 0.0, 1.0, 1.0)
-        assert locate_cube(lvl, (0.3, 0.7)) == (0, 0)
-        assert locate_cube(lvl, (1.3, -0.2)) == (1, -1)
-
-    def test_parent_contains_child_random_points(self):
+    def test_children_nest_in_parents(self):
+        # every level is anchored at the box corner and each side of a parent
+        # is one or two sides of its children, so each child cube lies in
+        # exactly one parent cube, with measure ratio at most 2^(1+d)
         g = _cells_grid(n=16, L=1.0, T=64)
         levels = build_filtration_levels(g, gamma=2.0, coarse_levels=3)
-        rng = np.random.default_rng(8)
-        pts = np.stack(
-            [rng.uniform(0, 1, 500), rng.uniform(-1, 1, 500)], axis=1
-        )
         for fine, coarse in zip(levels[1:], levels[:-1]):
-            ratio_t = fine.time_side and coarse.time_side / fine.time_side
-            for p in pts[:100]:
-                child = locate_cube(fine, tuple(p))
-                parent = locate_cube(coarse, tuple(p))
-                assert parent_cube(fine, coarse, child) == parent
-            # measure ratio bound
-            assert coarse.cube_measure(1) / fine.cube_measure(1) <= nested_n0(1) + 1e-12
+            assert (fine.origin_t, fine.origin_x) == (coarse.origin_t, coarse.origin_x)
+            assert coarse.time_side / fine.time_side == 2.0
+            assert coarse.space_side / fine.space_side in (1.0, 2.0)
+            assert coarse.cube_measure(1) / fine.cube_measure(1) <= 2.0 ** (1 + 1)
 
     def test_two_value_oracle(self):
         # h = alpha on one level-n cube, beta elsewhere: parent-level
@@ -451,17 +432,3 @@ class TestFiltration:
         g = make_grid(1, 16, 1.0, np.linspace(0.0, 1.0, 10))  # dt not dyadic
         with pytest.raises(ValueError):
             build_filtration_levels(g, gamma=2.0)
-
-
-def test_box_lp_norm_constant():
-    g = _cells_grid(n=16, L=1.0, T=64)
-    h = np.full((64, 16), 2.0)
-    # measure of the box [0,1) x [-1,1) is 2
-    assert box_lp_norm(h, g, 2.0) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("p", [np.inf, np.nan])
-def test_box_lp_norm_rejects_non_finite_p(p):
-    g = _cells_grid(n=16, L=1.0, T=64)
-    with pytest.raises(ValueError):
-        box_lp_norm(np.full((64, 16), 3.0), g, p)

@@ -1,7 +1,9 @@
 """Every name that a module of the package exports must resolve, so a
-deleted function cannot leave a stale entry in ``__all__``; and the
-package needs numpy alone."""
+deleted function cannot leave a stale entry in ``__all__``; every name a
+submodule exports must have a consumer outside the tests; and the package
+needs numpy alone."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -13,6 +15,8 @@ import pytest
 import lpevo
 
 MODULES = ["lpevo"] + sorted(f"lpevo.{m.name}" for m in pkgutil.iter_modules(lpevo.__path__))
+PACKAGE = Path(lpevo.__file__).resolve().parent
+BENCHMARK = PACKAGE.parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,3 +35,31 @@ def test_imports_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _used_names(path: Path) -> set[str]:
+    """Every Name, Attribute and imported alias that a source file uses."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_export_has_a_consumer():
+    # consumers are the package's own modules and the benchmark, not tests:
+    # a name only its tests call is surface to delete
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted(BENCHMARK.glob("*.py"))
+    used = set().union(*(_used_names(p) for p in sources))
+    unused = [
+        f"{name}.{export}"
+        for name in MODULES[1:]
+        for export in importlib.import_module(name).__all__
+        if export not in used
+    ]
+    assert unused == []

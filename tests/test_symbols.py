@@ -11,8 +11,8 @@ from lpevo.symbols import (
     CLASS_S_T,
     _CHEB_POINTS,
     _BoxRule,
+    _sample_points,
     SymbolEvaluationError,
-    SymbolSampleSpec,
     SymbolSpec,
     check_symbol_class,
     eval_symbol,
@@ -123,10 +123,6 @@ class TestClassCheck:
         assert report.passed
         assert report.s2_margin <= base.s2_margin
 
-    def test_rejects_samples_on_hyperplane(self):
-        with pytest.raises(ValueError):
-            SymbolSampleSpec(np.array([0.0]), np.array([[0.0, 1.0]]))
-
     def test_fd_matches_analytic_second_order(self):
         # |d^2/dxi^2 (-|xi|^gamma)| = gamma(gamma-1)|xi|^(gamma-2) in d=1
         gamma = 1.7
@@ -171,7 +167,7 @@ class TestChebyshevClassCheck:
             for a in range(k + 1):
                 b = k - a
                 exact[(a, b)] = sympy.diff(exact[(a - 1, b)] if a else exact[(a, b - 1)], x if a else y)
-        xi = SymbolSampleSpec.log_spaced(2).xi_values
+        xi = _sample_points(2)[1]
         spec = power_symbol(1.0, gamma, d=2)
         got = _BoxRule(xi, _CHEB_POINTS, 6).derivatives(spec, 0.0)
         r = np.linalg.norm(xi, axis=-1)
@@ -208,6 +204,18 @@ class TestChebyshevClassCheck:
         report = check_symbol_class(power_symbol(1.0, gamma, **_modulation(rate)))
         for k in range(5):
             assert report.s3_constants[k] == pytest.approx(0.5 * rate * _falling(gamma, k), rel=1e-3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rate", [1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
+    def test_time_derivative_constants_every_order(self, gamma, rate, d):
+        # psi = -(1 + 0.5 e^{-rate t})|xi|^gamma: both constants peak at t = 0,
+        # where d/dt psi = -(0.5*rate/1.5) psi, so at every order the exact
+        # (S3) constant is (0.5*rate/1.5) times the (S2) one
+        report = check_symbol_class(power_symbol(1.0, gamma, d=d, **_modulation(rate)))
+        for k, c in report.s2_constants.items():
+            exact = 0.5 * rate / 1.5 * c
+            assert abs(report.s3_constants[k] - exact) <= 1e-3 * max(1.0, exact), k
 
     def test_derivative_error_flags_symbol_not_smooth_on_box(self):
         # -sum |xi_i|^(3/2) is not smooth on the axes, which the boxes of the
