@@ -185,9 +185,24 @@ class TestKernels:
         k = _kernel(power_symbol(1.0, 2.0), 0.0, 0.5, g)
         assert np.sum(np.abs(k)) * g.dx == pytest.approx(1.0, abs=1e-8)
 
+    def test_rejects_t_equal_s(self):
+        # T(s, s) is the identity, whose kernel is no function on the lattice
+        with pytest.raises(ValueError):
+            _kernel(power_symbol(1.0, 2.0), 1.0, 1.0, _grid())
+
 
 class TestApplyEvolution:
     """T(t, s) f as the lattice transform of f times exp(integral_s^t psi)."""
+
+    def test_identity_at_equal_times(self):
+        # t = s itself is rejected; as t decreases to s, T(t, s) tends to the
+        # identity, for the exact, the separable and the panel integral alike
+        g = _grid(n=64)
+        f = _random_band_limited(g)
+        for make in _SYMBOL_KINDS.values():
+            mult = np.exp(integrated_symbol(make(), 0.5, 0.5 + 1e-9, g.freq_vectors()))
+            out = lattice_inverse(mult[:, None] * lattice_forward(f, g), g)
+            assert np.max(np.abs(out - f)) < 1e-8 * np.max(np.abs(f))
 
     def test_single_mode_eigenfunction(self):
         g = _grid(n=64, L=np.pi)
@@ -251,3 +266,34 @@ class TestApplyPseudoDiff:
         mult = symbol_on_lattice(power_symbol(1.0, 2.0), 0.0, g)
         out = lattice_inverse(mult[:, None] * lattice_forward(f, g), g)
         assert np.max(np.abs(out - (-(xi0**2)) * f)) < 1e-10
+
+    def test_iterate_equals_squared_symbol(self):
+        g = _grid(n=64, L=5.0)
+        spec = power_symbol(1.0, 1.5)
+        sq = SymbolSpec(
+            eval_fn=lambda t, xi: (np.sum(xi**2, axis=-1) ** 1.5).astype(complex),
+            kappa=1.0,
+            mu=10.0,
+            gamma=3.0,
+            n_derivs=2,
+        )
+        f = _random_band_limited(g, seed=11, j_hi=8)
+
+        def apply(symbol, v):
+            mult = symbol_on_lattice(symbol, 0.0, g)
+            return lattice_inverse(mult[:, None] * lattice_forward(v, g), g)
+
+        twice = apply(spec, apply(spec, f))
+        once = apply(sq, f)
+        scale = np.max(np.abs(once))
+        assert np.max(np.abs(twice - once)) < 1e-12 * max(scale, 1.0)
+
+    def test_fractional_laplacian_on_mode(self):
+        # -|xi|^(gamma/q), the symbol of -(-Delta)^(gamma/2q): check on one mode
+        g = _grid(n=64, L=np.pi)
+        gamma, q = 2.0, 2.0
+        xi0 = g.freq[g.n // 2 + 4]
+        f = np.exp(1j * xi0 * g.x)[:, None]
+        mult = symbol_on_lattice(power_symbol(1.0, gamma / q), 0.0, g)
+        out = lattice_inverse(mult[:, None] * lattice_forward(f, g), g)
+        assert np.max(np.abs(out - (-abs(xi0)) * f)) < 1e-10

@@ -378,17 +378,24 @@ class TestFiltration:
         assert finest.time_side == pytest.approx(np.diff(g.t_grid)[0])
         assert finest.space_side == pytest.approx(g.dx)
 
-    def test_children_nest_in_parents(self):
+    def test_parent_contains_child_random_points(self):
         # every level is anchored at the box corner and each side of a parent
         # is one or two sides of its children, so each child cube lies in
         # exactly one parent cube, with measure ratio at most 2^(1+d)
         g = _cells_grid(n=16, L=1.0, T=64)
         levels = build_filtration_levels(g, gamma=2.0, coarse_levels=3)
+        rng = np.random.default_rng(8)
+        pts = np.stack([rng.uniform(0, 1, 500), rng.uniform(-1, 1, 500)], axis=1)
         for fine, coarse in zip(levels[1:], levels[:-1]):
             assert (fine.origin_t, fine.origin_x) == (coarse.origin_t, coarse.origin_x)
-            assert coarse.time_side / fine.time_side == 2.0
-            assert coarse.space_side / fine.space_side in (1.0, 2.0)
+            ratio = np.array([coarse.time_side / fine.time_side, coarse.space_side / fine.space_side])
+            assert ratio[0] == 2.0 and ratio[1] in (1.0, 2.0)
             assert coarse.cube_measure(1) / fine.cube_measure(1) <= 2.0 ** (1 + 1)
+            # the parent of each point's cube is the point's cube one level up
+            origin = np.array([fine.origin_t, fine.origin_x])
+            child = np.floor((pts - origin) / [fine.time_side, fine.space_side])
+            parent = np.floor((pts - origin) / [coarse.time_side, coarse.space_side])
+            assert np.array_equal(np.floor(child / ratio), parent)
 
     def test_two_value_oracle(self):
         # h = alpha on one level-n cube, beta elsewhere: parent-level

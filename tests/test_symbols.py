@@ -123,6 +123,14 @@ class TestClassCheck:
         assert report.passed
         assert report.s2_margin <= base.s2_margin
 
+    def test_rejects_samples_on_hyperplane(self):
+        # no sample of the class check lies on a coordinate hyperplane, where
+        # symbols such as -sum |xi_i|^(3/2) are not smooth
+        for d in (1, 2):
+            _, xi = _sample_points(d)
+            assert xi.shape[-1] == d
+            assert np.all(xi != 0.0)
+
     def test_fd_matches_analytic_second_order(self):
         # |d^2/dxi^2 (-|xi|^gamma)| = gamma(gamma-1)|xi|^(gamma-2) in d=1
         gamma = 1.7
