@@ -19,10 +19,23 @@ The sharp function is exact and costs no pass per window offset.  For each
 window shape, centers whose windows cover the same in-box time rows form one
 time class that shares the mean and the oscillation, and the zero rows
 outside the box enter in closed form.  The 2mx+1 periodic space shifts fold
-onto at most n distinct shifts per axis, each weighted by its multiplicity.
+onto at most n distinct shifts per axis, each weighted by its multiplicity;
+a move (one shift per axis) carries the product of these weights.  The mean
+oscillation is that of Fefferman and Stein, (1/|Q|) sum_Q |v - mu|, and over
+the in-box cells of total weight W it is taken through
+
+    sum |v - mu| = 2 sum max(v, mu) - sum v - W mu,
+
+where sum v is a window sum, so each move costs one max and one add per
+cell.  Each in-box row is centred on its own spatial mean first (v and mu
+alike), which keeps the terms of the identity on the scale of the
+oscillation, so an offset added to the field loses no more digits than the
+mean does.  Moves of equal weight are summed before one multiply per weight.
 The (class, in-box row) pairs are gathered in chunks of at most
-_CHUNK_ENTRIES floats, so its transient memory is a few such blocks whatever
-the window size.
+_CHUNK_ENTRIES floats, transposed into C-ordered (space..., pair) blocks so
+that each move reads one contiguous slab; the buffers are allocated once
+per call, so its transient memory is a few such blocks whatever the window
+size.
 
 The filtration uses the nested variant of the anisotropic dyadic partition:
 level n has time side 2^-n and space side 2^-floor(n/gamma), so each cube
@@ -259,9 +272,9 @@ def _time_classes(T: int, mt: int, ext: int) -> tuple[np.ndarray, np.ndarray, np
     return lo, hi - lo + 1, of_center
 
 
-def _pair_chunks(lo: np.ndarray, count: np.ndarray, width: int):
+def _pair_chunks(lo: np.ndarray, count: np.ndarray, step: int):
     """The (class, in-box row) pairs of the time classes, in chunks of at
-    most _CHUNK_ENTRIES // width pairs (at least one).
+    most ``step`` pairs.
 
     Yields each chunk's rows, the class of each pair and the starts of the
     class segments (for ``np.add.reduceat``).  A class cut by a chunk edge
@@ -269,7 +282,6 @@ def _pair_chunks(lo: np.ndarray, count: np.ndarray, width: int):
     """
     cls = np.repeat(np.arange(count.size), count)
     rows = lo[cls] + np.arange(cls.size) - (np.cumsum(count) - count)[cls]
-    step = max(1, _CHUNK_ENTRIES // width)
     for a in range(0, cls.size, step):
         part = cls[a : a + step]
         yield rows[a : a + step], part, np.flatnonzero(np.diff(part, prepend=-1))
@@ -285,6 +297,44 @@ def _sliding_max(a: np.ndarray, half: int, axis: int) -> np.ndarray:
         span *= 2
     # two windows of `span` entries cover one of `width`
     return np.moveaxis(np.maximum(a[: a.shape[0] - (width - span)], a[width - span :]), 0, axis)
+
+
+@dataclass(frozen=True)
+class _ShapePlan:
+    """The work of one window shape (see ``_shape_plan``)."""
+
+    mt: int
+    mx: int
+    lo: np.ndarray  # first in-box row of each time class
+    count: np.ndarray  # in-box rows of each time class
+    of_center: np.ndarray  # time class of each center
+    shifts: np.ndarray  # distinct space shifts mod n
+    mult: np.ndarray  # how many of -mx..mx land on each shift
+    moves: list[tuple[int, list[tuple[slice, ...]]]]  # (weight, moves), heaviest first
+    lattice: int  # points of the lattice wrapped once
+    step: int  # pairs per chunk
+
+
+def _shape_plan(T: int, n: int, d: int, mt: int, mx: int, offsets: bool) -> _ShapePlan:
+    """The time classes, space shifts and moves of one window shape, and the
+    pairs a chunk of at most _CHUNK_ENTRIES floats holds.
+
+    A move is one of the distinct periodic shifts s per axis: slices of the
+    cells s..s+n-1 of the lattice wrapped once.  The moves are grouped by
+    their multiplicity weight.
+    """
+    # centers whose window can reach an in-box point sit up to mt rows
+    # outside the box once offsets move the windows
+    lo, count, of_center = _time_classes(T, mt, mt if offsets else 0)
+    shifts, mult = np.unique(np.arange(-mx, mx + 1) % n, return_counts=True)
+    cuts = [slice(s, s + n) for s in shifts.tolist()]
+    groups: dict[int, list[tuple[slice, ...]]] = {}
+    for cut, weights in zip(itertools.product(cuts, repeat=d), itertools.product(mult.tolist(), repeat=d)):
+        groups.setdefault(math.prod(weights), []).append(cut)
+    lattice = (n + int(shifts[-1])) ** d
+    step = min(max(1, _CHUNK_ENTRIES // lattice), int(count.sum()))
+    moves = sorted(groups.items(), key=lambda group: -group[0])
+    return _ShapePlan(mt, mx, lo, count, of_center, shifts, mult, moves, lattice, step)
 
 
 def sharp_parabolic(
@@ -309,13 +359,28 @@ def sharp_parabolic(
       the oscillation, so each such time class is computed once; its zero
       rows outside the box add (out-of-box cells) x |mean| in closed form;
     - the space shifts fold onto at most n distinct periodic shifts per
-      axis, each weighted by how often it occurs.
+      axis, each weighted by how often it occurs; a move is one shift per
+      axis, and the moves are grouped by weight.
+
+    Over in-box cells v of total weight W and a mean mu, sum |v - mu| =
+    2 sum max(v, mu) - sum v - W mu, so a move costs one max and one add per
+    cell, and sum v is a window sum.  Every in-box row r is centred on its
+    spatial mean c_r first: v' = v - c_r and mu' = mu - c_r keep the terms
+    of the identity on the scale of the oscillation rather than of the
+    values, so an offset added to the field costs no more digits than it
+    does in the mean.  The window sums of v and v' come from one periodic
+    roll-sum.  The weight groups are nested (Horner), so each costs one
+    multiply, not one per move.
 
     Window sums add cells directly, so a one-cell window returns the cell
     value exactly.  The (class, in-box row) pairs are gathered in chunks:
-    a chunk's rows on the lattice wrapped once hold at most _CHUNK_ENTRIES
-    floats (one pair if a lattice alone is larger), and its three other
-    temporaries are no larger, however large the window.
+    a chunk's rows are taken along time from a time-first copy of the
+    centred lattice wrapped once, then transposed once into a C-ordered
+    (space..., pair) block, and mu' per pair is laid out alike, so each move
+    reads one slab that numpy runs as a single inner loop.  A block holds
+    at most _CHUNK_ENTRIES floats (one pair if a lattice alone is larger);
+    it, its gather buffer and two pair buffers are allocated once per call,
+    however large the window.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(grid.t_grid),) + grid.spatial_shape():
@@ -324,53 +389,76 @@ def sharp_parabolic(
     if ladder is None:
         ladder = default_radius_ladder(grid, gamma)
 
-    shapes = sorted({_window_halfwidths(r, gamma, dt, grid.dx) for r in np.asarray(ladder)})
     T = values.shape[0]
     d, n = grid.d, grid.n
     spatial = grid.spatial_shape()
-    # time last: each space shift of a gathered block is then a contiguous run
-    space_first = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    shapes = sorted({_window_halfwidths(r, gamma, dt, grid.dx) for r in np.asarray(ladder)})
+    plans = [_shape_plan(T, n, d, mt, mx, offsets) for mt, mx in shapes]
+    # the output before the buffers: a long-lived array allocated after
+    # them takes the space they free, and the next call's buffers then grow
+    # the heap
     sharp = np.zeros_like(values)
-    for mt, mx in shapes:
+    block_buf = np.empty(max(p.step * p.lattice for p in plans))
+    gather_buf = np.empty_like(block_buf)
+    mu_buf = np.empty(max(p.step for p in plans) * n**d)
+    acc_buf = np.empty_like(mu_buf)
+
+    ref = values.mean(axis=tuple(range(1, d + 1)))  # c_r of every in-box row
+    centred = values - ref.reshape((T,) + (1,) * d)
+    both = np.stack([values, centred])
+    for p in plans:
+        mt, mx, count = p.mt, p.mx, p.count
         side = (2 * mx + 1) ** d
         cells = (2 * mt + 1) * side
-        # centers whose window can reach an in-box point sit up to `ext`
-        # rows outside the box once offsets move the windows
-        ext = mt if offsets else 0
-        lo, count, of_center = _time_classes(T, mt, ext)
-        # distinct periodic space shifts and how many of -mx..mx land on
-        # each: a window longer than the period counts cells more than once
-        shifts, mult = np.unique(np.arange(-mx, mx + 1) % n, return_counts=True)
-        # the largest temporary is a chunk's rows on the lattice wrapped once
-        chunks = list(_pair_chunks(lo, count, (n + int(shifts[-1])) ** d))
-
-        window = space_first
-        for ax in range(d):
-            window = sum(k * np.roll(window, -s, axis=ax) for s, k in zip(shifts, mult))
-        mu = np.zeros(spatial + (count.size,))
+        chunks = list(_pair_chunks(p.lo, count, p.step))
+        # window sums of v and v' over the weighted periodic shifts; a window
+        # longer than the period counts cells more than once
+        window = both
+        for ax in range(2, d + 2):
+            window = sum(k * np.roll(window, -s, axis=ax) for s, k in zip(p.shifts, p.mult))
+        sums = np.zeros((2, count.size) + spatial)
         for rows, cls, seg in chunks:
-            mu[..., cls[seg]] += np.add.reduceat(window[..., rows], seg, axis=-1)
-        mu /= cells
+            gathered = gather_buf[: rows.size * n**d].reshape((rows.size,) + spatial)
+            for field, total in zip(window, sums):
+                np.take(field, rows, axis=0, out=gathered, mode="clip")
+                total[cls[seg]] += np.add.reduceat(gathered, seg, axis=0)
+        mu = sums[0] / cells
 
-        acc = (2 * mt + 1 - count) * side * np.abs(mu)
-        # space shift s reads cells s..s+n-1 of the lattice wrapped once
-        wrapped = np.pad(space_first, [(0, int(shifts[-1]))] * d + [(0, 0)], mode="wrap")
-        moves = [
-            (tuple(slice(k, k + n) for k in ks), math.prod(ws))
-            for ks, ws in zip(itertools.product(shifts, repeat=d), itertools.product(mult, repeat=d))
-        ]
+        wrapped = np.pad(centred, [(0, 0)] + [(0, int(p.shifts[-1]))] * d, mode="wrap")
+        max_sum = np.zeros((count.size,) + spatial)
+        lightest = p.moves[-1][0]
         for rows, cls, seg in chunks:
-            block = wrapped[..., rows]
-            mu_pairs = mu[..., cls]
-            dev = np.empty_like(mu_pairs)
-            total = np.zeros_like(mu_pairs)
-            for cut, weight in moves:
-                np.abs(np.subtract(block[cut], mu_pairs, out=dev), out=dev)
-                if weight != 1:
-                    dev *= weight
-                total += dev
-            acc[..., cls[seg]] += np.add.reduceat(total, seg, axis=-1)
-        osc = np.moveaxis(acc / cells, -1, 0)[of_center]
+            pairs = rows.size
+            gathered = gather_buf[: pairs * wrapped[0].size].reshape((pairs,) + wrapped.shape[1:])
+            np.take(wrapped, rows, axis=0, out=gathered, mode="clip")
+            block = block_buf[: gathered.size].reshape(wrapped.shape[1:] + (pairs,))
+            np.copyto(block, np.moveaxis(gathered, 0, -1))
+            # mu' of every pair, laid out like the block
+            gathered = gather_buf[: pairs * n**d].reshape((pairs,) + spatial)
+            np.take(mu, cls, axis=0, out=gathered, mode="clip")
+            mu_pairs = mu_buf[: gathered.size].reshape(spatial + (pairs,))
+            np.subtract(np.moveaxis(gathered, 0, -1), ref[rows], out=mu_pairs)
+            tmp = gather_buf[: mu_pairs.size].reshape(mu_pairs.shape)
+            acc = acc_buf[: mu_pairs.size].reshape(mu_pairs.shape)
+            # sum over moves of weight x max(v', mu'): acc holds the sum over
+            # the groups so far in units of the last group's weight
+            acc.fill(0.0)
+            unit = p.moves[0][0]
+            for weight, cuts in p.moves:
+                if weight != unit:
+                    acc *= unit / weight
+                unit = weight
+                for cut in cuts:
+                    np.maximum(block[cut], mu_pairs, out=tmp)
+                    acc += tmp
+            # less W mu' / 2 per row (W = side) in the same unit, which is
+            # now the lightest weight; the class sums are scaled back below
+            np.multiply(mu_pairs, side / (2.0 * lightest), out=tmp)
+            acc -= tmp
+            max_sum[cls[seg]] += np.moveaxis(np.add.reduceat(acc, seg, axis=-1), -1, 0)
+        out_rows = ((2 * mt + 1 - count) * side).reshape((-1,) + (1,) * d)
+        osc = (2.0 * lightest * max_sum - sums[1] + out_rows * np.abs(mu)) / cells
+        osc = osc[p.of_center]
         if offsets:
             # sup over the window positions containing each point: the
             # centers of in-box rows are all computed, and space wraps
@@ -379,7 +467,7 @@ def sharp_parabolic(
                 pad = [(0, 0)] * (d + 1)
                 pad[ax] = (mx, mx)
                 osc = _sliding_max(np.pad(osc, pad, mode="wrap"), mx, ax)
-        sharp = np.maximum(sharp, osc)
+        np.maximum(sharp, osc, out=sharp)
     return sharp
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +52,9 @@ _BOX_RADIUS = 0.4
 _T_STEP = 1e-2
 _TOL = 1e-3
 _MAX_ORDER = 7
+# box points per evaluation of the symbol: the boxes of all d = 2 samples at
+# once would hold 96 x 20 x 20 points and their temporaries
+_BOX_POINTS = 2**12
 
 
 class SymbolEvaluationError(ValueError):
@@ -232,6 +236,21 @@ def _multi_indices(d: int, max_order: int):
                 yield alpha
 
 
+def _chebyshev_at_zero(n_points: int, max_order: int) -> np.ndarray:
+    """T_m^(k)(0) = k! [x^k] T_m for m < n_points and k <= max_order, as
+    exact integers: the coefficients come from T_(m+1) = 2x T_m - T_(m-1)
+    in integer arithmetic."""
+    coeffs = [[1], [0, 1]]
+    while len(coeffs) < n_points:
+        nxt = [0] + [2 * c for c in coeffs[-1]]
+        for i, c in enumerate(coeffs[-2]):
+            nxt[i] -= c
+        coeffs.append(nxt)
+    return np.array(
+        [[math.factorial(k) * (c[k] if k < len(c) else 0) for c in coeffs[:n_points]] for k in range(max_order + 1)]
+    )
+
+
 @functools.cache
 def _chebyshev_rule(n_points: int, max_order: int) -> tuple[np.ndarray, np.ndarray]:
     """First-kind Chebyshev points x_j on [-1, 1] and the weight rows
@@ -248,32 +267,38 @@ def _chebyshev_rule(n_points: int, max_order: int) -> tuple[np.ndarray, np.ndarr
     theta /= 2 * n_points
     to_coeffs = (2.0 / n_points) * np.cos(np.outer(np.arange(n_points), theta))
     to_coeffs[0] /= 2
-    basis = np.polynomial.Chebyshev.basis  # integer values T_m^(k)(0), exact in float64
-    at_zero = [[basis(m).deriv(k)(0.0) for m in range(n_points)] for k in range(max_order + 1)]
-    rows = np.asarray(at_zero, dtype=np.longdouble) @ to_coeffs
+    rows = _chebyshev_at_zero(n_points, max_order).astype(np.longdouble) @ to_coeffs
     return np.cos(theta).astype(float), rows.astype(float)
 
 
 class _BoxRule:
     """Every d^alpha_xi, alpha_i <= max_order, at the sample points, from
     values on a tensor grid of ``n_points`` Chebyshev points per axis on each
-    box xi + rho[-1, 1]^d."""
+    box xi + rho[-1, 1]^d.  The symbol is evaluated on the boxes of a few
+    sample points at a time, at most _BOX_POINTS points per call."""
 
     def __init__(self, xi: np.ndarray, n_points: int, max_order: int):
         nodes, self.rows = _chebyshev_rule(n_points, max_order)
         d = xi.shape[-1]
-        offsets = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1)
-        rho = (_BOX_RADIUS * _xi_norm(xi)).reshape((-1,) + (1,) * d)
-        self.points = xi.reshape((-1,) + (1,) * d + (d,)) + rho[..., None] * offsets
+        # component first, so building a chunk's points runs over whole boxes
+        self.xi = xi.T.reshape((d, -1) + (1,) * d)
+        self.offsets = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"))[:, None]
+        self.rho = (_BOX_RADIUS * _xi_norm(xi)).reshape((-1,) + (1,) * d)
         self.order = np.indices((max_order + 1,) * d).sum(axis=0)  # |alpha|
-        self.scale = rho**-self.order  # d/dxi = (1/rho) d/dx on every axis
+        self.scale = self.rho**-self.order  # d/dxi = (1/rho) d/dx on every axis
+        self.step = max(1, _BOX_POINTS // n_points**d)
 
     def derivatives(self, spec: SymbolSpec, t: float) -> np.ndarray:
         """(n_samples,) + (max_order + 1,)*d array of d^alpha psi(t, xi)."""
-        vals = eval_symbol(spec, t, self.points)
-        for _ in range(self.order.ndim):  # each pass contracts the leading box axis
-            vals = np.tensordot(vals, self.rows, axes=(1, 1))
-        return vals * self.scale
+        out = np.empty(self.scale.shape, dtype=complex)
+        for a in range(0, len(out), self.step):
+            part = slice(a, a + self.step)
+            points = self.xi[:, part] + self.rho[part] * self.offsets
+            vals = eval_symbol(spec, t, np.moveaxis(points, 0, -1))
+            for _ in range(self.order.ndim):  # each pass contracts the leading box axis
+                vals = np.tensordot(vals, self.rows, axes=(1, 1))
+            out[part] = vals
+        return out * self.scale
 
 
 def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
@@ -281,10 +306,10 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
 
     (S1) is checked on psi at the sample points.  Every xi-derivative with
     |alpha| <= N is taken by Chebyshev differentiation: per time value, psi
-    is evaluated in one call on all boxes xi + rho[-1, 1]^d, rho =
-    _BOX_RADIUS*|xi|, each a tensor grid of _CHEB_POINTS first-kind
-    Chebyshev points per axis, and each d^alpha at the centre is a
-    contraction with cached 1-d weight rows.  A rule of _CHEB_POINTS - 4
+    is evaluated on the boxes xi + rho[-1, 1]^d, rho = _BOX_RADIUS*|xi|,
+    each a tensor grid of _CHEB_POINTS first-kind Chebyshev points per axis,
+    in calls of at most _BOX_POINTS points, and each d^alpha at the centre
+    is a contraction with cached 1-d weight rows.  A rule of _CHEB_POINTS - 4
     points on the same boxes gives ``derivative_error``.  The t-derivative
     of (S3) is a difference of step _T_STEP of the contractions: central
     where t >= _T_STEP, else the second-order one-sided start, so no sample

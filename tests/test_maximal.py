@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,12 +43,13 @@ def _sharp_oracle(h, mt, mx, offsets):
     The mean oscillation of the (2mt+1) x (2mx+1)^d window centered at each
     center, with zero rows outside the box and n-periodic space; with
     offsets, the sup over every window position containing the point.
+    Works in the dtype of ``h``.
     """
     T, n, d = h.shape[0], h.shape[1], h.ndim - 1
     ext = mt if offsets else 0
     padded = np.pad(h, [(ext + mt, ext + mt)] + [(0, 0)] * d)
     span = np.arange(-mx, mx + 1)
-    osc = np.empty((T + 2 * ext,) + h.shape[1:])
+    osc = np.empty((T + 2 * ext,) + h.shape[1:], dtype=h.dtype)
     for idx in np.ndindex(osc.shape):
         c, x = idx[0], idx[1:]  # center row c - ext
         cells = padded[np.ix_(np.arange(c, c + 2 * mt + 1), *[(xi + span) % n for xi in x])]
@@ -307,12 +310,49 @@ class TestSharpParabolic:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("cap", [1, 100, 1000, 2**15])
     def test_chunk_cap_leaves_values(self, monkeypatch, d, cap):
-        # chunks of one pair, chunks that cut time classes, one chunk
+        # chunks of one pair, chunks that cut time classes, one chunk; the
+        # second window is longer than the period, so its moves carry
+        # weights 1 and 2 (and 4 in d = 2) in every chunk
         monkeypatch.setattr(maximal_module, "_CHUNK_ENTRIES", cap)
-        g, r = _window_grid(d, 8, 6, 4, 2)
         h = np.random.default_rng(18).normal(size=(6,) + (8,) * d)
+        for mt, mx in ((4, 2), (4, 6)):
+            g, r = _window_grid(d, 8, 6, mt, mx)
+            out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
+            np.testing.assert_allclose(out, _sharp_oracle(h, mt, mx, True), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("d, n, T, mt, mx", [(1, 16, 8, 2, 3), (2, 8, 6, 1, 2), (1, 16, 8, 1, 0)])
+    def test_offset_costs_no_more_than_the_mean(self, d, n, T, mt, mx, offset):
+        # an offset c shifts every value and mean alike, so the oscillation
+        # only loses the digits the mean loses, about eps * c; an identity
+        # sum |v - mu| = 2 sum max(v, mu) - sum v - W mu on uncentred values
+        # cancels terms of size c and loses more (9e-13 against 5e-13 at
+        # c = 1e3 in d = 2)
+        g, r = _window_grid(d, n, T, mt, mx)
+        h = offset + np.random.default_rng(1).normal(size=(T,) + (n,) * d)
         out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
-        np.testing.assert_allclose(out, _sharp_oracle(h, 4, 2, True), rtol=1e-12, atol=0.0)
+        exact = _sharp_oracle(h.astype(np.longdouble), mt, mx, True)
+        rel = np.max(np.abs(out - exact) / np.abs(exact))
+        assert rel <= 1e-15 + 5e-16 * offset
+
+    def test_peak_memory_is_a_few_chunks(self):
+        # the sharp-2d grid (d = 2, n = 16, L = 1/2, 16 cell-centred times,
+        # gamma = 1) with the default ladder; its widest windows outgrow the
+        # period, so their moves carry weights 1, 2 and 4
+        g = make_grid(2, 16, 0.5, (np.arange(16) + 0.5) / 16)
+        ladder = maximal_module.default_radius_ladder(g, 1.0)
+        widest = maximal_module._window_halfwidths(ladder[-1], 1.0, 1 / 16, g.dx)
+        plan = maximal_module._shape_plan(16, 16, 2, *widest, offsets=True)
+        assert [weight for weight, _ in plan.moves] == [4, 2, 1]
+        h = np.random.default_rng(19).normal(size=(16, 16, 16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sharp_parabolic(h, g, gamma=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * maximal_module._CHUNK_ENTRIES * 8 + 16 * h.nbytes
 
     @settings(max_examples=12, deadline=None)
     @given(

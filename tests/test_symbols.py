@@ -1,6 +1,6 @@
 import warnings
 from dataclasses import replace
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from lpevo.symbols import (
     CLASS_S_T,
     _CHEB_POINTS,
     _BoxRule,
+    _chebyshev_at_zero,
     _sample_points,
     SymbolEvaluationError,
     SymbolSpec,
@@ -183,6 +184,19 @@ class TestChebyshevClassCheck:
         for (a, b), want in zip(exact, values):
             err = np.abs(got[:, a, b] - want) / r ** (gamma - a - b)
             assert np.max(err) <= 1e-5, (a, b)
+
+    def test_chebyshev_derivatives_at_zero_are_exact(self):
+        # T_m^(k)(0) enters every weight row; numpy's Chebyshev.basis(m)
+        # .deriv(k)(0.0) gives -144.0000000000001 at (12, 2)
+        import sympy
+
+        x = sympy.symbols("x")
+        got = _chebyshev_at_zero(_CHEB_POINTS, 7)
+        assert np.issubdtype(got.dtype, np.integer)
+        for m in range(_CHEB_POINTS):
+            poly = sympy.chebyshevt_poly(m, x, polys=True)
+            for k in range(8):
+                assert got[k, m] == factorial(k) * int(poly.coeff_monomial(x**k)), (m, k)
 
     def test_verdict_flips_at_exact_constant(self):
         # falling factorials of 5.5 peak at order 5: 5.5*4.5*3.5*2.5*1.5
