@@ -40,18 +40,11 @@ G is bit-identical whatever the batch size.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from lpevo.grid import (
-    SpaceTimeField,
-    SpectralGrid,
-    lattice_forward,
-    lattice_inverse,
-    time_weights,
-)
+from lpevo.grid import SpaceTimeField, SpectralGrid, lattice_forward, lattice_inverse, lp_norm
 from lpevo.symbols import SymbolSpec
 from lpevo.evolution import (
     _frequency_factor,
@@ -72,6 +65,8 @@ __all__ = [
 # complex entries (nodes x lattice points x V components) per batched inverse
 # transform; larger batches buy little speed for their memory
 _CHUNK_ENTRIES = 2**14
+# ratio of the geometric refinement of the panel touching s = t
+_SPLIT_RATIO = 4.0
 
 
 @dataclass(frozen=True)
@@ -80,22 +75,13 @@ class QuadratureSpec:
 
     panels: number K of graded panels (mesh nodes s_k, k = 0..K).
     order: Gauss-Legendre points per panel.
-    split_levels: geometric refinements of the panel touching s = t.
-    split_ratio: refinement ratio toward the endpoint.
+    split_levels: geometric refinements, by the ratio _SPLIT_RATIO, of the
+    panel touching s = t.
     """
 
     panels: int = 64
     order: int = 8
     split_levels: int = 16
-    split_ratio: float = 4.0
-
-    def to_dict(self) -> dict:
-        return {
-            "panels": self.panels,
-            "order": self.order,
-            "split_levels": self.split_levels,
-            "split_ratio": self.split_ratio,
-        }
 
 
 def graded_quadrature(
@@ -112,7 +98,7 @@ def graded_quadrature(
         raise ValueError("weight exponent beta must be positive")
     big_u = (t - a) ** beta
     first = big_u / quad.panels
-    sub = [first * quad.split_ratio**-j for j in range(quad.split_levels, 0, -1)]
+    sub = [first * _SPLIT_RATIO**-j for j in range(quad.split_levels, 0, -1)]
     edges = np.concatenate(([0.0], sub, big_u * np.arange(1, quad.panels + 1) / quad.panels))
     z, w = _gl_rule(quad.order)
     ua, ub = edges[:-1, None], edges[1:, None]
@@ -126,19 +112,12 @@ def graded_quadrature(
 
 @dataclass(frozen=True)
 class GFunctionResult:
-    """Square-function samples G(t_i, x_j) >= 0 with quadrature metadata.
-
-    ``l`` is the frozen symbol time for the fixed-l variant; ``l_mode`` is
-    "outer_time" when the symbol time tracks the output time.
-    """
+    """Square-function samples G(t_i, x_j) >= 0 on ``grid``, of exponent
+    ``q``: what the L^p norm of G needs."""
 
     grid: SpectralGrid
     q: float
-    a: float
-    l: float | None
-    l_mode: str
     values: np.ndarray
-    quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
@@ -153,32 +132,14 @@ def _real_if_exact(x: np.ndarray | None) -> np.ndarray | None:
 
 
 def _g_core(
-    f: SpaceTimeField,
-    psi1: SymbolSpec,
-    psi2: SymbolSpec,
-    l: float | None,
-    a: float,
-    q: float,
-    quad: QuadratureSpec,
-    l_mode: str,
-    check_classes: bool,
+    f: SpaceTimeField, psi1: SymbolSpec, psi2: SymbolSpec, l: float | None, a: float, q: float, quad: QuadratureSpec
 ) -> GFunctionResult:
+    """G f, with psi1 frozen at symbol time l, or at the output time if l is None."""
     if q < 2:
         raise ValueError(f"square function requires q >= 2, got {q}")
     grid = f.grid
     if a < grid.a - 1e-12:
         raise ValueError("window start lies before the first time node")
-    if check_classes:
-        from lpevo.symbols import check_symbol_class
-
-        for which, spec in (("psi1", psi1), ("psi2", psi2)):
-            report = check_symbol_class(spec)
-            if not report.passed:
-                warnings.warn(
-                    f"symbol {which} fails its class conditions "
-                    f"(S1 margin {report.s1_margin:.3g}, S2 margin {report.s2_margin:.3g}); "
-                    "evaluating the square function anyway"
-                )
     beta = q * psi1.gamma / psi2.gamma
     t_grid = grid.t_grid
     spatial = grid.spatial_shape()
@@ -189,7 +150,7 @@ def _g_core(
     xi = grid.freq_vectors()
     # psi2's frequency factor and a frozen psi1 are evaluated once per G
     factor2 = _real_if_exact(_frequency_factor(psi2, xi))
-    mult1 = _real_if_exact(symbol_on_lattice(psi1, l, grid)) if l_mode == "fixed" else None
+    mult1 = None if l is None else _real_if_exact(symbol_on_lattice(psi1, l, grid))
     chunk = max(1, _CHUNK_ENTRIES // (grid.n**grid.d * f.m))
     # batch work arrays, allocated once per G: fresh ones would page-fault on
     # every batch
@@ -199,7 +160,7 @@ def _g_core(
     for i, t in enumerate(t_grid):
         if t <= a + 1e-15:
             continue
-        if l_mode != "fixed":
+        if l is None:
             mult1 = _real_if_exact(symbol_on_lattice(psi1, t, grid))
         s_nodes, w_nodes = graded_quadrature(a, float(t), beta, quad)
         acc = np.zeros(spatial)
@@ -224,11 +185,7 @@ def _g_core(
             terms[0] += acc
             acc = np.sum(terms, axis=0)
         out[i] = acc ** (1.0 / q)
-    meta = quad.to_dict()
-    meta["beta"] = beta
-    return GFunctionResult(
-        grid=grid, q=q, a=a, l=l, l_mode=l_mode, values=out, quadrature=meta
-    )
+    return GFunctionResult(grid=grid, q=q, values=out)
 
 
 def g_function(
@@ -239,10 +196,9 @@ def g_function(
     a: float,
     q: float,
     quad: QuadratureSpec = QuadratureSpec(),
-    check_classes: bool = False,
 ) -> GFunctionResult:
     """Square function with the symbol time frozen at l."""
-    return _g_core(f, psi1, psi2, l, a, q, quad, "fixed", check_classes)
+    return _g_core(f, psi1, psi2, l, a, q, quad)
 
 
 def g_tilde(
@@ -252,10 +208,9 @@ def g_tilde(
     a: float,
     q: float,
     quad: QuadratureSpec = QuadratureSpec(),
-    check_classes: bool = False,
 ) -> GFunctionResult:
     """Square function with the symbol time tracking the outer time."""
-    return _g_core(f, psi1, psi2, None, a, q, quad, "outer_time", check_classes)
+    return _g_core(f, psi1, psi2, None, a, q, quad)
 
 
 def g_lp_norm(g: GFunctionResult, p: float) -> float:
@@ -263,6 +218,4 @@ def g_lp_norm(g: GFunctionResult, p: float) -> float:
     estimates require p >= q."""
     if not g.q <= p < np.inf:
         raise ValueError(f"p must be finite and >= q = {g.q}, got {p}")
-    w = time_weights(g.grid.t_grid).reshape((-1,) + (1,) * g.grid.d)
-    total = np.sum(g.values**p * w) * g.grid.cell_volume()
-    return float(total ** (1.0 / p))
+    return lp_norm(g.values, g.grid, p)

@@ -22,8 +22,8 @@ __all__ = [
     "lattice_forward",
     "lattice_inverse",
     "lebesgue_norm",
+    "lp_norm",
     "vector_norm",
-    "time_weights",
 ]
 
 
@@ -200,7 +200,7 @@ def vector_norm(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
 
 
-def time_weights(t_grid: np.ndarray) -> np.ndarray:
+def _time_weights(t_grid: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature weights for the (possibly graded) time nodes."""
     t = np.asarray(t_grid, dtype=float)
     w = np.zeros_like(t)
@@ -210,11 +210,17 @@ def time_weights(t_grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def lp_norm(values: np.ndarray, grid: SpectralGrid, p: float) -> float:
+    """Discrete space-time L^p norm of nonnegative scalar samples (time
+    leading): trapezoid weights in time, cell weights in space.  The measure
+    of :func:`lebesgue_norm` and ``g_lp_norm``, which check p."""
+    w = _time_weights(grid.t_grid).reshape((-1,) + (1,) * grid.d)
+    total = np.sum(values**p * w) * grid.cell_volume()
+    return float(total ** (1.0 / p))
+
+
 def lebesgue_norm(f: SpaceTimeField, p: float) -> float:
-    """Discrete L^p norm for finite p >= 1: trapezoid weights in time, cell
-    weights in space."""
+    """L^p norm of the V-norm of f, for finite p >= 1 (see :func:`lp_norm`)."""
     if not 1 <= p < np.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    w = time_weights(f.grid.t_grid).reshape((-1,) + (1,) * f.grid.d)
-    total = np.sum(vector_norm(f.values) ** p * w) * f.grid.cell_volume()
-    return float(total ** (1.0 / p))
+    return lp_norm(vector_norm(f.values), f.grid, p)

@@ -56,6 +56,8 @@ from lpevo.grid import SpectralGrid
 # points of the lattice wrapped once; larger blocks buy little speed on two
 # cores and raise the peak memory of an estimate
 _CHUNK_ENTRIES = 2**16
+# filtration levels above level 0, so the coarsest cubes have time side 2^3
+_COARSE_LEVELS = 3
 
 __all__ = [
     "FiltrationLevel",
@@ -71,11 +73,15 @@ __all__ = [
 
 # -- exact one-dimensional maximal averages ---------------------------------
 
-def _uniform_maximal_1d(
-    batch: np.ndarray, width: float, mode: str, r_floor: float
-) -> np.ndarray:
-    """Exact sup over radii r > r_floor of window averages along the last
-    axis of ``batch`` (nonnegative cell values on a uniform cell layout).
+def _uniform_steps(dt: np.ndarray) -> bool:
+    """Whether all steps equal the first to a relative 1e-12; with no absolute
+    tolerance, the verdict does not depend on the time unit."""
+    return bool(np.allclose(dt, dt[0], rtol=1e-12, atol=0.0))
+
+
+def _uniform_maximal_1d(batch: np.ndarray, width: float, mode: str) -> np.ndarray:
+    """Exact sup over radii of window averages along the last axis of
+    ``batch`` (nonnegative cell values on a uniform cell layout).
 
     mode "wrap": periodic extension, radii capped at half the period.
     mode "zero": zero extension beyond the cells.
@@ -88,8 +94,6 @@ def _uniform_maximal_1d(
 
     ks = np.arange(n if mode == "zero" else (n + 1) // 2)
     radii = (ks + 0.5) * width
-    keep = radii > r_floor
-    ks, radii = ks[keep], radii[keep]
 
     i = np.arange(n)[:, None]
     lo = i - ks[None, :]
@@ -106,66 +110,32 @@ def _uniform_maximal_1d(
         mass = tiled[:, hi + n] - tiled[:, lo + n]
     else:
         raise ValueError(f"unknown extension mode {mode!r}")
-    if mass.shape[-1]:
-        avg = mass * width / (2.0 * radii[None, :])
-        best = np.max(avg, axis=-1)
-    else:
-        best = np.zeros((flat.shape[0], n))
-
-    if mode == "wrap" and (n * width / 2.0) > r_floor:
+    best = np.max(mass * width / (2.0 * radii[None, :]), axis=-1)
+    if mode == "wrap":
         # window equal to the full period: the global mean
         best = np.maximum(best, (total / n)[:, None])
-    if r_floor > 0:
-        # the value just above the floor bounds the sup on (r_floor, next bp)
-        r = r_floor * (1 + 1e-9)
-        if mode == "wrap":
-            r = min(r, n * width / 2.0)
-        pos = (np.arange(n) + 0.5) * width
-        grid_edges = np.arange(n + 1) * width
-        lo_p, hi_p = pos - r, pos + r
-        if mode == "zero":
-            m = np.stack(
-                [np.interp(hi_p, grid_edges, row) - np.interp(lo_p, grid_edges, row) for row in prefix]
-            )
-        else:
-            period = n * width
-
-            def s_of(y, row):
-                kper = np.floor(y / period)
-                return kper * row[-1] + np.interp(y - kper * period, grid_edges, row)
-
-            m = np.stack([s_of(hi_p, row) - s_of(lo_p, row) for row in prefix])
-        best = np.maximum(best, m * width / (2.0 * r))
     return best.reshape(b_shape)
 
 
-def _graded_maximal_time(
-    batch: np.ndarray, edges: np.ndarray, r_floor: float
-) -> np.ndarray:
+def _graded_maximal_time(batch: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Zero-extension maximal along the last axis for nonuniform cells."""
     b_shape = batch.shape
     n = b_shape[-1]
     widths = np.diff(edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    # candidate radii per center: every cell edge beyond r_floor, plus the
-    # radius just above the floor, which bounds the sup up to the next edge
+    # candidate radii per center: every cell edge
     radii = np.abs(edges[None, :] - centers[:, None])
-    keep = radii > r_floor
-    if r_floor > 0:
-        radii = np.concatenate([radii, np.full((n, 1), r_floor * (1 + 1e-9))], axis=1)
-        keep = np.concatenate([keep, np.ones((n, 1), dtype=bool)], axis=1)
     reach = np.stack([centers[:, None] + radii, centers[:, None] - radii])
     flat = batch.reshape(-1, n)
     out = np.zeros_like(flat)
     for b, row in enumerate(flat):
         prefix = np.concatenate([[0.0], np.cumsum(row * widths)])
         hi, lo = np.interp(reach, edges, prefix)
-        avg = np.where(keep, (hi - lo) / (2.0 * radii), -np.inf)
-        out[b] = np.where(keep.any(axis=1), avg.max(axis=1), 0.0)
+        out[b] = ((hi - lo) / (2.0 * radii)).max(axis=1)
     return out.reshape(b_shape)
 
 
-def _ball_maximal_2d(batch: np.ndarray, grid: SpectralGrid, r_floor: float) -> np.ndarray:
+def _ball_maximal_2d(batch: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Cell-center-inclusion ball averages on the periodic 2-d lattice,
     sup over a geometric radius ladder (factor 2^(1/4))."""
     dx = grid.dx
@@ -175,12 +145,6 @@ def _ball_maximal_2d(batch: np.ndarray, grid: SpectralGrid, r_floor: float) -> n
     while r <= grid.half_length * np.sqrt(2):
         radii.append(r)
         r *= 2.0 ** 0.25
-    if r_floor >= radii[-1]:
-        # an empty sup would read 0, below the field itself
-        raise ValueError(
-            f"r_floor = {r_floor} must be below the largest ball radius ({radii[-1]})"
-        )
-    radii = [r for r in radii if r > r_floor]
     flat = batch.reshape(-1, n, n)
     spec = np.fft.fft2(flat, axes=(-2, -1))
     offs = np.fft.fftfreq(n, d=1.0 / n)  # integer offsets 0..n/2, -n/2..-1
@@ -195,39 +159,33 @@ def _ball_maximal_2d(batch: np.ndarray, grid: SpectralGrid, r_floor: float) -> n
     return best.reshape(batch.shape)
 
 
-def maximal_values(
-    values: np.ndarray, grid: SpectralGrid, axis: str, r_floor: float = 0.0
-) -> np.ndarray:
-    """Pointwise supremum over radii r > r_floor of window averages of
-    nonnegative cell values, along space (periodic) or time (zero extension,
-    time axis leading).
+def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndarray:
+    """Pointwise supremum over radii of window averages of nonnegative cell
+    values, along space (periodic) or time (zero extension, time axis
+    leading).
 
-    In d = 1 the space radii stop at half the period, and in d = 2 at the
-    largest ball radius of the ladder (about L*sqrt(2)), so r_floor must
-    lie below it."""
+    In d = 1 the space radii run up to half the period, and in d = 2 up to
+    the largest ball radius of the ladder (about L*sqrt(2)).  Time steps
+    equal to a relative 1e-12 take the uniform-cell rule, any other grid
+    the graded one, whatever the time unit."""
     values = np.asarray(values, dtype=float)
     if np.any(values < 0):
         raise ValueError("maximal_values expects nonnegative values")
     if axis == "space":
         if grid.d == 1:
-            if r_floor >= grid.half_length:
-                # no radius of the half-open set (r_floor, half period] is left
-                raise ValueError(
-                    f"r_floor = {r_floor} must be below half the period ({grid.half_length})"
-                )
-            return _uniform_maximal_1d(values, grid.dx, "wrap", r_floor)
+            return _uniform_maximal_1d(values, grid.dx, "wrap")
         if grid.d == 2:
-            return _ball_maximal_2d(values, grid, r_floor)
+            return _ball_maximal_2d(values, grid)
         raise ValueError("spatial maximal supports d in (1, 2)")
     if axis == "time":
         t = grid.t_grid
         dt = np.diff(t)
         moved = np.moveaxis(values, 0, -1)
-        if np.allclose(dt, dt[0]):
-            out = _uniform_maximal_1d(moved, float(dt[0]), "zero", r_floor)
+        if _uniform_steps(dt):
+            out = _uniform_maximal_1d(moved, float(dt[0]), "zero")
         else:
             edges = np.concatenate([[t[0] - dt[0] / 2], (t[:-1] + t[1:]) / 2, [t[-1] + dt[-1] / 2]])
-            out = _graded_maximal_time(moved, edges, r_floor)
+            out = _graded_maximal_time(moved, edges)
         return np.moveaxis(out, -1, 0)
     raise ValueError(f"axis must be 'space' or 'time', got {axis!r}")
 
@@ -236,7 +194,7 @@ def maximal_values(
 
 def _uniform_dt(grid: SpectralGrid) -> float:
     dt = np.diff(grid.t_grid)
-    if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
+    if not _uniform_steps(dt):
         raise ValueError("sharp/filtration operators require uniform time cells")
     return float(dt[0])
 
@@ -496,10 +454,9 @@ def _dyadic_exponent(value: float, name: str) -> int:
     return int(e)
 
 
-def build_filtration_levels(
-    grid: SpectralGrid, gamma: float, coarse_levels: int = 3
-) -> list[FiltrationLevel]:
-    """Levels from a few cubes coarser than the box down to single cells.
+def build_filtration_levels(grid: SpectralGrid, gamma: float) -> list[FiltrationLevel]:
+    """Levels n = -_COARSE_LEVELS, ..., log2(1/dt): from cubes coarser than
+    the box down to single cells.
 
     Requires dyadic cell sides (dt = 2^-a, dx = 2^-b with b = floor(a/gamma))
     so the finest level is exactly one cell per cube.
@@ -513,7 +470,7 @@ def build_filtration_levels(
             f"== log2(1/dx), got {a_exp}/{gamma} vs {b_exp}"
         )
     levels = []
-    for n in range(-coarse_levels, a_exp + 1):
+    for n in range(-_COARSE_LEVELS, a_exp + 1):
         levels.append(
             FiltrationLevel(
                 n=n,
@@ -528,10 +485,7 @@ def build_filtration_levels(
 
 
 def filtration_sharp(
-    values: np.ndarray,
-    grid: SpectralGrid,
-    gamma: float,
-    coarse_levels: int = 3,
+    values: np.ndarray, grid: SpectralGrid, gamma: float
 ) -> tuple[np.ndarray, list[FiltrationLevel]]:
     """Sharp function over the nested filtration: sup over levels of the mean
     oscillation on the unique cube containing each cell (zero extension for
@@ -540,7 +494,7 @@ def filtration_sharp(
     if values.shape != (len(grid.t_grid),) + grid.spatial_shape():
         raise ValueError("values must be a scalar space-time array on the grid")
     dt = _uniform_dt(grid)
-    levels = build_filtration_levels(grid, gamma, coarse_levels)
+    levels = build_filtration_levels(grid, gamma)
     cell_meas = dt * grid.dx**grid.d
     T = values.shape[0]
     d = grid.d
@@ -571,13 +525,13 @@ def filtration_sharp(
     return sharp, levels
 
 
-def nested_n1(grid: SpectralGrid, gamma: float, coarse_levels: int = 3) -> float:
+def nested_n1(grid: SpectralGrid, gamma: float) -> float:
     """Measure ratio |Q(R0)|/|P| of the smallest ladder cube containing a
     filtration cube, maximized over levels (the implemented analogue of the
     containment constant)."""
     dt = _uniform_dt(grid)
     best = 0.0
-    for level in build_filtration_levels(grid, gamma, coarse_levels):
+    for level in build_filtration_levels(grid, gamma):
         cpt = int(round(level.time_side / dt))
         cpx = int(round(level.space_side / grid.dx))
         r0 = containment_radius(level, grid)

@@ -25,7 +25,6 @@ so it is second order at t = 0 too.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -202,7 +201,6 @@ class ClassCheckReport:
     s3_margin: float | None
     s2_constants: dict[int, float]
     s3_constants: dict[int, float]
-    orders_checked: list[tuple[int, ...]]
     derivative_error: float
     passed_s1: bool
     passed_s2: bool
@@ -213,27 +211,6 @@ class ClassCheckReport:
         if self.class_flag == CLASS_S_T:
             return self.passed_s1 and bool(self.passed_s3)
         return self.passed_s1 and self.passed_s2
-
-    def to_dict(self) -> dict:
-        return {
-            "class_flag": self.class_flag,
-            "tol": self.tol,
-            "s1_margin": self.s1_margin,
-            "s2_margin": self.s2_margin,
-            "s3_margin": self.s3_margin,
-            "s2_constants": {str(k): v for k, v in self.s2_constants.items()},
-            "s3_constants": {str(k): v for k, v in self.s3_constants.items()},
-            "orders_checked": [list(a) for a in self.orders_checked],
-            "derivative_error": self.derivative_error,
-            "passed": self.passed,
-        }
-
-
-def _multi_indices(d: int, max_order: int):
-    for order in range(max_order + 1):
-        for alpha in itertools.product(range(order + 1), repeat=d):
-            if sum(alpha) == order:
-                yield alpha
 
 
 def _chebyshev_at_zero(n_points: int, max_order: int) -> np.ndarray:
@@ -364,7 +341,6 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
         s3_margin=s3_margin,
         s2_constants={k: float(c) for k, c in enumerate(s2_raw)},
         s3_constants={k: float(c) for k, c in enumerate(s3_raw)} if check_s3 else {},
-        orders_checked=list(_multi_indices(spec.d, n)),
         derivative_error=float(np.max(np.abs(s2_raw - s2_coarse))) / spec.mu,
         passed_s1=s1_margin <= _TOL * float(spec.mu),
         passed_s2=s2_margin <= 1.0 + _TOL,

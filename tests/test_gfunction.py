@@ -14,7 +14,7 @@ from lpevo.gfunction import (
     graded_quadrature,
 )
 from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, make_grid, vector_norm
-from lpevo.symbols import SymbolSpec, eval_symbol, power_symbol
+from lpevo.symbols import SymbolSpec, check_symbol_class, eval_symbol, power_symbol
 
 
 def _grid(n=64, L=np.pi, nt=17, t1=1.0):
@@ -41,7 +41,7 @@ def panel_loop_quadrature(a, t, beta, quad=QuadratureSpec()):
     big_u = (t - a) ** beta
     edges = list(big_u * np.arange(1, quad.panels + 1) / quad.panels)
     first = big_u / quad.panels
-    sub = [first * quad.split_ratio**-j for j in range(1, quad.split_levels + 1)]
+    sub = [first * gfunction._SPLIT_RATIO**-j for j in range(1, quad.split_levels + 1)]
     edges = [0.0] + sub[::-1] + edges
     z, w = _gl_rule(quad.order)
     nodes, weights = [], []
@@ -62,7 +62,7 @@ class TestGradedQuadrature:
             QuadratureSpec(),
             QuadratureSpec(panels=16, order=4, split_levels=8),
             QuadratureSpec(panels=3, order=1, split_levels=0),
-            QuadratureSpec(panels=7, order=5, split_levels=3, split_ratio=2.5),
+            QuadratureSpec(panels=7, order=5, split_levels=3),
         ],
     )
     def test_matches_panel_loop_reference(self, a, t, quad):
@@ -165,8 +165,9 @@ class TestGFunctionBasics:
             n_derivs=2,
             class_flag="S_T",
         )
-        with pytest.warns(UserWarning):
-            res = g_function(f, bad, power_symbol(1.0, 2.0), 0.0, 0.0, 2.0, check_classes=True)
+        # the check flags the symbol; G is still evaluated
+        assert not check_symbol_class(bad).passed
+        res = g_function(f, bad, power_symbol(1.0, 2.0), 0.0, 0.0, 2.0)
         assert np.all(np.isfinite(res.values))
 
     def test_monotone_in_window(self):
@@ -234,25 +235,25 @@ class TestGTilde:
 class TestGLpNorm:
     def test_zero(self):
         grid = _grid(n=32, nt=5)
-        res = GFunctionResult(grid, 2.0, 0.0, 0.0, "fixed", np.zeros((5, 32)))
+        res = GFunctionResult(grid, 2.0, np.zeros((5, 32)))
         assert g_lp_norm(res, 2.0) == 0.0
 
     def test_constant_one(self):
         L = 5.0
         grid = make_grid(1, 64, L, np.linspace(0, 1, 9))
-        res = GFunctionResult(grid, 2.0, 0.0, 0.0, "fixed", np.ones((9, 64)))
+        res = GFunctionResult(grid, 2.0, np.ones((9, 64)))
         assert g_lp_norm(res, 2.0) == pytest.approx(np.sqrt(2 * L), rel=1e-12)
 
     def test_rejects_p_below_q(self):
         grid = _grid(n=32, nt=5)
-        res = GFunctionResult(grid, 3.0, 0.0, 0.0, "fixed", np.zeros((5, 32)))
+        res = GFunctionResult(grid, 3.0, np.zeros((5, 32)))
         with pytest.raises(ValueError):
             g_lp_norm(res, 2.0)
 
     @pytest.mark.parametrize("p", [np.inf, np.nan])
     def test_rejects_non_finite_p(self, p):
         grid = _grid(n=32, nt=5)
-        res = GFunctionResult(grid, 2.0, 0.0, 0.0, "fixed", np.full((5, 32), 3.0))
+        res = GFunctionResult(grid, 2.0, np.full((5, 32), 3.0))
         with pytest.raises(ValueError):
             g_lp_norm(res, p)
 

@@ -63,7 +63,7 @@ def _sharp_oracle(h, mt, mx, offsets):
     return out
 
 
-def _graded_loop_reference(batch, edges, r_floor):
+def _graded_loop_reference(batch, edges):
     # the per-center loop that _graded_maximal_time vectorizes
     n = batch.shape[-1]
     widths = np.diff(edges)
@@ -74,11 +74,6 @@ def _graded_loop_reference(batch, edges, r_floor):
         prefix = np.concatenate([[0.0], np.cumsum(row * widths)])
         for i, c in enumerate(centers):
             radii = np.abs(edges - c)
-            radii = radii[radii > r_floor]
-            if r_floor > 0:
-                radii = np.append(radii, r_floor * (1 + 1e-9))
-            if radii.size == 0:
-                continue
             mass = np.interp(c + radii, edges, prefix) - np.interp(c - radii, edges, prefix)
             out[b, i] = np.max(mass / (2.0 * radii))
     return out.reshape(batch.shape)
@@ -111,32 +106,6 @@ class TestMaximalSpace:
         j = np.argmin(np.abs(g.x - 3.0))
         assert out[j] == pytest.approx(0.25, abs=2 * g.dx)
 
-    def test_monotone_in_r_floor(self):
-        g = _grid(n=256, L=4.0)
-        rng = np.random.default_rng(0)
-        h = vector_norm(np.abs(rng.normal(size=(256, 1))) + 0j)
-        m_small = maximal_values(h, g, "space", r_floor=0.1)
-        m_big = maximal_values(h, g, "space", r_floor=0.5)
-        assert np.all(m_big <= m_small + 1e-12)
-
-    def test_r_floor_monotone_below_half_period(self):
-        # L = 1: the radii stop at the half period 1, so floors approach it
-        g = _grid(n=16, L=1.0)
-        h = np.abs(np.random.default_rng(12).normal(size=(4, 16)))
-        floors = np.concatenate([np.linspace(0.0, 1.0, 41)[:-1], 1.0 - np.logspace(-3, -12, 10)])
-        outs = [maximal_values(h, g, "space", r_floor=r) for r in floors]
-        for wide, narrow in zip(outs, outs[1:]):
-            assert np.all(narrow <= wide + 1e-12)
-
-    @pytest.mark.parametrize("r_floor", [1.0, 1.5, 3.0])
-    def test_r_floor_at_half_period_rejected(self, r_floor):
-        g = _grid(n=16, L=1.0)
-        h = np.abs(np.random.default_rng(12).normal(size=(16, 1))) + 0j
-        with pytest.raises(ValueError, match="half the period"):
-            maximal_values(vector_norm(h), g, "space", r_floor=r_floor)
-        with pytest.raises(ValueError, match="half the period"):
-            maximal_values(h[None, :, 0].real, g, "space", r_floor=r_floor)
-
     def test_dominates_pointwise_value(self):
         g = _grid(n=128, L=4.0)
         rng = np.random.default_rng(1)
@@ -158,14 +127,13 @@ class TestMaximalSpace:
             best[i] = max(best[i], np.mean(h))
         assert np.allclose(out, best, atol=1e-12)
 
-    @pytest.mark.parametrize("r_floor", [0.0, 0.3])
     @pytest.mark.parametrize("rows", [1, 16, 17])  # 1, n, n + 1
-    def test_batched_equals_row_wise(self, rows, r_floor):
+    def test_batched_equals_row_wise(self, rows):
         g = _grid(n=16, L=2.0)
         h = np.abs(np.random.default_rng(10).normal(size=(rows, 16)))
-        out = maximal_values(h, g, "space", r_floor=r_floor)
+        out = maximal_values(h, g, "space")
         for b in range(rows):
-            row = maximal_values(h[b : b + 1], g, "space", r_floor=r_floor)[0]
+            row = maximal_values(h[b : b + 1], g, "space")[0]
             assert np.allclose(out[b], row, rtol=0.0, atol=1e-12)
 
     def test_spacetime_field_equals_spatial_rows(self):
@@ -181,17 +149,6 @@ class TestMaximalSpace:
         g = make_grid(2, 16, 2.0, [0.0, 1.0])
         out = maximal_values(vector_norm(np.full((16, 16, 1), 2.0 + 0j)), g, "space")
         assert np.allclose(out, 2.0)
-
-    @pytest.mark.parametrize("r_floor", [1.5, 3.0])
-    def test_2d_r_floor_past_largest_ball_rejected(self, r_floor):
-        # L = 1: the ball radii stop near sqrt(2); an empty sup would read 0
-        g = make_grid(2, 16, 1.0, [0.0, 1.0])
-        h = 1.0 + np.abs(np.random.default_rng(14).normal(size=(16, 16)))
-        assert np.all(maximal_values(h, g, "space", r_floor=1.4) > 0)
-        with pytest.raises(ValueError, match="largest ball radius"):
-            maximal_values(h, g, "space", r_floor=r_floor)
-        with pytest.raises(ValueError, match="largest ball radius"):
-            maximal_values(vector_norm(h[..., None] + 0j), g, "space", r_floor=r_floor)
 
 
 class TestMaximalTime:
@@ -218,13 +175,23 @@ class TestMaximalTime:
                     best = max(best, np.sum(col[lo:hi]) * dt / (2 * r))
                 assert out[i, j] == pytest.approx(best, rel=1e-12)
 
-    @pytest.mark.parametrize("r_floor", [0.0, 0.05, 0.3, 2.0])
     @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
-    def test_graded_equals_loop(self, batch, r_floor):
+    def test_graded_equals_loop(self, batch):
         edges = np.concatenate([[0.0], np.cumsum(np.random.default_rng(15).uniform(0.05, 0.4, 9))])
         h = np.abs(np.random.default_rng(16).normal(size=batch + (9,)))
-        out = _graded_maximal_time(h, edges, r_floor)
-        assert np.array_equal(out, _graded_loop_reference(h, edges, r_floor))
+        out = _graded_maximal_time(h, edges)
+        assert np.array_equal(out, _graded_loop_reference(h, edges))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_graded_path_whatever_the_time_unit(self, scale):
+        # steps 1, 2, 4, 8 are graded in any unit; an absolute tolerance of
+        # 1e-8 would take them for uniform at the nanosecond scale
+        t = np.array([0.0, 1.0, 3.0, 7.0, 15.0]) * scale
+        g = make_grid(1, 16, 1.0, t)
+        h = np.abs(np.random.default_rng(17).normal(size=(5, 16)))
+        edges = np.concatenate([[t[0] - (t[1] - t[0]) / 2], (t[:-1] + t[1:]) / 2, [t[-1] + (t[-1] - t[-2]) / 2]])
+        want = np.moveaxis(_graded_maximal_time(np.moveaxis(h, 0, -1), edges), -1, 0)
+        assert np.allclose(maximal_values(h, g, "time"), want, rtol=1e-12, atol=0.0)
 
     def test_graded_time_grid(self):
         t = np.array([0.0, 0.1, 0.3, 0.7, 1.5])
@@ -423,7 +390,7 @@ class TestFiltration:
         # is one or two sides of its children, so each child cube lies in
         # exactly one parent cube, with measure ratio at most 2^(1+d)
         g = _cells_grid(n=16, L=1.0, T=64)
-        levels = build_filtration_levels(g, gamma=2.0, coarse_levels=3)
+        levels = build_filtration_levels(g, gamma=2.0)
         rng = np.random.default_rng(8)
         pts = np.stack([rng.uniform(0, 1, 500), rng.uniform(-1, 1, 500)], axis=1)
         for fine, coarse in zip(levels[1:], levels[:-1]):
@@ -458,10 +425,13 @@ class TestFiltration:
         # the point inside the alpha-cube sees at least the parent oscillation
         assert sharp[0, 0] >= expected - 1e-12
 
-    def test_constant_zero_inside(self):
+    def test_constant_zero_inside(self, monkeypatch):
+        # no level coarser than the box, so no cube reaches past it
+        monkeypatch.setattr(maximal_module, "_COARSE_LEVELS", 0)
         g = _cells_grid(n=16, L=1.0, T=64)
         h = np.full((64, 16), 2.0)
-        sharp, levels = filtration_sharp(h, g, gamma=2.0, coarse_levels=0)
+        sharp, levels = filtration_sharp(h, g, gamma=2.0)
+        assert levels[0].n == 0
         # in-box levels see no oscillation for constants
         assert np.allclose(sharp, 0.0, atol=1e-13)
 

@@ -1,10 +1,12 @@
 """Every name that a module of the package exports must resolve, so a
 deleted function cannot leave a stale entry in ``__all__``; every name a
-submodule exports must have a consumer outside the tests; and the package
-needs numpy alone."""
+submodule exports, and every parameter with a default it takes, must have a
+consumer outside the tests; and the package needs numpy alone."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -17,6 +19,10 @@ import lpevo
 MODULES = ["lpevo"] + sorted(f"lpevo.{m.name}" for m in pkgutil.iter_modules(lpevo.__path__))
 PACKAGE = Path(lpevo.__file__).resolve().parent
 BENCHMARK = PACKAGE.parents[1] / "perfbench"
+# the package's own modules and the benchmark: the consumers of its surface
+CONSUMERS = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    BENCHMARK.glob("*.py")
+)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,9 +59,7 @@ def _used_names(path: Path) -> set[str]:
 def test_every_export_has_a_consumer():
     # consumers are the package's own modules and the benchmark, not tests:
     # a name only its tests call is surface to delete
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted(BENCHMARK.glob("*.py"))
-    used = set().union(*(_used_names(p) for p in sources))
+    used = set().union(*(_used_names(p) for p in CONSUMERS))
     unused = [
         f"{name}.{export}"
         for name in MODULES[1:]
@@ -63,3 +67,67 @@ def test_every_export_has_a_consumer():
         if export not in used
     ]
     assert unused == []
+
+
+# parameters with a default that only the tests set, each with its reason
+UNSET_BY_CONSUMERS = {
+    # the brute-force oracle tests pin one window shape at a time
+    "sharp_parabolic.ladder",
+    "sharp_parabolic.offsets",
+    # the class's N, which the class-check tests sweep
+    "power_symbol.n_derivs",
+}
+
+
+def _consumer_calls() -> dict[str, tuple[set[str], float]]:
+    """Per callee name, the keywords that the consumers' calls pass and the
+    most positional arguments one call passes (unbounded past a starred
+    argument)."""
+    calls: dict[str, tuple[set[str], float]] = {}
+    for path in CONSUMERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords, positional = calls.get(name, (set(), 0))
+            keywords |= {k.arg for k in node.keywords if k.arg is not None}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[name] = (keywords, max(positional, float("inf") if starred else len(node.args)))
+    return calls
+
+
+def _read_attributes(path: Path) -> set[str]:
+    """Every attribute that a source file reads (not a field's definition)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unconsumed_defaults() -> set[str]:
+    """Defaulted parameters of exported functions and dataclasses that no
+    consumer sets, and defaulted dataclass fields that no consumer reads."""
+    calls = _consumer_calls()
+    read = set().union(*(_read_attributes(p) for p in CONSUMERS))
+    unconsumed = set()
+    for module in MODULES[1:]:
+        for export in importlib.import_module(module).__all__:
+            obj = getattr(importlib.import_module(module), export)
+            if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+                continue
+            keywords, positional = calls.get(export, (set(), 0))
+            for i, param in enumerate(inspect.signature(obj).parameters.values()):
+                if param.default is inspect.Parameter.empty:
+                    continue
+                is_set = param.name in keywords or i < positional
+                if not is_set or (dataclasses.is_dataclass(obj) and param.name not in read):
+                    unconsumed.add(f"{export}.{param.name}")
+    return unconsumed
+
+
+def test_every_default_has_a_consumer():
+    # a default that no consumer overrides is a constant, and a result field
+    # that no consumer reads is dead weight: both are surface to delete
+    assert _unconsumed_defaults() == UNSET_BY_CONSUMERS

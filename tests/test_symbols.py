@@ -217,7 +217,7 @@ class TestChebyshevClassCheck:
         spec = power_symbol(1.0, gamma, d=d, **(_modulation(rate) if rate else {}))
         report = check_symbol_class(spec)
         assert report.passed
-        assert len(report.orders_checked) == (7 if d == 1 else 28)  # every |alpha| <= 6
+        assert sorted(report.s2_constants) == list(range(7))  # every |alpha| <= 6
 
     @pytest.mark.parametrize("rate", [1.0, 2.0])
     def test_1d_time_derivative_constants(self, rate):
@@ -256,7 +256,6 @@ class TestChebyshevClassCheck:
             spec = power_symbol(1.0, gamma, d=2)
             report = check_symbol_class(spec)
             assert report.derivative_error * spec.mu <= 1e-4 * max(report.s2_constants.values())
-            assert report.to_dict()["derivative_error"] == report.derivative_error
 
     def test_rejects_orders_beyond_rule_accuracy(self):
         spec = SymbolSpec(
@@ -288,6 +287,6 @@ class TestChebyshevClassCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if variant == "g_function":
-                g_function(f, p1, p2, 0.0, 0.0, 2.0, check_classes=True)
+                g_function(f, p1, p2, 0.0, 0.0, 2.0)
             else:
-                g_tilde(f, p1, p2, 0.0, 2.0, check_classes=True)
+                g_tilde(f, p1, p2, 0.0, 2.0)
