@@ -138,7 +138,9 @@ def _g_core(
     if q < 2:
         raise ValueError(f"square function requires q >= 2, got {q}")
     grid = f.grid
-    if a < grid.a - 1e-12:
+    # tolerances relative to the time span, so they hold in any time unit
+    span = grid.b - grid.a
+    if a < grid.a - 1e-12 * span:
         raise ValueError("window start lies before the first time node")
     beta = q * psi1.gamma / psi2.gamma
     t_grid = grid.t_grid
@@ -158,7 +160,7 @@ def _g_core(
     spec_buf, rows_buf = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex)
     out = np.zeros((len(t_grid),) + spatial)
     for i, t in enumerate(t_grid):
-        if t <= a + 1e-15:
+        if t <= a + 1e-15 * span:
             continue
         if l is None:
             mult1 = _real_if_exact(symbol_on_lattice(psi1, t, grid))

@@ -4,10 +4,13 @@ nested space-time dyadic filtration.
 Conventions shared by every operator here:
 
 - fields are cell samples; a node owns the cell around it (half-open), so
-  sups over radii reduce to the finite set of window positions where a
-  window edge crosses a cell edge.  In one dimension the computed maximal
-  function is therefore the exact supremum over all radii of the
-  periodized (space) or zero-extended (time) averages.
+  sups over radii reduce to the finite set of windows that differ in the
+  cells they hold.  An interval's average is monotone in the radius
+  between the radii where its edges cross cell edges, and a d = 2 ball
+  holds the cells whose centres lie inside, which change where r^2 passes
+  a squared cell offset.  The maximal function takes every such window,
+  in d = 1 and d = 2 alike, so it is the exact supremum over all radii of
+  the periodized (space) or zero-extended (time) averages.
 - space extends periodically (radii capped at the box half-period, where
   the window covers the whole circle); time extends by zero, matching
   compactly supported test functions on the real line.
@@ -71,7 +74,7 @@ __all__ = [
 ]
 
 
-# -- exact one-dimensional maximal averages ---------------------------------
+# -- exact maximal averages ----------------------------------------------------
 
 def _uniform_steps(dt: np.ndarray) -> bool:
     """Whether all steps equal the first to a relative 1e-12; with no absolute
@@ -79,42 +82,33 @@ def _uniform_steps(dt: np.ndarray) -> bool:
     return bool(np.allclose(dt, dt[0], rtol=1e-12, atol=0.0))
 
 
-def _uniform_maximal_1d(batch: np.ndarray, width: float, mode: str) -> np.ndarray:
-    """Exact sup over radii of window averages along the last axis of
-    ``batch`` (nonnegative cell values on a uniform cell layout).
+def _window_sup(values: np.ndarray, reach: tuple[int, ...], mode: str) -> np.ndarray:
+    """Sup over nested cell windows of the averages of nonnegative cell
+    values, along the trailing len(reach) axes of ``values``.
 
-    mode "wrap": periodic extension, radii capped at half the period.
-    mode "zero": zero extension beyond the cells.
+    The trailing axes are padded once by np.pad ``mode``: "wrap" (periodic)
+    takes the offsets -r..n-1-r per axis, every residue once, and
+    "constant" (zero extension) the offsets -r..r.  The slices of the
+    offsets k are added into one running sum in order of |k|^2, and at each
+    break of |k|^2 the sum over the offsets so far, divided by their count,
+    is one window average: the cells whose centres lie within a radius of
+    the centre cell.  With r = n/2 under "wrap", the largest window is the
+    whole period.
     """
-    b_shape = batch.shape
-    n = b_shape[-1]
-    flat = batch.reshape(-1, n)
-    prefix = np.concatenate([np.zeros((flat.shape[0], 1)), np.cumsum(flat, axis=1)], axis=1)
-    total = prefix[:, -1]
-
-    ks = np.arange(n if mode == "zero" else (n + 1) // 2)
-    radii = (ks + 0.5) * width
-
-    i = np.arange(n)[:, None]
-    lo = i - ks[None, :]
-    hi = i + ks[None, :] + 1
-    if mode == "zero":
-        mass = prefix[:, np.clip(hi, 0, n)] - prefix[:, np.clip(lo, 0, n)]
-    elif mode == "wrap":
-        # prefix of the row tiled three times; windows are shorter than one
-        # period, so every edge lies in the tiled range at offset n
-        tiled = np.concatenate(
-            [prefix[:, :-1], prefix[:, :-1] + total[:, None], prefix + 2.0 * total[:, None]],
-            axis=1,
-        )
-        mass = tiled[:, hi + n] - tiled[:, lo + n]
-    else:
-        raise ValueError(f"unknown extension mode {mode!r}")
-    best = np.max(mass * width / (2.0 * radii[None, :]), axis=-1)
-    if mode == "wrap":
-        # window equal to the full period: the global mean
-        best = np.maximum(best, (total / n)[:, None])
-    return best.reshape(b_shape)
+    lead = values.ndim - len(reach)
+    shape = values.shape[lead:]
+    spans = [range(-r, n - r if mode == "wrap" else r + 1) for r, n in zip(reach, shape)]
+    pad = [(r, span[-1]) for r, span in zip(reach, spans)]
+    padded = np.pad(values, [(0, 0)] * lead + pad, mode=mode)
+    offsets = sorted(itertools.product(*spans), key=lambda k: sum(c * c for c in k))
+    dist = [sum(c * c for c in k) for k in offsets] + [-1]
+    total = np.zeros_like(values)
+    best = np.zeros_like(values)
+    for count, k in enumerate(offsets, start=1):
+        total += padded[(...,) + tuple(slice(r + c, r + c + n) for r, c, n in zip(reach, k, shape))]
+        if dist[count] != dist[count - 1]:
+            np.maximum(best, total / count, out=best)
+    return best
 
 
 def _graded_maximal_time(batch: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -135,54 +129,26 @@ def _graded_maximal_time(batch: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out.reshape(b_shape)
 
 
-def _ball_maximal_2d(batch: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Cell-center-inclusion ball averages on the periodic 2-d lattice,
-    sup over a geometric radius ladder (factor 2^(1/4))."""
-    dx = grid.dx
-    n = grid.n
-    radii = []
-    r = dx
-    while r <= grid.half_length * np.sqrt(2):
-        radii.append(r)
-        r *= 2.0 ** 0.25
-    flat = batch.reshape(-1, n, n)
-    spec = np.fft.fft2(flat, axes=(-2, -1))
-    offs = np.fft.fftfreq(n, d=1.0 / n)  # integer offsets 0..n/2, -n/2..-1
-    oi, oj = np.meshgrid(offs, offs, indexing="ij")
-    dist2 = (oi * dx) ** 2 + (oj * dx) ** 2
-    best = np.zeros_like(flat)
-    for r in radii:
-        mask = (dist2 < r * r).astype(float)
-        count = mask.sum()
-        avg = np.fft.ifft2(spec * np.fft.fft2(mask), axes=(-2, -1)).real / count
-        best = np.maximum(best, avg)
-    return best.reshape(batch.shape)
-
-
 def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndarray:
-    """Pointwise supremum over radii of window averages of nonnegative cell
-    values, along space (periodic) or time (zero extension, time axis
-    leading).
+    """Pointwise supremum over radii of window averages of finite,
+    nonnegative cell values, along space (periodic) or time (zero extension,
+    time axis leading).
 
-    In d = 1 the space radii run up to half the period, and in d = 2 up to
-    the largest ball radius of the ladder (about L*sqrt(2)).  Time steps
-    equal to a relative 1e-12 take the uniform-cell rule, any other grid
-    the graded one, whatever the time unit."""
+    Both are exact: in space, in d = 1 and d = 2 alike, every distinct
+    cell-inclusion ball up to the whole period; in time, every radius.
+    Time steps equal to a relative 1e-12 take the running-sum rule of
+    space, any other grid the graded one, whatever the time unit."""
     values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("maximal_values expects nonnegative values")
+    if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
+        raise ValueError("maximal_values expects finite nonnegative values")
     if axis == "space":
-        if grid.d == 1:
-            return _uniform_maximal_1d(values, grid.dx, "wrap")
-        if grid.d == 2:
-            return _ball_maximal_2d(values, grid)
-        raise ValueError("spatial maximal supports d in (1, 2)")
+        return _window_sup(values, (grid.n // 2,) * grid.d, "wrap")
     if axis == "time":
         t = grid.t_grid
         dt = np.diff(t)
         moved = np.moveaxis(values, 0, -1)
         if _uniform_steps(dt):
-            out = _uniform_maximal_1d(moved, float(dt[0]), "zero")
+            out = _window_sup(moved, (len(t) - 1,), "constant")
         else:
             edges = np.concatenate([[t[0] - dt[0] / 2], (t[:-1] + t[1:]) / 2, [t[-1] + dt[-1] / 2]])
             out = _graded_maximal_time(moved, edges)
@@ -191,6 +157,14 @@ def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndar
 
 
 # -- parabolic sharp function -------------------------------------------------
+
+def _space_time_values(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """``values`` as floats, if they are a finite scalar space-time array on ``grid``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(grid.t_grid),) + grid.spatial_shape() or not np.all(np.isfinite(values)):
+        raise ValueError("values must be a finite scalar space-time array on the grid")
+    return values
+
 
 def _uniform_dt(grid: SpectralGrid) -> float:
     dt = np.diff(grid.t_grid)
@@ -340,9 +314,7 @@ def sharp_parabolic(
     it, its gather buffer and two pair buffers are allocated once per call,
     however large the window.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(grid.t_grid),) + grid.spatial_shape():
-        raise ValueError("values must be a scalar space-time array on the grid")
+    values = _space_time_values(values, grid)
     dt = _uniform_dt(grid)
     if ladder is None:
         ladder = default_radius_ladder(grid, gamma)
@@ -490,9 +462,7 @@ def filtration_sharp(
     """Sharp function over the nested filtration: sup over levels of the mean
     oscillation on the unique cube containing each cell (zero extension for
     the cube volume outside the box)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(grid.t_grid),) + grid.spatial_shape():
-        raise ValueError("values must be a scalar space-time array on the grid")
+    values = _space_time_values(values, grid)
     dt = _uniform_dt(grid)
     levels = build_filtration_levels(grid, gamma)
     cell_meas = dt * grid.dx**grid.d

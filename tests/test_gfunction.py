@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
@@ -192,6 +194,26 @@ class TestGFunctionBasics:
         g1 = g_function(f, psi1, psi2, 0.0, 0.0, 2.0, quad)
         g2 = g_function(cf, psi1, psi2, 0.0, 0.0, 2.0, quad)
         assert g_lp_norm(g2, 2.0) == pytest.approx(3.5 * g_lp_norm(g1, 2.0), rel=1e-10)
+
+
+class TestWindowStart:
+    # tolerances relative to the time span: an absolute 1e-12 accepted a
+    # start five steps before the first node at steps of 1e-13, and an
+    # absolute 1e-15 skipped every output time at steps of 1e-16
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_start_before_first_node_rejected_in_any_time_unit(self, scale):
+        grid = make_grid(1, 8, 1.0, np.arange(4) * scale)
+        f = SpaceTimeField(grid, 1, np.ones((4, 8, 1)))
+        with pytest.raises(ValueError, match="before the first time node"):
+            g_function(f, power_symbol(1.0, 1.0), power_symbol(1.0, 2.0), 0.0, -5 * scale, 2.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-16])
+    def test_no_output_time_skipped_in_any_time_unit(self, scale):
+        grid = make_grid(1, 8, 1.0, np.arange(4) * scale)
+        f = SpaceTimeField(grid, 1, np.random.default_rng(3).normal(size=(4, 8, 1)))
+        quad = QuadratureSpec(panels=4, order=2, split_levels=2)
+        res = g_function(f, power_symbol(1.0, 1.0), power_symbol(1.0, 2.0), 0.0, 0.0, 2.0, quad)
+        assert np.all(res.values[0] == 0) and np.all(res.values[1:] > 0)
 
 
 class TestGTilde:
@@ -478,3 +500,47 @@ class TestParsevalOracle:
         want *= grid.dxi**d
         assert np.max(want) > 0
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
+
+
+class TestInvariances:
+    """G of static power symbols commutes with lattice shifts and with
+    unitary maps of V, to 1e-12 of its largest value.
+
+    A parity sign (-1)^j dropped from a transform multiplies u by a
+    character, which |u|_V erases, so it passes both; the single-mode
+    oracle catches it."""
+
+    QUAD = QuadratureSpec(panels=4, order=2, split_levels=2)
+    CASES = dict(
+        d=st.sampled_from([1, 2]),
+        n=st.sampled_from([8, 16]),
+        m=st.sampled_from([1, 2]),
+        variant=st.sampled_from(["g_function", "g_tilde"]),
+        q=st.sampled_from([2.0, 3.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+
+    def _g(self, f, variant, q):
+        psi1, psi2 = power_symbol(1.0, 1.0, d=f.grid.d), power_symbol(1.0, 2.0, d=f.grid.d)
+        if variant == "g_function":
+            return g_function(f, psi1, psi2, 0.0, f.grid.a, q, self.QUAD).values
+        return g_tilde(f, psi1, psi2, f.grid.a, q, self.QUAD).values
+
+    @settings(max_examples=15, deadline=None)
+    @given(shift=st.tuples(st.integers(-20, 20), st.integers(-20, 20)), **CASES)
+    def test_lattice_shift(self, d, n, m, variant, q, seed, shift):
+        f = _random_field(d, n, m, nt=3, seed=seed)
+        axes = tuple(range(1, d + 1))
+        moved = SpaceTimeField(f.grid, m, np.roll(f.values, shift[:d], axis=axes))
+        want = np.roll(self._g(f, variant, q), shift[:d], axis=axes)
+        assert np.max(np.abs(self._g(moved, variant, q) - want)) <= 1e-12 * np.max(want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(**CASES)
+    def test_unitary_in_v(self, d, n, m, variant, q, seed):
+        f = _random_field(d, n, m, nt=3, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        turned = SpaceTimeField(f.grid, m, f.values @ u.T)
+        want = self._g(f, variant, q)
+        assert np.max(np.abs(self._g(turned, variant, q) - want)) <= 1e-12 * np.max(want)

@@ -79,6 +79,28 @@ def _graded_loop_reference(batch, edges):
     return out.reshape(batch.shape)
 
 
+def _graded_time_reference(h, t):
+    """maximal_values(h, grid, "time") by the graded rule, which takes every
+    cell edge as a radius on any time grid."""
+    dt = np.diff(t)
+    edges = np.concatenate([[t[0] - dt[0] / 2], (t[:-1] + t[1:]) / 2, [t[-1] + dt[-1] / 2]])
+    return np.moveaxis(_graded_maximal_time(np.moveaxis(h, 0, -1), edges), -1, 0)
+
+
+def _ball_brute_force(h):
+    """Sup over every distinct periodic cell-inclusion ball of an (n, n)
+    field, centre by centre: one mask per distinct squared distance."""
+    n = h.shape[0]
+    idx = np.arange(n)
+    out = np.empty_like(h)
+    for i, j in np.ndindex(h.shape):
+        di = np.minimum(np.abs(idx - i), n - np.abs(idx - i))
+        dj = np.minimum(np.abs(idx - j), n - np.abs(idx - j))
+        dist2 = di[:, None] ** 2 + dj[None, :] ** 2
+        out[i, j] = max(np.mean(h[dist2 <= r2]) for r2 in np.unique(dist2))
+    return out
+
+
 class TestMaximalSpace:
     def test_constant(self):
         g = _grid(n=64, L=2.0)
@@ -127,14 +149,46 @@ class TestMaximalSpace:
             best[i] = max(best[i], np.mean(h))
         assert np.allclose(out, best, atol=1e-12)
 
-    @pytest.mark.parametrize("rows", [1, 16, 17])  # 1, n, n + 1
-    def test_batched_equals_row_wise(self, rows):
-        g = _grid(n=16, L=2.0)
-        h = np.abs(np.random.default_rng(10).normal(size=(rows, 16)))
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_2d_brute_force_every_ball(self, n):
+        g = make_grid(2, n, 1.0, [0.0, 1.0])
+        h = np.abs(np.random.default_rng(20 + n).normal(size=(n, n)))
+        np.testing.assert_allclose(maximal_values(h, g, "space"), _ball_brute_force(h), rtol=1e-12, atol=0.0)
+
+    # rows 1, n, n + 1; the d = 1 cases keep their ids
+    @pytest.mark.parametrize(
+        "d, rows", [(1, 1), (1, 16), (1, 17), (2, 1), (2, 16), (2, 17)], ids=["1", "16", "17", "2d-1", "2d-16", "2d-17"]
+    )
+    def test_batched_equals_row_wise(self, d, rows):
+        g = make_grid(d, 16, 2.0, [0.0, 1.0])
+        h = np.abs(np.random.default_rng(10).normal(size=(rows,) + (16,) * d))
         out = maximal_values(h, g, "space")
         for b in range(rows):
             row = maximal_values(h[b : b + 1], g, "space")[0]
             assert np.allclose(out[b], row, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        n=st.sampled_from([8, 16]),
+        shift=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_commutes_with_lattice_symmetries(self, d, n, shift, seed):
+        # a shift moves every window sum with its cells, in the same order;
+        # a reflection or a transposition reorders the offsets of a distance
+        g = make_grid(d, n, 1.0, [0.0, 1.0])
+        h = np.abs(np.random.default_rng(seed).normal(size=(3,) + (n,) * d))
+        out = maximal_values(h, g, "space")
+        axes = tuple(range(1, d + 1))
+        moved = maximal_values(np.roll(h, shift[:d], axis=axes), g, "space")
+        assert np.array_equal(moved, np.roll(out, shift[:d], axis=axes))
+        for ax in axes:
+            flipped = maximal_values(np.flip(h, axis=ax), g, "space")
+            np.testing.assert_allclose(flipped, np.flip(out, axis=ax), rtol=1e-12, atol=0.0)
+        if d == 2:
+            swapped = maximal_values(np.swapaxes(h, 1, 2), g, "space")
+            np.testing.assert_allclose(swapped, np.swapaxes(out, 1, 2), rtol=1e-12, atol=0.0)
 
     def test_spacetime_field_equals_spatial_rows(self):
         g = _cells_grid(n=16, T=8)
@@ -189,9 +243,16 @@ class TestMaximalTime:
         t = np.array([0.0, 1.0, 3.0, 7.0, 15.0]) * scale
         g = make_grid(1, 16, 1.0, t)
         h = np.abs(np.random.default_rng(17).normal(size=(5, 16)))
-        edges = np.concatenate([[t[0] - (t[1] - t[0]) / 2], (t[:-1] + t[1:]) / 2, [t[-1] + (t[-1] - t[-2]) / 2]])
-        want = np.moveaxis(_graded_maximal_time(np.moveaxis(h, 0, -1), edges), -1, 0)
-        assert np.allclose(maximal_values(h, g, "time"), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(maximal_values(h, g, "time"), _graded_time_reference(h, t), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d, T", [(1, 2), (1, 7), (2, 16)])
+    def test_uniform_rule_equals_graded_rule(self, d, T):
+        # the graded rule is exact on any grid, so it is the oracle of the
+        # running sum that uniform time cells take
+        t = 0.3 + 0.05 * np.arange(T)
+        g = make_grid(d, 8, 1.0, t)
+        h = np.abs(np.random.default_rng(T).normal(size=(T,) + (8,) * d))
+        np.testing.assert_allclose(maximal_values(h, g, "time"), _graded_time_reference(h, t), rtol=1e-12, atol=0.0)
 
     def test_graded_time_grid(self):
         t = np.array([0.0, 0.1, 0.3, 0.7, 1.5])
@@ -201,6 +262,26 @@ class TestMaximalTime:
         out = maximal_values(h, g, "time")
         assert out.shape == (5, 16)
         assert np.all(out >= 0)
+
+
+_OPERATORS = {
+    "maximal-space": lambda h, g: maximal_values(h, g, "space"),
+    "maximal-time": lambda h, g: maximal_values(h, g, "time"),
+    "sharp": lambda h, g: sharp_parabolic(h, g, gamma=1.0),
+    "filtration": lambda h, g: filtration_sharp(h, g, gamma=1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("operator", sorted(_OPERATORS))
+def test_non_finite_input_rejected(operator, bad):
+    # an 8 x 8 dyadic field (gamma = 1); one NaN would otherwise spread over
+    # a row of the maximal or the whole filtration sharp function
+    g = make_grid(1, 8, 0.5, (np.arange(8) + 0.5) / 8)
+    h = np.abs(np.random.default_rng(21).normal(size=(8, 8)))
+    h[3, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _OPERATORS[operator](h, g)
 
 
 class TestSharpParabolic:
