@@ -7,7 +7,9 @@ T(t, s), for a scalar or a whole array of window starts s.  It is the one
 path to that integral: exact for time-independent symbols, and otherwise
 composite Gauss-Legendre on panels anchored to one global lattice, evaluated
 by the one panel routine for separable coefficients and generic symbols
-alike.
+alike.  Every window that ends at t shares the panels between its first
+anchor and t; for a separable symbol the square-function core integrates
+them once per t (:func:`_shared_panels`) and hands them to each call.
 """
 
 from __future__ import annotations
@@ -42,32 +44,67 @@ def _panel_edges(s: float, t: float) -> list[float]:
     return [s] + [e * _PANEL_WIDTH for e in np.arange(lo, hi + 1) if s < e * _PANEL_WIDTH < t] + [t]
 
 
+def _panels(integrand: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of ``integrand`` over the panels (lo, hi)."""
+    z, w = _gl_rule()
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    vals = integrand(mid[:, None] + half[:, None] * z)
+    tail = (1,) * (vals.ndim - 2)
+    return half.reshape((-1,) + tail) * np.sum(w.reshape((-1,) + tail) * vals, axis=1)
+
+
+def _window_panels(
+    integrand: Callable[[np.ndarray], np.ndarray], a: float, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors of :func:`_panel_edges` in (a, t), then t, and the
+    integral over each panel between two of them: the panels that every
+    window starting in [a, t) and ending at t shares, from its first anchor
+    on."""
+    edges = np.asarray(_panel_edges(a, t)[1:])
+    return edges, _panels(integrand, edges[:-1], edges[1:])
+
+
 def _panel_integrals(
-    integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarray, t: float
+    integrand: Callable[[np.ndarray], np.ndarray],
+    s: np.ndarray,
+    t: float,
+    shared: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """integral_s^t integrand(r) dr for every entry of a 1-d array s (all < t).
 
     ``integrand`` maps an array r of times to values of shape
     r.shape + tail; the result has shape s.shape + tail.  Composite
-    Gauss-Legendre on the panels of :func:`_panel_edges`.  Shared panels are
-    evaluated once for the whole batch, and each window adds its panels left
-    to right, as it would on its own.
+    Gauss-Legendre on the panels of :func:`_panel_edges`.  The shared panels
+    come from ``shared``, :func:`_window_panels` of a window start at or
+    below every s, or else are evaluated once for the whole batch; each
+    window adds its panels left to right, as it would on its own.
     """
-    z, w = _gl_rule()
-
-    def panels(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        vals = integrand(mid[:, None] + half[:, None] * z)
-        tail = (1,) * (vals.ndim - 2)
-        return half.reshape((-1,) + tail) * np.sum(w.reshape((-1,) + tail) * vals, axis=1)
-
-    edges = np.asarray(_panel_edges(float(np.min(s)), t)[1:])  # anchors, then t
+    if shared is None:
+        shared = _window_panels(integrand, float(np.min(s)), t)
+    edges, full = shared
     first = np.searchsorted(edges[:-1], s, side="right")  # first edge above each s
-    total = panels(s, edges[first])
+    total = _panels(integrand, s, edges[first])
     first = first.reshape(first.shape + (1,) * (total.ndim - 1))
-    for k, p in enumerate(panels(edges[:-1], edges[1:])):
-        total = np.where(first <= k, total + p, total)
+    for k in range(int(np.min(first)), len(full)):
+        total = np.where(first <= k, total + full[k], total)
     return total
+
+
+def _coefficient(symbol: SymbolSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The time coefficient of a separable symbol, at clamped times max(r, 0)."""
+    return lambda r: symbol.time_coeff(np.maximum(r, 0.0))
+
+
+def _shared_panels(symbol: SymbolSpec, a: float, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The coefficient integrals over the panels shared by every window in
+    [a, t) that ends at t, for a separable time-dependent symbol, else None.
+
+    The square-function core evaluates them once per output time and hands
+    them to :func:`integrated_symbol` as ``shared``.
+    """
+    if symbol.time_independent or not symbol.separable:
+        return None
+    return _window_panels(_coefficient(symbol), a, t)
 
 
 def _frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
@@ -91,16 +128,20 @@ def integrated_symbol(
     t: float,
     xi: np.ndarray,
     factor: np.ndarray | None = None,
+    shared: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """integral_s^t psi(r, xi) dr for a scalar or an array of window starts s
     on an (..., d) frequency array, with shape s.shape + xi.shape[:-1].
 
     Exact to roundoff for time-independent symbols; separable symbols reduce
-    to the time integral of the coefficient times the frequency profile.
-    ``factor`` is an internal precompute for the square-function core:
-    :func:`_frequency_factor` of this symbol on this xi, or its real part
-    where the imaginary part is exactly zero.  It is not checked, so leave it
-    None elsewhere; generic symbols ignore it.  Every s must lie before t.
+    to the time integral of the coefficient times the frequency profile, and
+    their coefficient must be real: a nonzero imaginary part in its integral
+    raises ValueError.  ``factor`` and ``shared`` are internal precomputes
+    for the square-function core: :func:`_frequency_factor` of this symbol
+    on this xi, or its real part where the imaginary part is exactly zero,
+    and :func:`_shared_panels` of this symbol for a window start at or below
+    every s and this t.  They are not checked, so leave them None elsewhere;
+    generic symbols ignore them.  Every s must lie before t.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s >= t):
@@ -112,7 +153,10 @@ def integrated_symbol(
     if symbol.time_independent:
         return (t - s).reshape(lead) * factor
     if symbol.separable:
-        coeff = _panel_integrals(lambda r: symbol.time_coeff(np.maximum(r, 0.0)), s.ravel(), t)
+        coeff = _panel_integrals(_coefficient(symbol), s.ravel(), t, shared)
+        # the core's Hermitian half of the lattice relies on a real coefficient
+        if np.iscomplexobj(coeff) and np.any(coeff.imag):
+            raise ValueError(f"symbol {symbol.name!r} has a complex time coefficient")
         return coeff.reshape(lead) * factor
 
     def psi(r: np.ndarray) -> np.ndarray:

@@ -18,28 +18,40 @@ of nodes, which then takes one inverse transform.  The window exponents of a
 batch come from one :func:`lpevo.evolution.integrated_symbol` call on the
 batch's array of s nodes, the one path to the integrated symbol, so the core
 holds no symbol-specific code of its own; the frequency factor of psi2 is
-evaluated once per G and handed to that call.
+evaluated once per G, and the coefficient integrals of a separable psi2 over
+the panels that every window ending at t shares once per t, and both are
+handed to that call.
 
 Layout.  The field is transformed once, component-major, as a contiguous
 (T, m, n^d..., 1) array whose trailing singleton is the component axis of
 the (..., *spatial, component) convention, so each V component of a batch is
-its own contiguous transform.  The time step f_hat[j+1] - f_hat[j] is taken
-once, and a node's transform is f_hat[j] + lambda * step[j].  A batch holds
-at most _CHUNK_ENTRIES complex entries (nodes x lattice points x V
-components) in two work arrays allocated once per G, and is transformed in
-place, so memory stays flat however many nodes the quadrature has.
+its own contiguous transform.  When the field is real and the multipliers
+are Hermitian, m(-xi) = conj m(xi) for psi1 at every symbol time and for
+psi2's frequency factor, u is real: the core then keeps the Hermitian half
+of the lattice, the indices 0..n/2 of the last spatial axis, and inverts
+through ``lattice_inverse(..., real=True)``.  Anything else, a psi2 with no
+frequency factor included, keeps the full lattice.  The time step
+f_hat[j+1] - f_hat[j] is taken once, and a node's transform is
+f_hat[j] + lambda * step[j].  A batch holds at most _CHUNK_ENTRIES complex
+entries (nodes x lattice points x V components) in two work arrays
+allocated once per G; it is inverted in place, or on the half lattice into
+the floats of the second array, so memory stays flat however many nodes the
+quadrature has.
 
-Arithmetic.  Where the imaginary part of psi1 on the lattice or of a batch's
-window exponents is exactly zero, only the real part is kept, so exp and the
-products run on real arrays; this is an exact test, not a tolerance, and a
-complex symbol keeps the complex path.  |u|_V^q is taken in one pass as
-(sum over components of re^2 + im^2)^(q/2).  The per-node terms are summed
-in node order, the running sum added into the first term of each batch, so
-G is bit-identical whatever the batch size.
+Arithmetic.  The Hermitian tests, like the tests for an imaginary part that
+is exactly zero, are exact, not tolerances.  Where psi1 on the lattice or a
+batch's window exponents are real, only the real part is kept, so exp and
+the products run on real arrays; a complex symbol keeps the complex path.
+|u|_V^q is taken in one pass, as (sum over components of u^2)^(q/2) on the
+half lattice and of re^2 + im^2 on the full one.  The per-node terms are
+summed in node order, the running sum added into the first term of each
+batch, so G is bit-identical whatever the batch size.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +61,7 @@ from lpevo.symbols import SymbolSpec
 from lpevo.evolution import (
     _frequency_factor,
     _gl_rule,
+    _shared_panels,
     integrated_symbol,
     symbol_on_lattice,
 )
@@ -131,6 +144,16 @@ def _real_if_exact(x: np.ndarray | None) -> np.ndarray | None:
     return x.real if np.iscomplexobj(x) and not np.any(x.imag) else x
 
 
+def _hermitian(x: np.ndarray, d: int) -> bool:
+    """Whether x(-xi) = conj x(xi) exactly on the trailing d lattice axes.
+
+    The storage index c pairs with n - c mod n, so the self-paired Nyquist
+    (c = 0) and zero (c = n/2) entries must be real.  An exact test, not a
+    tolerance."""
+    axes = tuple(range(x.ndim - d, x.ndim))
+    return bool(np.array_equal(np.roll(np.flip(x, axes), 1, axes), np.conj(x)))
+
+
 def _g_core(
     f: SpaceTimeField, psi1: SymbolSpec, psi2: SymbolSpec, l: float | None, a: float, q: float, quad: QuadratureSpec
 ) -> GFunctionResult:
@@ -144,45 +167,71 @@ def _g_core(
         raise ValueError("window start lies before the first time node")
     beta = q * psi1.gamma / psi2.gamma
     t_grid = grid.t_grid
+    live = np.flatnonzero(t_grid > a + 1e-15 * span)  # the output times after a
     spatial = grid.spatial_shape()
     # component-major (T, m, spatial..., 1): each V component is a contiguous
     # transform, and the trailing singleton is the transform's component axis
     f_hat = lattice_forward(np.ascontiguousarray(np.moveaxis(f.values, -1, 1))[..., None], grid)
-    step = f_hat[1:] - f_hat[:-1]
     xi = grid.freq_vectors()
-    # psi2's frequency factor and a frozen psi1 are evaluated once per G
-    factor2 = _real_if_exact(_frequency_factor(psi2, xi))
-    mult1 = None if l is None else _real_if_exact(symbol_on_lattice(psi1, l, grid))
-    chunk = max(1, _CHUNK_ENTRIES // (grid.n**grid.d * f.m))
+    # psi2's frequency factor and a frozen psi1 are evaluated once per G, a
+    # psi1 that tracks the output time once per t
+    factor2 = _frequency_factor(psi2, xi)
+    if l is None:
+        mults1 = (symbol_on_lattice(psi1, float(t_grid[i]), grid) for i in live)
+    else:
+        mults1 = [symbol_on_lattice(psi1, l, grid)]
+    # the Hermitian half of the lattice serves while u stays real
+    real = not np.any(f.values.imag) and factor2 is not None and _hermitian(factor2, grid.d)
+    if real:
+        mults1 = list(mults1)
+        real = all(_hermitian(m, grid.d) for m in mults1)
+    cut = (..., slice(grid.n // 2 + 1 if real else grid.n))
+    f_hat = np.ascontiguousarray(f_hat[cut + (slice(None),)])
+    xi = xi[cut + (slice(None),)]
+    factor2 = _real_if_exact(None if factor2 is None else factor2[cut])
+    mults1 = (_real_if_exact(m[cut]) for m in mults1)
+    if l is not None:
+        mults1 = itertools.repeat(next(mults1))
+    step = f_hat[1:] - f_hat[:-1]
+    lattice = f_hat.shape[2:-1]
+    chunk = max(1, _CHUNK_ENTRIES // (math.prod(lattice) * f.m))
     # batch work arrays, allocated once per G: fresh ones would page-fault on
     # every batch
     rows = (min(chunk, (quad.panels + quad.split_levels) * quad.order),) + f_hat.shape[1:]
     spec_buf, rows_buf = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex)
+    # on the half lattice the real u of a batch goes to the floats of
+    # rows_buf, whose transform rows are spent by then
+    field_floats = rows_buf.view(float).reshape(-1)
     out = np.zeros((len(t_grid),) + spatial)
-    for i, t in enumerate(t_grid):
-        if t <= a + 1e-15 * span:
-            continue
-        if l is None:
-            mult1 = _real_if_exact(symbol_on_lattice(psi1, t, grid))
-        s_nodes, w_nodes = graded_quadrature(a, float(t), beta, quad)
+    for i, mult1 in zip(live, mults1):
+        t = float(t_grid[i])
+        shared = _shared_panels(psi2, a, t)
+        s_nodes, w_nodes = graded_quadrature(a, t, beta, quad)
         acc = np.zeros(spatial)
         for lo in range(0, len(s_nodes), chunk):
             s, w = s_nodes[lo : lo + chunk], w_nodes[lo : lo + chunk]
-            expo = _real_if_exact(integrated_symbol(psi2, s, float(t), xi, factor2))
-            mult = (mult1 * np.exp(expo)).reshape((len(s), 1) + spatial + (1,))
             idx = np.clip(np.searchsorted(t_grid, s, side="right") - 1, 0, len(t_grid) - 2)
             lam = (s - t_grid[idx]) / (t_grid[idx + 1] - t_grid[idx])
             # f_hat(s) = f_hat[idx] + lam * step[idx], times the batch multipliers
             spec = np.take(step, idx, axis=0, out=spec_buf[: len(s)], mode="clip")
             spec *= lam.reshape((-1,) + (1,) * (spec.ndim - 1))
             spec += np.take(f_hat, idx, axis=0, out=rows_buf[: len(s)], mode="clip")
-            spec *= mult
-            u = lattice_inverse(spec, grid, out=spec)
-            # |u|_V^q = (sum over components of re^2 + im^2)^(q/2)
-            sq = u.view(float)
-            np.square(sq, out=sq)
-            power = np.sum(sq[..., 0] + sq[..., 1], axis=1)
-            terms = w.reshape((-1,) + (1,) * grid.d) * power ** (q / 2.0)
+            expo = _real_if_exact(integrated_symbol(psi2, s, t, xi, factor2, shared))
+            spec *= (mult1 * np.exp(expo, out=expo)).reshape((len(s), 1) + lattice + (1,))
+            if real:
+                # |u|_V^2 = sum over components of u^2
+                field = field_floats[: len(s) * f.m * math.prod(spatial)]
+                u = lattice_inverse(spec, grid, out=field.reshape((len(s), f.m) + spatial + (1,)), real=True)
+                np.square(u, out=u)
+                terms = np.sum(u[..., 0], axis=1)
+            else:
+                # |u|_V^2 = sum over components of re^2 + im^2
+                sq = lattice_inverse(spec, grid, out=spec).view(float)
+                np.square(sq, out=sq)
+                terms = np.sum(sq[..., 0] + sq[..., 1], axis=1)
+            # w |u|_V^q in place: batch temporaries set the peak memory of G
+            terms **= q / 2.0
+            terms *= w.reshape((-1,) + (1,) * grid.d)
             # adding acc into the first term keeps the node-by-node sum order
             terms[0] += acc
             acc = np.sum(terms, axis=0)

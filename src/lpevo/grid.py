@@ -180,18 +180,33 @@ def lattice_forward(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def lattice_inverse(
-    values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None
+    values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None, real: bool = False
 ) -> np.ndarray:
     """Inverse of :func:`lattice_forward`; exact roundtrip on the lattice.
 
     The result goes to ``out`` when given, which may be ``values`` itself.
+
+    With ``real``, ``values`` is the Hermitian half of the transform of a
+    real field: the storage indices 0..n/2 of the last spatial axis, that is
+    the frequencies -n/2..0 along it, since f^(-xi) = conj f^(xi) gives the
+    rest.  The real field is returned, by irfftn, and ``out`` must then be a
+    real array.  The storage index c pairs with n - c mod n, so the
+    transform must be real at the self-paired Nyquist (c = 0) and zero
+    (c = n/2) entries; irfftn drops their imaginary parts.
     """
     axes = _transform_axes(values, grid)
-    work = np.multiply(values, _broadcast_sign(values, grid), out=out, dtype=complex)
-    # in place (numpy >= 2.0): a fresh array per batch of G would page-fault
-    np.fft.ifftn(work, axes=axes, norm="forward", out=work)
+    sign = _broadcast_sign(values, grid)
+    if real:
+        if values.shape[axes[-1]] != grid.n // 2 + 1:
+            raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
+        work = np.multiply(values, sign[..., : grid.n // 2 + 1, :])
+        work = np.fft.irfftn(work, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
+    else:
+        work = np.multiply(values, sign, out=out, dtype=complex)
+        # in place (numpy >= 2.0): a fresh array per batch of G would page-fault
+        np.fft.ifftn(work, axes=axes, norm="forward", out=work)
     scale = _phase(grid) * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d
-    work *= _broadcast_sign(values, grid, scale)
+    work *= _broadcast_sign(work, grid, scale)
     return work
 
 

@@ -59,6 +59,9 @@ from lpevo.grid import SpectralGrid
 # points of the lattice wrapped once; larger blocks buy little speed on two
 # cores and raise the peak memory of an estimate
 _CHUNK_ENTRIES = 2**16
+# window ends (rows x ends per row) in one block of the graded time maximal,
+# which holds two such blocks of floats
+_GRADED_ENDS = 2**14
 # filtration levels above level 0, so the coarsest cubes have time side 2^3
 _COARSE_LEVELS = 3
 
@@ -112,33 +115,66 @@ def _window_sup(values: np.ndarray, reach: tuple[int, ...], mode: str) -> np.nda
 
 
 def _graded_maximal_time(batch: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Zero-extension maximal along the last axis for nonuniform cells."""
-    b_shape = batch.shape
-    n = b_shape[-1]
+    """Zero-extension maximal along the last axis for nonuniform cells.
+
+    Every cell edge is a radius of every centre, and a window's mass is the
+    difference of the prefix sums, interpolated linearly at its two ends as
+    np.interp does.  The ends are the same for every row, so their cells
+    and offsets are found once and apply to the prefix sums of all rows in
+    one array expression, in blocks of at most _GRADED_ENDS window ends.
+    """
+    n = batch.shape[-1]
     widths = np.diff(edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
     # candidate radii per center: every cell edge
     radii = np.abs(edges[None, :] - centers[:, None])
     reach = np.stack([centers[:, None] + radii, centers[:, None] - radii])
+    # np.interp's rule: the cell edges[j] <= x < edges[j+1], the first prefix
+    # sum below the first edge and the last one from the last edge on
+    cell = np.searchsorted(edges, reach, side="right") - 1
+    inside = (cell >= 0) & (cell < n)
+    cell = np.clip(cell, 0, n)
+    offset = np.where(inside, reach - edges[np.minimum(cell, n - 1)], 0.0)
+    twice = 2.0 * radii
     flat = batch.reshape(-1, n)
-    out = np.zeros_like(flat)
-    for b, row in enumerate(flat):
-        prefix = np.concatenate([[0.0], np.cumsum(row * widths)])
-        hi, lo = np.interp(reach, edges, prefix)
-        out[b] = ((hi - lo) / (2.0 * radii)).max(axis=1)
-    return out.reshape(b_shape)
+    out = np.empty_like(flat)
+    step = max(1, _GRADED_ENDS // reach.size)
+    ends, spare = np.empty((2, step) + reach.shape)
+    for lo in range(0, flat.shape[0], step):
+        rows = flat[lo : lo + step]
+        prefix = np.zeros((rows.shape[0], n + 1))
+        np.cumsum(rows * widths, axis=1, out=prefix[:, 1:])
+        # slope past the last edge: 0, where the offset is 0 too
+        slope = np.zeros_like(prefix)
+        np.divide(np.diff(prefix, axis=1), widths, out=slope[:, :-1])
+        # prefix sums at the window ends, then each window's mass over 2r
+        mass = np.take(slope, cell, axis=1, out=ends[: rows.shape[0]])
+        mass *= offset
+        mass += np.take(prefix, cell, axis=1, out=spare[: rows.shape[0]])
+        ratio = np.subtract(mass[:, 0], mass[:, 1], out=spare[: rows.shape[0], 0])
+        ratio /= twice
+        out[lo : lo + step] = ratio.max(axis=-1)
+    return out.reshape(batch.shape)
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    """``values`` as floats; complex input raises, since a cast would drop
+    its imaginary part with only a warning."""
+    if np.iscomplexobj(values):
+        raise ValueError("values must be real, got a complex array")
+    return np.asarray(values, dtype=float)
 
 
 def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndarray:
     """Pointwise supremum over radii of window averages of finite,
-    nonnegative cell values, along space (periodic) or time (zero extension,
-    time axis leading).
+    nonnegative real cell values, along space (periodic) or time (zero
+    extension, time axis leading).
 
     Both are exact: in space, in d = 1 and d = 2 alike, every distinct
     cell-inclusion ball up to the whole period; in time, every radius.
     Time steps equal to a relative 1e-12 take the running-sum rule of
     space, any other grid the graded one, whatever the time unit."""
-    values = np.asarray(values, dtype=float)
+    values = _real(values)
     if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
         raise ValueError("maximal_values expects finite nonnegative values")
     if axis == "space":
@@ -159,8 +195,9 @@ def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndar
 # -- parabolic sharp function -------------------------------------------------
 
 def _space_time_values(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """``values`` as floats, if they are a finite scalar space-time array on ``grid``."""
-    values = np.asarray(values, dtype=float)
+    """``values`` as floats, if they are a finite real scalar space-time
+    array on ``grid``."""
+    values = _real(values)
     if values.shape != (len(grid.t_grid),) + grid.spatial_shape() or not np.all(np.isfinite(values)):
         raise ValueError("values must be a finite scalar space-time array on the grid")
     return values

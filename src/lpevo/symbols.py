@@ -68,8 +68,8 @@ class SymbolSpec:
     and returns a complex (...) array.  ``time_coeff``/``xi_profile`` are an
     optional separable factorization psi(t, xi) = time_coeff(t)*xi_profile(xi)
     used for fast time integration; ``time_coeff`` takes a scalar or an array
-    of times and returns values of the same shape, and is called once per
-    array of quadrature nodes.  ``time_independent`` marks symbols with
+    of times and returns real values of the same shape, and is called once
+    per array of quadrature nodes.  ``time_independent`` marks symbols with
     psi(t, xi) = psi(xi).
     """
 

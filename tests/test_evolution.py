@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lpevo.evolution import _gl_rule, integrated_symbol, symbol_on_lattice
+from lpevo.evolution import _gl_rule, _shared_panels, integrated_symbol, symbol_on_lattice
 from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, lebesgue_norm, make_grid
 from lpevo.symbols import SymbolSpec, power_symbol
 
@@ -156,6 +158,35 @@ class TestIntegratedSymbol:
         for idx in np.ndindex(s.shape):
             want = integrated_symbol(spec, float(s[idx]), t, xi)
             np.testing.assert_allclose(got[idx], want, rtol=1e-15, atol=0)
+
+
+    def test_shared_panels_leave_every_batch_unchanged(self):
+        # the panels every window ending at t shares, integrated once for
+        # the window start a and handed to each batch: bit-identical to
+        # each batch on its own, at one coefficient call per batch
+        calls = []
+        spec = _modulated()
+        coeff = spec.time_coeff
+        spec = dataclasses.replace(spec, time_coeff=lambda r: calls.append(r.size) or coeff(r))
+        a, t = 0.1, 1.7
+        s = np.linspace(a, 1.6, 37)
+        xi = np.array([[0.0], [1.0], [-2.5]])
+        shared = _shared_panels(spec, a, t)
+        assert len(calls) == 1
+        for batch in np.array_split(s, 4):
+            calls.clear()
+            got = integrated_symbol(spec, batch, t, xi, shared=shared)
+            assert len(calls) == 1
+            assert np.array_equal(got, integrated_symbol(spec, batch, t, xi))
+        assert _shared_panels(power_symbol(1.0, 2.0), a, t) is None
+        assert _shared_panels(_generic(), a, t) is None
+
+    def test_complex_time_coefficient_rejected(self):
+        # the separable path, and the half lattice of real fields in G,
+        # take a real coefficient
+        spec = dataclasses.replace(_modulated(), time_coeff=lambda r: -(1.0 + 0.5j * r))
+        with pytest.raises(ValueError, match="complex time coefficient"):
+            integrated_symbol(spec, 0.0, 1.0, np.array([1.0]))
 
 
 class TestKernels:

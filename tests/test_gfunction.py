@@ -308,11 +308,14 @@ def per_node_reference(f, psi1, psi2, l, a, q, quad):
     return out ** (1.0 / q)
 
 
-def _random_field(d, n, m, nt, seed):
+def _random_field(d, n, m, nt, seed, real=False):
+    """Gaussian samples, complex or real; a real field under Hermitian
+    multipliers takes the core's half-lattice path."""
     grid = make_grid(d, n, 0.5, (np.arange(nt) + 0.5) / nt)
     rng = np.random.default_rng(seed)
     shape = (nt,) + (n,) * d + (m,)
-    return SpaceTimeField(grid, m, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    values = rng.normal(size=shape) + (0.0 if real else 1j * rng.normal(size=shape))
+    return SpaceTimeField(grid, m, values)
 
 
 def _modulated(gamma, d, amp=0.5, rate=2.0):
@@ -333,7 +336,9 @@ def _non_separable(d):
 
 def _drift(gamma, d, c=0.7):
     # psi(t, xi) = -|xi|^gamma + i c (1 + t) xi_1: complex on the lattice, so
-    # the core must keep its imaginary part
+    # the core must keep its imaginary part.  It is Hermitian on every pair
+    # c, n - c but complex on the self-paired Nyquist row, so a real field
+    # under it must keep the full lattice
     def evaluate(t, xi):
         r = np.sqrt(np.sum(xi**2, axis=-1))
         return -(r**gamma) + 1j * c * (1.0 + t) * xi[..., 0]
@@ -349,15 +354,27 @@ def _psi2(kind, d):
     }[kind]
 
 
+def _with_real(*cases):
+    """Each case with a complex field under its own id, then with a real
+    field under the id suffixed "-real"."""
+    params = []
+    for real in (False, True):
+        for case in cases:
+            case = case if isinstance(case, tuple) else (case,)
+            name = "-".join(map(str, case)) + ("-real" if real else "")
+            params.append(pytest.param(*case, real, id=name))
+    return params
+
+
 class TestBatchedCore:
     # 144 nodes: more than one chunk of 128 (n^d m = 128) and not a multiple
     QUAD = QuadratureSpec(panels=20, order=6, split_levels=4)
 
-    @pytest.mark.parametrize("d,n,m", [(1, 64, 2), (1, 32, 1), (2, 8, 1), (2, 8, 2)])
+    @pytest.mark.parametrize("d,n,m,real", _with_real((1, 64, 2), (1, 32, 1), (2, 8, 1), (2, 8, 2)))
     @pytest.mark.parametrize("kind", ["static", "separable", "general"])
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
-    def test_matches_per_node_reference(self, d, n, m, kind, variant):
-        f = _random_field(d, n, m, nt=4, seed=20 + d + m)
+    def test_matches_per_node_reference(self, d, n, m, real, kind, variant):
+        f = _random_field(d, n, m, nt=4, seed=20 + d + m, real=real)
         psi2 = _psi2(kind, d)
         psi1 = _modulated(1.0, d, amp=0.3, rate=1.0)
         quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
@@ -370,11 +387,12 @@ class TestBatchedCore:
         assert np.max(want) > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
-    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
+    # a real field under the drift symbol must keep the full lattice
+    @pytest.mark.parametrize("d,n,real", _with_real((1, 32), (2, 8)))
     @pytest.mark.parametrize("which", ["psi1", "psi2"])
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
-    def test_complex_symbol_matches_per_node_reference(self, d, n, which, variant):
-        f = _random_field(d, n, 2, nt=4, seed=40 + d)
+    def test_complex_symbol_matches_per_node_reference(self, d, n, real, which, variant):
+        f = _random_field(d, n, 2, nt=4, seed=40 + d, real=real)
         if which == "psi1":
             psi1, psi2 = _drift(1.0, d), power_symbol(1.0, 2.0, d=d)
             quad = self.QUAD
@@ -395,10 +413,10 @@ class TestBatchedCore:
         nodes = len(graded_quadrature(0.0, 1.0, 1.0, self.QUAD)[0])
         assert nodes > chunk and nodes % chunk != 0
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m,real", _with_real(1, 2))
     @pytest.mark.parametrize("kind", ["static", "separable", "general"])
-    def test_batch_size_leaves_g_unchanged(self, monkeypatch, kind, m):
-        f = _random_field(1, 32, m, nt=4, seed=50 + m)
+    def test_batch_size_leaves_g_unchanged(self, monkeypatch, kind, m, real):
+        f = _random_field(1, 32, m, nt=4, seed=50 + m, real=real)
         psi1, psi2 = _modulated(1.0, 1, amp=0.3, rate=1.0), _psi2(kind, 1)
         quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
         per_node = 32 * m
@@ -409,8 +427,18 @@ class TestBatchedCore:
         assert np.max(results[0]) > 0
         assert all(np.array_equal(results[0], r) for r in results[1:])
 
-    @pytest.mark.parametrize("d,n,m", [(1, 64, 2), (2, 16, 2)])
-    def test_one_forward_and_one_inverse_per_batch(self, monkeypatch, d, n, m):
+    # the real d = 1 case takes n = 128: at n = 64 the half lattice holds a
+    # whole window's nodes in one batch
+    @pytest.mark.parametrize(
+        "d,n,m,real",
+        [
+            pytest.param(1, 64, 2, False, id="1-64-2"),
+            pytest.param(2, 16, 2, False, id="2-16-2"),
+            pytest.param(1, 128, 2, True, id="1-128-2-real"),
+            pytest.param(2, 16, 2, True, id="2-16-2-real"),
+        ],
+    )
+    def test_one_forward_and_one_inverse_per_batch(self, monkeypatch, d, n, m, real):
         calls = {"forward": 0, "inverse": 0}
 
         def counted(name, fn):
@@ -422,10 +450,12 @@ class TestBatchedCore:
 
         monkeypatch.setattr(gfunction, "lattice_forward", counted("forward", lattice_forward))
         monkeypatch.setattr(gfunction, "lattice_inverse", counted("inverse", lattice_inverse))
-        f = _random_field(d, n, m, nt=5, seed=60)
+        f = _random_field(d, n, m, nt=5, seed=60, real=real)
         a = 0.25
         g_function(f, _modulated(1.0, d), power_symbol(1.0, 2.0, d=d), 0.0, a, 3.0, self.QUAD)
-        chunk = gfunction._CHUNK_ENTRIES // (n**d * m)
+        # a real field works on the Hermitian half, n // 2 + 1 along the last axis
+        lattice = n ** (d - 1) * (n // 2 + 1 if real else n)
+        chunk = gfunction._CHUNK_ENTRIES // (lattice * m)
         batches = sum(
             -(-len(graded_quadrature(a, float(t), 1.5, self.QUAD)[0]) // chunk)
             for t in f.grid.t_grid
@@ -466,10 +496,10 @@ class TestParsevalOracle:
     sum_s w_s sum_xi |psi1|^2 |exp int_s^t psi2|^2 |f^(s, xi)|^2 dxi^d,
     with closed-form symbols and no inverse transform."""
 
-    @pytest.mark.parametrize("d,n,m", [(1, 64, 2), (2, 16, 1)])
+    @pytest.mark.parametrize("d,n,m,real", _with_real((1, 64, 2), (2, 16, 1)))
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
-    def test_energy_per_time(self, d, n, m, variant):
-        f = _random_field(d, n, m, nt=6, seed=30 + d)
+    def test_energy_per_time(self, d, n, m, real, variant):
+        f = _random_field(d, n, m, nt=6, seed=30 + d, real=real)
         grid = f.grid
         k1, g1, amp1, rate1 = 1.0, 1.0, 0.3, 1.0
         k2, g2, amp2, rate2 = 1.0, 2.0, 0.5, 2.0
@@ -503,8 +533,9 @@ class TestParsevalOracle:
 
 
 class TestInvariances:
-    """G of static power symbols commutes with lattice shifts and with
-    unitary maps of V, to 1e-12 of its largest value.
+    """G of static power symbols commutes with lattice shifts, with unitary
+    maps of V and, for real fields, with reflections x -> -x, to 1e-12 of
+    its largest value.
 
     A parity sign (-1)^j dropped from a transform multiplies u by a
     character, which |u|_V erases, so it passes both; the single-mode
@@ -544,3 +575,18 @@ class TestInvariances:
         turned = SpaceTimeField(f.grid, m, f.values @ u.T)
         want = self._g(f, variant, q)
         assert np.max(np.abs(self._g(turned, variant, q) - want)) <= 1e-12 * np.max(want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(axes=st.sampled_from([(1,), (2,), (1, 2)]), **CASES)
+    def test_reflection(self, d, n, m, variant, q, seed, axes):
+        # x_j -> -x_j is the storage index j -> n - j mod n, the pairing of
+        # c with n - c that the half lattice of a real field relies on
+        f = _random_field(d, n, m, nt=3, seed=seed, real=True)
+        axes = tuple(ax for ax in axes if ax <= d) or (1,)
+
+        def reflect(values):
+            return np.roll(np.flip(values, axes), 1, axes)
+
+        mirrored = SpaceTimeField(f.grid, m, reflect(f.values))
+        want = reflect(self._g(f, variant, q))
+        assert np.max(np.abs(self._g(mirrored, variant, q) - want)) <= 1e-12 * np.max(want)

@@ -133,6 +133,22 @@ class TestLatticeArrays:
         got = lattice_inverse(work, g, out=work)
         assert got is work and np.array_equal(got, want)
 
+    # n = 6 built directly, as in test_1d_matches_direct_sum
+    @pytest.mark.parametrize("n", [6, 8, 16])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_inverse_of_the_hermitian_half(self, d, n):
+        g = SpectralGrid(d, n, 0.75, np.array([0.0, 1.0]))
+        field = np.random.default_rng(10 * d + n).normal(size=(3,) + (n,) * d + (2,))
+        full = lattice_forward(field, g)
+        want = lattice_inverse(full, g).real
+        out = np.empty_like(field)
+        got = lattice_inverse(full[..., : n // 2 + 1, :], g, out=out, real=True)
+        assert got is out and got.shape == field.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got - field)) <= 1e-13 * np.max(np.abs(field))
+        with pytest.raises(ValueError, match="Hermitian half"):
+            lattice_inverse(full, g, real=True)
+
     def test_real_input(self):
         g = make_grid(1, 16, 1.0, [0.0, 1.0])
         vals = np.random.default_rng(7).normal(size=(16, 1))

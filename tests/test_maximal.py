@@ -284,6 +284,16 @@ def test_non_finite_input_rejected(operator, bad):
         _OPERATORS[operator](h, g)
 
 
+@pytest.mark.parametrize("operator", sorted(_OPERATORS))
+def test_complex_input_rejected(operator):
+    # a cast to float would drop the imaginary part with only a
+    # ComplexWarning and return the operator of the real part
+    g = make_grid(1, 8, 0.5, (np.arange(8) + 0.5) / 8)
+    h = np.full((8, 8), 1.0 + 1.0j)
+    with pytest.raises(ValueError, match="real"):
+        _OPERATORS[operator](h, g)
+
+
 class TestSharpParabolic:
     def test_constant_is_zero(self):
         g = _cells_grid()
