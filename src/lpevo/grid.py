@@ -190,7 +190,8 @@ def lattice_inverse(
     real field: the storage indices 0..n/2 of the last spatial axis, that is
     the frequencies -n/2..0 along it, since f^(-xi) = conj f^(xi) gives the
     rest.  The real field is returned, by irfftn, and ``out`` must then be a
-    real array.  The storage index c pairs with n - c mod n, so the
+    real array.  The parity sign is applied to ``values`` in place, so they
+    are overwritten.  The storage index c pairs with n - c mod n, so the
     transform must be real at the self-paired Nyquist (c = 0) and zero
     (c = n/2) entries; irfftn drops their imaginary parts.
     """
@@ -199,8 +200,10 @@ def lattice_inverse(
     if real:
         if values.shape[axes[-1]] != grid.n // 2 + 1:
             raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
-        work = np.multiply(values, sign[..., : grid.n // 2 + 1, :])
-        work = np.fft.irfftn(work, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
+        # the sign goes into values in place: a signed copy per batch of G
+        # would page-fault
+        np.multiply(values, sign[..., : grid.n // 2 + 1, :], out=values)
+        work = np.fft.irfftn(values, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
     else:
         work = np.multiply(values, sign, out=out, dtype=complex)
         # in place (numpy >= 2.0): a fresh array per batch of G would page-fault

@@ -534,8 +534,8 @@ class TestParsevalOracle:
 
 class TestInvariances:
     """G of static power symbols commutes with lattice shifts, with unitary
-    maps of V and, for real fields, with reflections x -> -x, to 1e-12 of
-    its largest value.
+    maps of V, for real fields with reflections x -> -x, with translations
+    in time and with parabolic dilations, to 1e-12 of its largest value.
 
     A parity sign (-1)^j dropped from a transform multiplies u by a
     character, which |u|_V erases, so it passes both; the single-mode
@@ -590,3 +590,31 @@ class TestInvariances:
         mirrored = SpaceTimeField(f.grid, m, reflect(f.values))
         want = reflect(self._g(f, variant, q))
         assert np.max(np.abs(self._g(mirrored, variant, q) - want)) <= 1e-12 * np.max(want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(tau=st.floats(min_value=-1.0, max_value=1.0), **CASES)
+    def test_time_translation(self, d, n, m, variant, q, seed, tau):
+        # time-independent symbols: T(t, s) depends on t - s only, so moving
+        # the nodes and a by tau moves G with them, up to the roundoff of
+        # the moved nodes, which grows with them: about 7e-14 of max G for
+        # |tau| <= 1, and 5e-13 at |tau| = 4
+        f = _random_field(d, n, m, nt=3, seed=seed)
+        grid = make_grid(d, n, f.grid.half_length, f.grid.t_grid + tau)
+        moved = SpaceTimeField(grid, m, f.values)
+        want = self._g(f, variant, q)
+        assert np.max(np.abs(self._g(moved, variant, q) - want)) <= 1e-12 * np.max(want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scale=st.sampled_from([0.25, 0.5, 0.7, 2.0, 3.0]), **CASES)
+    def test_parabolic_dilation(self, d, n, m, variant, q, seed, scale):
+        # the same samples on the box stretched by lambda and the times
+        # (a, the first node, with them) by lambda^gamma2, gamma2 = 2 for
+        # the psi2 of _g: xi -> xi / lambda leaves T(t, s) alone, L gains
+        # lambda^(-gamma1) and the weight (t - s)^(beta - 1) ds gains
+        # lambda^(gamma2 beta), so G^q gains lambda^(gamma2 beta - q gamma1)
+        # = 1, as beta = q gamma1 / gamma2
+        f = _random_field(d, n, m, nt=3, seed=seed)
+        grid = make_grid(d, n, scale * f.grid.half_length, scale**2.0 * f.grid.t_grid)
+        dilated = SpaceTimeField(grid, m, f.values)
+        want = self._g(f, variant, q)
+        assert np.max(np.abs(self._g(dilated, variant, q) - want)) <= 1e-12 * np.max(want)

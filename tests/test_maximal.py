@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,42 @@ def _sharp_oracle(h, mt, mx, offsets):
         i, x = idx[0], idx[1:]
         out[idx] = osc[np.ix_(np.arange(i, i + 2 * mt + 1), *[(xi + span) % n for xi in x])].max()
     return out
+
+
+# shapes (d, n, T, mt, mx) whose commonest residue weight is not 0, with that
+# base weight, which they take once _LOOKUP_MOVES is 0.  d = 1: 15 of 16
+# residues once; 13 = 8 + 5 cells, twice on five of 8 residues; 19 = 2 * 8 + 3
+# cells, wider than 2n.  d = 2: 7 of 8 residues once per axis; 13 cells per
+# axis (2 x 1 on 30 residues); 15 = 8 + 7 cells (2 x 2 on 49); 23 = 2 * 8 + 7
+# cells, wider than 2n (3 x 3 on 49)
+_LOOKUP_SHAPES = {
+    (1, 16, 8, 2, 7): 1,
+    (1, 8, 4, 1, 6): 2,
+    (1, 8, 3, 2, 9): 2,
+    (2, 8, 6, 1, 3): 1,
+    (2, 8, 6, 1, 6): 2,
+    (2, 8, 4, 2, 7): 4,
+    (2, 8, 3, 1, 11): 9,
+}
+
+
+def _lookup_if_listed(monkeypatch, d, n, T, mt, mx):
+    """Let a shape of _LOOKUP_SHAPES take its base weight however few moves
+    that removes, and check its base weight; other shapes keep the default
+    rule."""
+    if (d, n, T, mt, mx) in _LOOKUP_SHAPES:
+        monkeypatch.setattr(maximal_module, "_LOOKUP_MOVES", 0)
+        assert maximal_module._shape_plan(T, n, d, mt, mx, True).base == _LOOKUP_SHAPES[d, n, T, mt, mx]
+
+
+def _cap_field(d):
+    return np.random.default_rng(18).normal(size=(6,) + (8,) * d)
+
+
+@functools.cache
+def _cap_oracle(d, mt, mx):
+    """The oracle of test_chunk_cap_leaves_values, once for all its caps."""
+    return _sharp_oracle(_cap_field(d), mt, mx, True)
 
 
 def _graded_loop_reference(batch, edges):
@@ -357,9 +394,11 @@ class TestSharpParabolic:
             (2, 8, 4, 1, 2),
             (2, 8, 3, 3, 5),
             (2, 8, 4, 12, 1),
-        ],
+        ]
+        + list(_LOOKUP_SHAPES),
     )
-    def test_direct_enumeration_oracle(self, d, n, T, mt, mx, offsets):
+    def test_direct_enumeration_oracle(self, monkeypatch, d, n, T, mt, mx, offsets):
+        _lookup_if_listed(monkeypatch, d, n, T, mt, mx)
         g, r = _window_grid(d, n, T, mt, mx)
         h = np.random.default_rng(17).normal(size=(T,) + (n,) * d)
         out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=offsets)
@@ -370,22 +409,37 @@ class TestSharpParabolic:
     def test_chunk_cap_leaves_values(self, monkeypatch, d, cap):
         # chunks of one pair, chunks that cut time classes, one chunk; the
         # second window is longer than the period, so its moves carry
-        # weights 1 and 2 (and 4 in d = 2) in every chunk
+        # weights 1 and 2 (and 4 in d = 2) in every chunk.  Then, with the
+        # base weight taken whenever it removes a move, the last three take
+        # the lookup, whose blocks of classes the cap cuts as well: base
+        # weight 1 (7 of 8 residues), 2 in d = 1 and 2 in d = 2 (13 = 8 + 5
+        # cells), and 3 or 9 (23 = 2 * 8 + 7 cells, wider than 2n)
         monkeypatch.setattr(maximal_module, "_CHUNK_ENTRIES", cap)
-        h = np.random.default_rng(18).normal(size=(6,) + (8,) * d)
-        for mt, mx in ((4, 2), (4, 6)):
-            g, r = _window_grid(d, 8, 6, mt, mx)
-            out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
-            np.testing.assert_allclose(out, _sharp_oracle(h, mt, mx, True), rtol=1e-12, atol=0.0)
+        h = _cap_field(d)
+        for lookup_moves, shapes in (
+            (maximal_module._LOOKUP_MOVES, ((4, 2), (4, 6))),
+            (0, ((4, 3), (4, 6), (4, 11))),
+        ):
+            monkeypatch.setattr(maximal_module, "_LOOKUP_MOVES", lookup_moves)
+            for mt, mx in shapes:
+                assert (maximal_module._shape_plan(6, 8, d, mt, mx, True).base != 0) == (lookup_moves == 0)
+                g, r = _window_grid(d, 8, 6, mt, mx)
+                out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
+                np.testing.assert_allclose(out, _cap_oracle(d, mt, mx), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
-    @pytest.mark.parametrize("d, n, T, mt, mx", [(1, 16, 8, 2, 3), (2, 8, 6, 1, 2), (1, 16, 8, 1, 0)])
-    def test_offset_costs_no_more_than_the_mean(self, d, n, T, mt, mx, offset):
+    @pytest.mark.parametrize(
+        "d, n, T, mt, mx",
+        [(1, 16, 8, 2, 3), (2, 8, 6, 1, 2), (1, 16, 8, 1, 0), (1, 16, 8, 2, 7), (2, 8, 6, 1, 3), (2, 8, 6, 1, 6)],
+    )
+    def test_offset_costs_no_more_than_the_mean(self, monkeypatch, d, n, T, mt, mx, offset):
         # an offset c shifts every value and mean alike, so the oscillation
         # only loses the digits the mean loses, about eps * c; an identity
         # sum |v - mu| = 2 sum max(v, mu) - sum v - W mu on uncentred values
         # cancels terms of size c and loses more (9e-13 against 5e-13 at
-        # c = 1e3 in d = 2)
+        # c = 1e3 in d = 2).  The last three shapes take the base-weight
+        # lookup, whose sorted rows are centred too
+        _lookup_if_listed(monkeypatch, d, n, T, mt, mx)
         g, r = _window_grid(d, n, T, mt, mx)
         h = offset + np.random.default_rng(1).normal(size=(T,) + (n,) * d)
         out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
@@ -395,13 +449,16 @@ class TestSharpParabolic:
 
     def test_peak_memory_is_a_few_chunks(self):
         # the sharp-2d grid (d = 2, n = 16, L = 1/2, 16 cell-centred times,
-        # gamma = 1) with the default ladder; its widest windows outgrow the
-        # period, so their moves carry weights 1, 2 and 4
+        # gamma = 1) with the default ladder; its widest window (mx = 15)
+        # outgrows the period, so its residues carry weights 4 (225), 2 (30)
+        # and 1 (the residue 0, 0): the base weight 4 goes to the lookup and
+        # leaves the residual weights -2 and -3 to 31 moves
         g = make_grid(2, 16, 0.5, (np.arange(16) + 0.5) / 16)
         ladder = maximal_module.default_radius_ladder(g, 1.0)
         widest = maximal_module._window_halfwidths(ladder[-1], 1.0, 1 / 16, g.dx)
         plan = maximal_module._shape_plan(16, 16, 2, *widest, offsets=True)
-        assert [weight for weight, _ in plan.moves] == [4, 2, 1]
+        assert plan.base == 4
+        assert [(weight, len(cuts)) for weight, cuts in plan.moves] == [(-2, 30), (-3, 1)]
         h = np.random.default_rng(19).normal(size=(16, 16, 16))
         tracemalloc.start()
         try:
@@ -411,6 +468,20 @@ class TestSharpParabolic:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * maximal_module._CHUNK_ENTRIES * 8 + 16 * h.nbytes
+
+    @pytest.mark.parametrize("d, n, T, moves", [(2, 16, 16, 397), (1, 64, 64, 170)], ids=["sharp-2d", "static-1d"])
+    def test_default_ladder_moves(self, d, n, T, moves):
+        # the moves of the default ladder's shapes on the sharp-2d and
+        # static-1d grids (L = 1/2, cell-centred times, gamma = 1), a cost
+        # that needs no clock: with every residue a move they were 942 and
+        # 332, and the base-weight lookup takes the windows that cover the
+        # period (mx = 7, 11, 15 of 16, and 31, 45, 63 of 64)
+        g = make_grid(d, n, 0.5, (np.arange(T) + 0.5) / T)
+        shapes = {
+            maximal_module._window_halfwidths(r, 1.0, 1 / T, g.dx) for r in maximal_module.default_radius_ladder(g, 1.0)
+        }
+        plans = [maximal_module._shape_plan(T, n, d, mt, mx, True) for mt, mx in shapes]
+        assert sum(len(cuts) for p in plans for _, cuts in p.moves) == moves
 
     @settings(max_examples=12, deadline=None)
     @given(
