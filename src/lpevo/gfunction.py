@@ -30,9 +30,17 @@ are Hermitian, m(-xi) = conj m(xi) for psi1 at every symbol time and for
 psi2's frequency factor, u is real: the core then keeps the Hermitian half
 of the lattice, the indices 0..n/2 of the last spatial axis, and inverts
 through ``lattice_inverse(..., real=True)``.  Anything else, a psi2 with no
-frequency factor included, keeps the full lattice.  The time step
+frequency factor included, keeps the full lattice.  Every batch inverts
+bare, ``lattice_inverse(..., bare=True)``: the FFT alone, without the parity
+signs and the scale s = (2 pi)^(-d/2) dxi^d.  The transformed field is
+multiplied by s once per G, so a batch's bare inverse is u times a sign
+(-1)^(j_1 + ... + j_d) on the lattice shifted by half a period; |u|_V drops
+the sign, and the sums over nodes stay on the shifted lattice until all
+output times are done, when ``grid._bare_to_lattice``, one roll by n/2 per
+spatial axis, puts G in place.  The time step
 f_hat[j+1] - f_hat[j] is taken once, and a node's transform is
-f_hat[j] + lambda * step[j].  A batch holds at most _CHUNK_ENTRIES complex
+f_hat[j] + lambda * step[j], with j and lambda taken once per output time
+for all of its nodes.  A batch holds at most _CHUNK_ENTRIES complex
 entries (nodes x lattice points x V components) in two work arrays
 allocated once per G; it is inverted in place, or on the half lattice into
 the floats of the second array, so memory stays flat however many nodes the
@@ -42,10 +50,14 @@ Arithmetic.  The Hermitian tests, like the tests for an imaginary part that
 is exactly zero, are exact, not tolerances.  Where psi1 on the lattice or a
 batch's window exponents are real, only the real part is kept, so exp and
 the products run on real arrays; a complex symbol keeps the complex path.
-|u|_V^q is taken in one pass, as (sum over components of u^2)^(q/2) on the
-half lattice and of re^2 + im^2 on the full one.  The per-node terms are
-summed in node order, the running sum added into the first term of each
-batch, so G is bit-identical whatever the batch size.
+|u|_V^2 is the sum over components of u^2 on the half lattice and of
+re^2 + im^2 on the full one, added component by component into one array;
+its power q/2 is x sqrt(x) for q = 3, x^2 sqrt(x) for q = 5, none for
+q = 2, and pow otherwise.  The per-node terms
+are summed in node order, the running sum added into the first term of each
+batch, so G is bit-identical whatever the batch size.  Against the signed,
+scaled inverse, the bare one moves G by a few units of roundoff: at most
+1.2e-15 relative, pointwise, on the benchmark's workloads.
 """
 
 from __future__ import annotations
@@ -56,7 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lpevo.grid import SpaceTimeField, SpectralGrid, lattice_forward, lattice_inverse, lp_norm
+from lpevo.grid import (
+    SpaceTimeField, SpectralGrid, _bare_to_lattice, _inverse_scale, lattice_forward, lattice_inverse, lp_norm,
+)
 from lpevo.symbols import SymbolSpec
 from lpevo.evolution import (
     _frequency_factor,
@@ -154,6 +168,20 @@ def _hermitian(x: np.ndarray, d: int) -> bool:
     return bool(np.array_equal(np.roll(np.flip(x, axes), 1, axes), np.conj(x)))
 
 
+def _half_power(x: np.ndarray, q: float) -> None:
+    """x^(q/2) in place, for x >= 0: x sqrt(x) for q = 3 and x^2 sqrt(x) for
+    q = 5, since numpy squares without pow and pow costs about twice a square
+    root and a product; pow for any other q but 2.  From q = 7 on, x^3 is a
+    pow itself and x^k sqrt(x) is slower than one pow."""
+    if q in (3.0, 5.0):
+        root = np.sqrt(x)
+        if q == 5.0:
+            np.square(x, out=x)
+        x *= root
+    elif q != 2.0:
+        x **= q / 2.0
+
+
 def _g_core(
     f: SpaceTimeField, psi1: SymbolSpec, psi2: SymbolSpec, l: float | None, a: float, q: float, quad: QuadratureSpec
 ) -> GFunctionResult:
@@ -187,6 +215,9 @@ def _g_core(
         real = all(_hermitian(m, grid.d) for m in mults1)
     cut = (..., slice(grid.n // 2 + 1 if real else grid.n))
     f_hat = np.ascontiguousarray(f_hat[cut + (slice(None),)])
+    # the scale s that each batch's bare inverse leaves out, taken once per G:
+    # u, and so |u|^q, keeps the range of the signed inverse
+    f_hat *= _inverse_scale(grid)
     xi = xi[cut + (slice(None),)]
     factor2 = _real_if_exact(None if factor2 is None else factor2[cut])
     mults1 = (_real_if_exact(m[cut]) for m in mults1)
@@ -207,35 +238,43 @@ def _g_core(
         t = float(t_grid[i])
         shared = _shared_panels(psi2, a, t)
         s_nodes, w_nodes = graded_quadrature(a, t, beta, quad)
+        idx = np.clip(np.searchsorted(t_grid, s_nodes, side="right") - 1, 0, len(t_grid) - 2)
+        lam = (s_nodes - t_grid[idx]) / (t_grid[idx + 1] - t_grid[idx])
         acc = np.zeros(spatial)
         for lo in range(0, len(s_nodes), chunk):
-            s, w = s_nodes[lo : lo + chunk], w_nodes[lo : lo + chunk]
-            idx = np.clip(np.searchsorted(t_grid, s, side="right") - 1, 0, len(t_grid) - 2)
-            lam = (s - t_grid[idx]) / (t_grid[idx + 1] - t_grid[idx])
+            nodes = slice(lo, lo + chunk)
+            s, w = s_nodes[nodes], w_nodes[nodes]
             # f_hat(s) = f_hat[idx] + lam * step[idx], times the batch multipliers
-            spec = np.take(step, idx, axis=0, out=spec_buf[: len(s)], mode="clip")
-            spec *= lam.reshape((-1,) + (1,) * (spec.ndim - 1))
-            spec += np.take(f_hat, idx, axis=0, out=rows_buf[: len(s)], mode="clip")
+            spec = np.take(step, idx[nodes], axis=0, out=spec_buf[: len(s)], mode="clip")
+            spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
+            spec += np.take(f_hat, idx[nodes], axis=0, out=rows_buf[: len(s)], mode="clip")
             expo = _real_if_exact(integrated_symbol(psi2, s, t, xi, factor2, shared))
             spec *= (mult1 * np.exp(expo, out=expo)).reshape((len(s), 1) + lattice + (1,))
             if real:
                 # |u|_V^2 = sum over components of u^2
                 field = field_floats[: len(s) * f.m * math.prod(spatial)]
-                u = lattice_inverse(spec, grid, out=field.reshape((len(s), f.m) + spatial + (1,)), real=True)
+                u = lattice_inverse(spec, grid, out=field.reshape((len(s), f.m) + spatial + (1,)), real=True, bare=True)
                 np.square(u, out=u)
                 terms = np.sum(u[..., 0], axis=1)
             else:
                 # |u|_V^2 = sum over components of re^2 + im^2
-                sq = lattice_inverse(spec, grid, out=spec).view(float)
+                sq = lattice_inverse(spec, grid, out=spec, bare=True).view(float)
                 np.square(sq, out=sq)
-                terms = np.sum(sq[..., 0] + sq[..., 1], axis=1)
+                terms = np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1])
+                for c in range(1, f.m):
+                    terms += sq[:, c, ..., 0]
+                    terms += sq[:, c, ..., 1]
             # w |u|_V^q in place: batch temporaries set the peak memory of G
-            terms **= q / 2.0
+            _half_power(terms, q)
             terms *= w.reshape((-1,) + (1,) * grid.d)
             # adding acc into the first term keeps the node-by-node sum order
             terms[0] += acc
             acc = np.sum(terms, axis=0)
-        out[i] = acc ** (1.0 / q)
+        out[i] = acc
+    # the bare inverse leaves u on the lattice shifted by half a period: the
+    # shift is undone once per G, into out, as a result allocated after the
+    # batch temporaries would fragment the heap of a caller that keeps many
+    np.power(_bare_to_lattice(out, grid), 1.0 / q, out=out)
     return GFunctionResult(grid=grid, q=q, values=out)
 
 

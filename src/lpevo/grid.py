@@ -164,6 +164,11 @@ def _phase(grid: SpectralGrid) -> float:
     return (-1.0) ** (grid.d * (grid.n // 2))
 
 
+def _inverse_scale(grid: SpectralGrid) -> float:
+    """s = (2 pi)^(-d/2) dxi^d, the normalization of :func:`lattice_inverse`."""
+    return (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d
+
+
 def lattice_forward(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Riemann-sum Fourier transform of lattice samples onto the centered
     frequency lattice: (2*pi)^(-d/2) * dx^d * sum_j exp(-i x_j . xi_k) f(x_j).
@@ -180,7 +185,7 @@ def lattice_forward(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def lattice_inverse(
-    values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None, real: bool = False
+    values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None, real: bool = False, bare: bool = False
 ) -> np.ndarray:
     """Inverse of :func:`lattice_forward`; exact roundtrip on the lattice.
 
@@ -190,27 +195,51 @@ def lattice_inverse(
     real field: the storage indices 0..n/2 of the last spatial axis, that is
     the frequencies -n/2..0 along it, since f^(-xi) = conj f^(xi) gives the
     rest.  The real field is returned, by irfftn, and ``out`` must then be a
-    real array.  The parity sign is applied to ``values`` in place, so they
-    are overwritten.  The storage index c pairs with n - c mod n, so the
-    transform must be real at the self-paired Nyquist (c = 0) and zero
-    (c = n/2) entries; irfftn drops their imaginary parts.
+    real array.  Unless ``bare``, the parity sign is applied to ``values``
+    in place, so they are overwritten.  The storage index c pairs with
+    n - c mod n, so the transform must be real at the self-paired Nyquist
+    (c = 0) and zero (c = n/2) entries; irfftn drops their imaginary parts.
+
+    With ``bare``, only the FFT runs: ifftn, or irfftn on the Hermitian half,
+    with norm="forward", no parity sign and no scale.  The storage index c
+    carries the parity (-1)^c = exp(i pi c), a shift by n/2, so
+
+        bare(X) = ±roll(lattice_inverse(X), n/2 along each spatial axis) / s,
+
+    with s = (2 pi)^(-d/2) dxi^d and the sign (-1)^(j_1 + ... + j_d) of the
+    lattice point j: a phase that a modulus drops, and a constant a caller
+    can fold into X.  :func:`_bare_to_lattice` undoes the shift.  Bare mode
+    leaves ``values`` unchanged unless ``out`` is ``values``, on the full
+    lattice, where the FFT runs in place; with ``real`` they are kept, since
+    irfftn transforms a copy of them.
     """
     axes = _transform_axes(values, grid)
-    sign = _broadcast_sign(values, grid)
+    if real and values.shape[axes[-1]] != grid.n // 2 + 1:
+        raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
+    if not bare:
+        sign = _broadcast_sign(values, grid)
+        if real:
+            # the sign goes into values in place: a signed copy per batch of G
+            # would page-fault
+            np.multiply(values, sign[..., : grid.n // 2 + 1, :], out=values)
+        else:
+            values = out = np.multiply(values, sign, out=out, dtype=complex)
     if real:
-        if values.shape[axes[-1]] != grid.n // 2 + 1:
-            raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
-        # the sign goes into values in place: a signed copy per batch of G
-        # would page-fault
-        np.multiply(values, sign[..., : grid.n // 2 + 1, :], out=values)
         work = np.fft.irfftn(values, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
     else:
-        work = np.multiply(values, sign, out=out, dtype=complex)
-        # in place (numpy >= 2.0): a fresh array per batch of G would page-fault
-        np.fft.ifftn(work, axes=axes, norm="forward", out=work)
-    scale = _phase(grid) * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d
-    work *= _broadcast_sign(work, grid, scale)
+        # in place (numpy >= 2.0) when out is values: a fresh array per batch
+        # of G would page-fault
+        work = np.fft.ifftn(values, axes=axes, norm="forward", out=out)
+    if not bare:
+        work *= _broadcast_sign(work, grid, _phase(grid) * _inverse_scale(grid))
     return work
+
+
+def _bare_to_lattice(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Samples shaped (..., *spatial) rolled by n/2 along each spatial axis,
+    a new array: what a bare :func:`lattice_inverse` put on the lattice
+    shifted by half a period goes back to its lattice point."""
+    return np.roll(values, (grid.n // 2,) * grid.d, tuple(range(-grid.d, 0)))
 
 
 def vector_norm(values: np.ndarray) -> np.ndarray:

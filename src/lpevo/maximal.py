@@ -441,9 +441,10 @@ def sharp_parabolic(
         sums = np.zeros((2, count.size) + spatial)
         for rows, cls, seg in chunks:
             gathered = gather_buf[: rows.size * n**d].reshape((rows.size,) + spatial)
-            for field, total in zip(window, sums):
-                np.take(field, rows, axis=0, out=gathered, mode="clip")
-                total[cls[seg]] += np.add.reduceat(gathered, seg, axis=0)
+            # indexed, not bound to loop names, so no view outlives the shape
+            for k in range(2):
+                np.take(window[k], rows, axis=0, out=gathered, mode="clip")
+                sums[k, cls[seg]] += np.add.reduceat(gathered, seg, axis=0)
         mu = sums[0] / cells
 
         wrapped = np.pad(centred, [(0, 0)] + [(0, int(p.shifts[-1]))] * d, mode="wrap")
@@ -503,6 +504,9 @@ def sharp_parabolic(
                 pad[ax] = (mx, mx)
                 osc = _sliding_max(np.pad(osc, pad, mode="wrap"), mx, ax)
         np.maximum(sharp, osc, out=sharp)
+        # this shape's arrays go before the next shape allocates its own, so
+        # the transient peak is one shape's, not the sum of two
+        del chunks, window, sums, mu, wrapped, max_sum, osc
     return sharp
 
 

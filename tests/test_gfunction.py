@@ -6,6 +6,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 import lpevo.gfunction as gfunction
+import lpevo.grid as grid_module
 from lpevo.evolution import _gl_rule, integrated_symbol
 from lpevo.gfunction import (
     GFunctionResult,
@@ -370,21 +371,46 @@ class TestBatchedCore:
     # 144 nodes: more than one chunk of 128 (n^d m = 128) and not a multiple
     QUAD = QuadratureSpec(panels=20, order=6, split_levels=4)
 
+    # q = 3 under every variant and symbol kind; q = 2, 5 and 2.5 take the
+    # other branches of the power |u|_V^q (none, the square of |u|_V^2 times
+    # its square root, and pow) under ids of their own
+    CASES = [
+        pytest.param(variant, kind, 3.0, id=f"{variant}-{kind}")
+        for kind in ("static", "separable", "general")
+        for variant in ("g_function", "g_tilde")
+    ] + [
+        pytest.param("g_function", kind, q, id=f"g_function-{kind}-q{q:g}")
+        for q in (2.0, 5.0, 2.5)
+        for kind in ("static", "separable")
+    ]
+
     @pytest.mark.parametrize("d,n,m,real", _with_real((1, 64, 2), (1, 32, 1), (2, 8, 1), (2, 8, 2)))
-    @pytest.mark.parametrize("kind", ["static", "separable", "general"])
-    @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
-    def test_matches_per_node_reference(self, d, n, m, real, kind, variant):
+    @pytest.mark.parametrize("variant,kind,q", CASES)
+    def test_matches_per_node_reference(self, d, n, m, real, variant, kind, q):
         f = _random_field(d, n, m, nt=4, seed=20 + d + m, real=real)
         psi2 = _psi2(kind, d)
         psi1 = _modulated(1.0, d, amp=0.3, rate=1.0)
         quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
         if variant == "g_function":
-            got = g_function(f, psi1, psi2, l=0.2, a=f.grid.a, q=3.0, quad=quad).values
-            want = per_node_reference(f, psi1, psi2, 0.2, f.grid.a, 3.0, quad)
+            got = g_function(f, psi1, psi2, l=0.2, a=f.grid.a, q=q, quad=quad).values
+            want = per_node_reference(f, psi1, psi2, 0.2, f.grid.a, q, quad)
         else:
-            got = g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values
-            want = per_node_reference(f, psi1, psi2, None, f.grid.a, 3.0, quad)
+            got = g_tilde(f, psi1, psi2, a=f.grid.a, q=q, quad=quad).values
+            want = per_node_reference(f, psi1, psi2, None, f.grid.a, q, quad)
         assert np.max(want) > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    # s = (2 pi)^(-1) (pi / L)^2 is 1.6e-4 at L = 100, so summing |u / s|^q
+    # for |u| near 1 would overflow from q of about 80
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_large_q_keeps_the_range_of_the_signed_inverse(self, real):
+        f = _random_field(2, 8, 1, nt=4, seed=70, real=real)
+        f = SpaceTimeField(make_grid(2, 8, 100.0, f.grid.t_grid), 1, f.values)
+        psi1, psi2 = _modulated(1.0, 2, amp=0.3, rate=1.0), power_symbol(1.0, 2.0, d=2)
+        quad = QuadratureSpec(panels=4, order=4, split_levels=2)
+        got = g_function(f, psi1, psi2, l=0.2, a=f.grid.a, q=120.0, quad=quad).values
+        want = per_node_reference(f, psi1, psi2, 0.2, f.grid.a, 120.0, quad)
+        assert np.all(np.isfinite(got)) and np.max(want) > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
     # a real field under the drift symbol must keep the full lattice
@@ -463,6 +489,35 @@ class TestBatchedCore:
         )
         assert batches > sum(f.grid.t_grid > a)  # more than one batch per time
         assert calls == {"forward": 1, "inverse": batches}
+
+    # the setup of test_one_forward_and_one_inverse_per_batch
+    @pytest.mark.parametrize(
+        "d,n,m,real",
+        [
+            pytest.param(1, 64, 2, False, id="1-64-2"),
+            pytest.param(2, 16, 2, False, id="2-16-2"),
+            pytest.param(1, 128, 2, True, id="1-128-2-real"),
+            pytest.param(2, 16, 2, True, id="2-16-2-real"),
+        ],
+    )
+    def test_no_parity_sign_per_batch(self, monkeypatch, d, n, m, real):
+        # the bare inverse leaves the sign and scale to one pass per G: only
+        # the forward transform's two sign multiplies remain, however many
+        # batches the windows take
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return broadcast_sign(*args, **kwargs)
+
+        broadcast_sign = grid_module._broadcast_sign
+        monkeypatch.setattr(grid_module, "_broadcast_sign", counted)
+        f = _random_field(d, n, m, nt=5, seed=60, real=real)
+        for entries in (gfunction._CHUNK_ENTRIES, gfunction._CHUNK_ENTRIES // 4):
+            monkeypatch.setattr(gfunction, "_CHUNK_ENTRIES", entries)
+            calls.clear()
+            g_function(f, _modulated(1.0, d), power_symbol(1.0, 2.0, d=d), 0.0, 0.25, 3.0, self.QUAD)
+            assert len(calls) == 2
 
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
     def test_static_symbols_evaluated_once_per_g(self, variant):

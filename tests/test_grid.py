@@ -149,6 +149,38 @@ class TestLatticeArrays:
         with pytest.raises(ValueError, match="Hermitian half"):
             lattice_inverse(full, g, real=True)
 
+    # bare(X) = (-1)^(j_1 + ... + j_d) roll(lattice_inverse(X), n/2) / s
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_bare_inverse_is_shifted_and_unscaled(self, d, n, real):
+        g = make_grid(d, n, 0.75, [0.0, 1.0])
+        rng = np.random.default_rng(20 * d + n)
+        shape = (3,) + (n,) * d + (2,)
+        if real:
+            full = lattice_forward(rng.normal(size=shape), g)
+            vals = full[..., : n // 2 + 1, :].copy()
+            want = lattice_inverse(full, g).real
+        else:
+            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = lattice_inverse(vals, g)
+        given_vals = vals.copy()
+        out = np.empty(shape) if real else None
+        bare = lattice_inverse(vals, g, out=out, real=real, bare=True)
+        assert np.array_equal(vals, given_vals)  # bare mode leaves values as they were
+        s = (2 * np.pi) ** (-d / 2) * g.dxi**d
+        axes = tuple(range(1, d + 1))
+        back = np.roll(bare, (n // 2,) * d, axes)
+        tol = 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(np.abs(back) * s - np.abs(want))) <= tol
+        # the sign is the character (-1)^(j_1 + ... + j_d) of the lattice point
+        j = np.indices((n,) * d).sum(axis=0)
+        sign = np.where(j % 2 == 0, 1.0, -1.0).reshape((1,) + (n,) * d + (1,))
+        assert np.max(np.abs(np.roll(sign, (n // 2,) * d, axes) * back * s - want)) <= tol
+        if real:
+            with pytest.raises(ValueError, match="Hermitian half"):
+                lattice_inverse(full, g, real=True, bare=True)
+
     def test_real_input(self):
         g = make_grid(1, 16, 1.0, [0.0, 1.0])
         vals = np.random.default_rng(7).normal(size=(16, 1))
