@@ -9,7 +9,8 @@ composite Gauss-Legendre on panels anchored to one global lattice, evaluated
 by the one panel routine for separable coefficients and generic symbols
 alike.  Every window that ends at t shares the panels between its first
 anchor and t; for a separable symbol the square-function core integrates
-them once per t (:func:`_shared_panels`) and hands them to each call.
+them for every t at once (:func:`_shared_panels`) and hands each t's to
+its calls.
 """
 
 from __future__ import annotations
@@ -95,16 +96,34 @@ def _coefficient(symbol: SymbolSpec) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: symbol.time_coeff(np.maximum(r, 0.0))
 
 
-def _shared_panels(symbol: SymbolSpec, a: float, t: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The coefficient integrals over the panels shared by every window in
-    [a, t) that ends at t, for a separable time-dependent symbol, else None.
+def _shared_panels(
+    symbol: SymbolSpec, a: float, ts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """For each t of the 1-d array ts (all > a), :func:`_window_panels` of
+    the coefficient of a separable time-dependent symbol over [a, t), bit for
+    bit, else None.
 
-    The square-function core evaluates them once per output time and hands
-    them to :func:`integrated_symbol` as ``shared``.
+    The full panels between two anchors below max(ts) are integrated once,
+    together with each t's last panel, from its last anchor to t, in one
+    call of the coefficient.  The square-function core takes them once per
+    G and hands each output time's to :func:`integrated_symbol` as
+    ``shared``.
     """
     if symbol.time_independent or not symbol.separable:
         return None
-    return _window_panels(_coefficient(symbol), a, t)
+    # an empty ts, from a core with no output time after a, has no anchor
+    anchors = np.asarray(_panel_edges(a, float(np.max(ts, initial=a)))[1:-1])
+    below = np.searchsorted(anchors, ts)  # the anchors in (a, t) of each t
+    last = below > 0
+    lo = np.concatenate((anchors[:-1], anchors[below[last] - 1]))
+    hi = np.concatenate((anchors[1:], ts[last]))
+    integrals = _panels(_coefficient(symbol), lo, hi)
+    full, tails = np.split(integrals, [max(len(anchors) - 1, 0)])
+    tails = iter(tails)
+    return [
+        (np.append(anchors[:k], t), np.append(full[: k - 1], next(tails)) if k else full[:0])
+        for k, t in zip(below, ts)
+    ]
 
 
 def _frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
@@ -139,8 +158,8 @@ def integrated_symbol(
     raises ValueError.  ``factor`` and ``shared`` are internal precomputes
     for the square-function core: :func:`_frequency_factor` of this symbol
     on this xi, or its real part where the imaginary part is exactly zero,
-    and :func:`_shared_panels` of this symbol for a window start at or below
-    every s and this t.  They are not checked, so leave them None elsewhere;
+    and this t's entry of :func:`_shared_panels` of this symbol for a window
+    start at or below every s.  They are not checked, so leave them None elsewhere;
     generic symbols ignore them.  Every s must lie before t.
     """
     s = np.asarray(s, dtype=float)

@@ -11,20 +11,40 @@ fixed-order Gauss-Legendre per panel.  The first panel is refined
 geometrically toward u = 0 because the substitution trades the weight
 singularity for a u^(1/beta) Hölder kink of the transformed integrand there.
 
-The core works one output time t at a time and batches its s nodes: the
-time interpolation of the field's transform, the window multipliers
-exp(integral_s^t psi2) and the product with psi1 are built for a whole batch
-of nodes, which then takes one inverse transform.  The window exponents of a
-batch come from one :func:`lpevo.evolution.integrated_symbol` call on the
-batch's array of s nodes, the one path to the integrated symbol, so the core
-holds no symbol-specific code of its own; the frequency factor of psi2 is
-evaluated once per G, and the coefficient integrals of a separable psi2 over
-the panels that every window ending at t shares once per t, and both are
-handed to that call.
+The core works one output time t at a time and batches its s nodes: a
+batch takes the time interpolation of the field's transform, the product
+with its window multipliers exp(integral_s^t psi2) psi1 and one inverse
+transform.  The window exponents come from one
+:func:`lpevo.evolution.integrated_symbol` call on an array of s nodes, the
+one path to the integrated symbol, so the core holds no symbol-specific
+code of its own; the frequency factor of psi2 and the coefficient integrals
+of a separable psi2 over the panels shared by the windows ending at each t
+are taken once per G and handed to that call.
 
-Layout.  The field is transformed once, component-major, as a contiguous
-(T, m, n^d..., 1) array whose trailing singleton is the component axis of
-the (..., *spatial, component) convention, so each V component of a batch is
+Layout.  What runs how often:
+- per G: the forward transform, the time step f_hat[j+1] - f_hat[j], psi2's
+  frequency factor, a frozen psi1 or the stack of psi1 at every output time
+  with one Hermitian test of it, the shared panels of every output time
+  (:func:`lpevo.evolution._shared_panels`), and the final roll and root;
+- per output time: the quadrature, the interval index j and the weight
+  lambda of every node, so that a node's transform is
+  f_hat[j] + lambda * step[j];
+- per block of nodes: the window multipliers, from one integrated_symbol
+  call, one exp and one product with psi1.  A block holds whole batches and
+  at most _BLOCK_ENTRIES nodes x lattice points, one batch if a batch is
+  larger, which is a whole output time on every benchmark grid; a generic
+  psi2, with no time and frequency split, holds 8 complex panel values per
+  block entry while its block is integrated;
+- per batch: at most _CHUNK_ENTRIES complex entries (nodes x lattice points
+  x V components), the interpolated transform times the block's multipliers
+  in two work arrays, grown to the largest batch the quadrature gives and
+  kept for the rest of G, one bare inverse and the sum of w |u|_V^q.
+Blocks and batches are capped, so memory stays flat however many nodes the
+quadrature has.
+
+The field is transformed component-major, as a contiguous (T, m, n^d..., 1)
+array whose trailing singleton is the component axis of the
+(..., *spatial, component) convention, so each V component of a batch is
 its own contiguous transform.  When the field is real and the multipliers
 are Hermitian, m(-xi) = conj m(xi) for psi1 at every symbol time and for
 psi2's frequency factor, u is real: the core then keeps the Hermitian half
@@ -37,25 +57,19 @@ multiplied by s once per G, so a batch's bare inverse is u times a sign
 (-1)^(j_1 + ... + j_d) on the lattice shifted by half a period; |u|_V drops
 the sign, and the sums over nodes stay on the shifted lattice until all
 output times are done, when ``grid._bare_to_lattice``, one roll by n/2 per
-spatial axis, puts G in place.  The time step
-f_hat[j+1] - f_hat[j] is taken once, and a node's transform is
-f_hat[j] + lambda * step[j], with j and lambda taken once per output time
-for all of its nodes.  A batch holds at most _CHUNK_ENTRIES complex
-entries (nodes x lattice points x V components) in two work arrays
-allocated once per G; it is inverted in place, or on the half lattice into
-the floats of the second array, so memory stays flat however many nodes the
-quadrature has.
+spatial axis, puts G in place.  A batch is inverted in place, or on the
+half lattice into the floats of the second work array.
 
 Arithmetic.  The Hermitian tests, like the tests for an imaginary part that
 is exactly zero, are exact, not tolerances.  Where psi1 on the lattice or a
-batch's window exponents are real, only the real part is kept, so exp and
+block's window exponents are real, only the real part is kept, so exp and
 the products run on real arrays; a complex symbol keeps the complex path.
 |u|_V^2 is the sum over components of u^2 on the half lattice and of
 re^2 + im^2 on the full one, added component by component into one array;
 its power q/2 is x sqrt(x) for q = 3, x^2 sqrt(x) for q = 5, none for
-q = 2, and pow otherwise.  The per-node terms
-are summed in node order, the running sum added into the first term of each
-batch, so G is bit-identical whatever the batch size.  Against the signed,
+q = 2, and pow otherwise.  The per-node terms are summed in node order,
+the running sum added into the first term of each batch, so G is
+bit-identical whatever the batch and block sizes.  Against the signed,
 scaled inverse, the bare one moves G by a few units of roundoff: at most
 1.2e-15 relative, pointwise, on the benchmark's workloads.
 """
@@ -92,6 +106,12 @@ __all__ = [
 # complex entries (nodes x lattice points x V components) per batched inverse
 # transform; larger batches buy little speed for their memory
 _CHUNK_ENTRIES = 2**14
+# nodes x lattice points per block of window multipliers, which one
+# integrated_symbol call, one exp and one product with psi1 build: a whole
+# output time on the benchmark grids (640 x 64 entries at most), while the
+# block, 1 MiB complex, and a generic psi2's 8 panel values per entry, 8 MiB,
+# keep memory flat in the node count
+_BLOCK_ENTRIES = 2**16
 # ratio of the geometric refinement of the panel touching s = t
 _SPLIT_RATIO = 4.0
 
@@ -202,17 +222,18 @@ def _g_core(
     f_hat = lattice_forward(np.ascontiguousarray(np.moveaxis(f.values, -1, 1))[..., None], grid)
     xi = grid.freq_vectors()
     # psi2's frequency factor and a frozen psi1 are evaluated once per G, a
-    # psi1 that tracks the output time once per t
+    # psi1 that tracks the output time once per t, stacked in the lattice's
+    # shape even when no output time follows a
     factor2 = _frequency_factor(psi2, xi)
-    if l is None:
-        mults1 = (symbol_on_lattice(psi1, float(t_grid[i]), grid) for i in live)
-    else:
-        mults1 = [symbol_on_lattice(psi1, l, grid)]
+    times1 = t_grid[live] if l is None else [l]
+    mults1 = np.reshape([symbol_on_lattice(psi1, float(t), grid) for t in times1], (len(times1),) + spatial)
     # the Hermitian half of the lattice serves while u stays real
-    real = not np.any(f.values.imag) and factor2 is not None and _hermitian(factor2, grid.d)
-    if real:
-        mults1 = list(mults1)
-        real = all(_hermitian(m, grid.d) for m in mults1)
+    real = (
+        not np.any(f.values.imag)
+        and factor2 is not None
+        and _hermitian(factor2, grid.d)
+        and _hermitian(mults1, grid.d)
+    )
     cut = (..., slice(grid.n // 2 + 1 if real else grid.n))
     f_hat = np.ascontiguousarray(f_hat[cut + (slice(None),)])
     # the scale s that each batch's bare inverse leaves out, taken once per G:
@@ -220,56 +241,76 @@ def _g_core(
     f_hat *= _inverse_scale(grid)
     xi = xi[cut + (slice(None),)]
     factor2 = _real_if_exact(None if factor2 is None else factor2[cut])
-    mults1 = (_real_if_exact(m[cut]) for m in mults1)
+    mults1 = (_real_if_exact(m) for m in mults1[cut])
     if l is not None:
         mults1 = itertools.repeat(next(mults1))
+    # the coefficient integrals of a separable psi2 over the panels that each
+    # output time's windows share, taken once per G
+    shared = _shared_panels(psi2, a, t_grid[live])
+    shared = itertools.repeat(None) if shared is None else shared
     step = f_hat[1:] - f_hat[:-1]
     lattice = f_hat.shape[2:-1]
     chunk = max(1, _CHUNK_ENTRIES // (math.prod(lattice) * f.m))
-    # batch work arrays, allocated once per G: fresh ones would page-fault on
-    # every batch
-    rows = (min(chunk, (quad.panels + quad.split_levels) * quad.order),) + f_hat.shape[1:]
-    spec_buf, rows_buf = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex)
-    # on the half lattice the real u of a batch goes to the floats of
-    # rows_buf, whose transform rows are spent by then
-    field_floats = rows_buf.view(float).reshape(-1)
+    # a block of window multipliers holds whole batches
+    block = chunk * max(1, _BLOCK_ENTRIES // (chunk * math.prod(lattice)))
+    # batch work arrays, grown to the largest batch: fresh ones would
+    # page-fault on every batch
+    spec_buf = rows_buf = np.empty((0,) + f_hat.shape[1:], dtype=complex)
+    mult_buf = np.empty(0)  # the block's multipliers, grown likewise
     out = np.zeros((len(t_grid),) + spatial)
-    for i, mult1 in zip(live, mults1):
+    for i, mult1, panels in zip(live, mults1, shared):
         t = float(t_grid[i])
-        shared = _shared_panels(psi2, a, t)
         s_nodes, w_nodes = graded_quadrature(a, t, beta, quad)
         idx = np.clip(np.searchsorted(t_grid, s_nodes, side="right") - 1, 0, len(t_grid) - 2)
         lam = (s_nodes - t_grid[idx]) / (t_grid[idx + 1] - t_grid[idx])
+        if len(spec_buf) < min(chunk, len(s_nodes)):
+            shape = (min(chunk, len(s_nodes)),) + f_hat.shape[1:]
+            spec_buf, rows_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+            # on the half lattice the real u of a batch goes to the floats of
+            # rows_buf, whose transform rows are spent by then
+            field_floats = rows_buf.view(float).reshape(-1)
         acc = np.zeros(spatial)
-        for lo in range(0, len(s_nodes), chunk):
-            nodes = slice(lo, lo + chunk)
-            s, w = s_nodes[nodes], w_nodes[nodes]
-            # f_hat(s) = f_hat[idx] + lam * step[idx], times the batch multipliers
-            spec = np.take(step, idx[nodes], axis=0, out=spec_buf[: len(s)], mode="clip")
-            spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
-            spec += np.take(f_hat, idx[nodes], axis=0, out=rows_buf[: len(s)], mode="clip")
-            expo = _real_if_exact(integrated_symbol(psi2, s, t, xi, factor2, shared))
-            spec *= (mult1 * np.exp(expo, out=expo)).reshape((len(s), 1) + lattice + (1,))
-            if real:
-                # |u|_V^2 = sum over components of u^2
-                field = field_floats[: len(s) * f.m * math.prod(spatial)]
-                u = lattice_inverse(spec, grid, out=field.reshape((len(s), f.m) + spatial + (1,)), real=True, bare=True)
-                np.square(u, out=u)
-                terms = np.sum(u[..., 0], axis=1)
-            else:
-                # |u|_V^2 = sum over components of re^2 + im^2
-                sq = lattice_inverse(spec, grid, out=spec, bare=True).view(float)
-                np.square(sq, out=sq)
-                terms = np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1])
-                for c in range(1, f.m):
-                    terms += sq[:, c, ..., 0]
-                    terms += sq[:, c, ..., 1]
-            # w |u|_V^q in place: batch temporaries set the peak memory of G
-            _half_power(terms, q)
-            terms *= w.reshape((-1,) + (1,) * grid.d)
-            # adding acc into the first term keeps the node-by-node sum order
-            terms[0] += acc
-            acc = np.sum(terms, axis=0)
+        for start in range(0, len(s_nodes), block):
+            # the window multipliers exp(integral_s^t psi2) psi1 of a block go
+            # to a work array kept for the rest of G, as a fresh one would
+            # page-fault on every block; the exponents are dropped before the
+            # batches, so at most two blocks are held at once
+            expo = _real_if_exact(integrated_symbol(psi2, s_nodes[start : start + block], t, xi, factor2, panels))
+            dtype = np.result_type(expo, mult1)
+            if len(mult_buf) < len(expo) or mult_buf.dtype != dtype:
+                mult_buf = np.empty(expo.shape, dtype)
+            mults = np.exp(expo, out=mult_buf[: len(expo)])
+            del expo
+            mults *= mult1
+            for lo in range(start, start + len(mults), chunk):
+                nodes = slice(lo, lo + chunk)
+                w = w_nodes[nodes]
+                size = len(w)
+                # f_hat(s) = f_hat[idx] + lam * step[idx], times the batch multipliers
+                spec = np.take(step, idx[nodes], axis=0, out=spec_buf[:size], mode="clip")
+                spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
+                spec += np.take(f_hat, idx[nodes], axis=0, out=rows_buf[:size], mode="clip")
+                spec *= mults[lo - start : lo - start + size].reshape((size, 1) + lattice + (1,))
+                if real:
+                    # |u|_V^2 = sum over components of u^2
+                    field = field_floats[: size * f.m * math.prod(spatial)]
+                    u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True, bare=True)
+                    np.square(u, out=u)
+                    terms = np.sum(u[..., 0], axis=1)
+                else:
+                    # |u|_V^2 = sum over components of re^2 + im^2
+                    sq = lattice_inverse(spec, grid, out=spec, bare=True).view(float)
+                    np.square(sq, out=sq)
+                    terms = np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1])
+                    for c in range(1, f.m):
+                        terms += sq[:, c, ..., 0]
+                        terms += sq[:, c, ..., 1]
+                # w |u|_V^q in place: batch temporaries set the peak memory of G
+                _half_power(terms, q)
+                terms *= w.reshape((-1,) + (1,) * grid.d)
+                # adding acc into the first term keeps the node-by-node sum order
+                terms[0] += acc
+                acc = np.sum(terms, axis=0)
         out[i] = acc
     # the bare inverse leaves u on the lattice shifted by half a period: the
     # shift is undone once per G, into out, as a result allocated after the

@@ -191,14 +191,14 @@ def lattice_inverse(
 
     The result goes to ``out`` when given, which may be ``values`` itself.
 
-    With ``real``, ``values`` is the Hermitian half of the transform of a
-    real field: the storage indices 0..n/2 of the last spatial axis, that is
-    the frequencies -n/2..0 along it, since f^(-xi) = conj f^(xi) gives the
-    rest.  The real field is returned, by irfftn, and ``out`` must then be a
-    real array.  Unless ``bare``, the parity sign is applied to ``values``
-    in place, so they are overwritten.  The storage index c pairs with
-    n - c mod n, so the transform must be real at the self-paired Nyquist
-    (c = 0) and zero (c = n/2) entries; irfftn drops their imaginary parts.
+    With ``real``, which needs ``bare``, ``values`` is the Hermitian half of
+    the transform of a real field: the storage indices 0..n/2 of the last
+    spatial axis, that is the frequencies -n/2..0 along it, since
+    f^(-xi) = conj f^(xi) gives the rest.  The real field is returned, by
+    irfftn, and ``out`` must then be a real array.  The storage index c
+    pairs with n - c mod n, so the transform must be real at the
+    self-paired Nyquist (c = 0) and zero (c = n/2) entries; irfftn drops
+    their imaginary parts.
 
     With ``bare``, only the FFT runs: ifftn, or irfftn on the Hermitian half,
     with norm="forward", no parity sign and no scale.  The storage index c
@@ -214,22 +214,17 @@ def lattice_inverse(
     irfftn transforms a copy of them.
     """
     axes = _transform_axes(values, grid)
-    if real and values.shape[axes[-1]] != grid.n // 2 + 1:
-        raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
-    if not bare:
-        sign = _broadcast_sign(values, grid)
-        if real:
-            # the sign goes into values in place: a signed copy per batch of G
-            # would page-fault
-            np.multiply(values, sign[..., : grid.n // 2 + 1, :], out=values)
-        else:
-            values = out = np.multiply(values, sign, out=out, dtype=complex)
     if real:
-        work = np.fft.irfftn(values, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
-    else:
-        # in place (numpy >= 2.0) when out is values: a fresh array per batch
-        # of G would page-fault
-        work = np.fft.ifftn(values, axes=axes, norm="forward", out=out)
+        if not bare:
+            raise ValueError("the Hermitian half inverts bare only")
+        if values.shape[axes[-1]] != grid.n // 2 + 1:
+            raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
+        return np.fft.irfftn(values, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
+    if not bare:
+        values = out = np.multiply(values, _broadcast_sign(values, grid), out=out, dtype=complex)
+    # in place (numpy >= 2.0) when out is values: a fresh array per batch of G
+    # would page-fault
+    work = np.fft.ifftn(values, axes=axes, norm="forward", out=out)
     if not bare:
         work *= _broadcast_sign(work, grid, _phase(grid) * _inverse_scale(grid))
     return work

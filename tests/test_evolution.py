@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lpevo.evolution import _gl_rule, _shared_panels, integrated_symbol, symbol_on_lattice
+from lpevo.evolution import (
+    _coefficient, _gl_rule, _shared_panels, _window_panels, integrated_symbol, symbol_on_lattice,
+)
 from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, lebesgue_norm, make_grid
 from lpevo.symbols import SymbolSpec, power_symbol
 
@@ -171,15 +173,32 @@ class TestIntegratedSymbol:
         a, t = 0.1, 1.7
         s = np.linspace(a, 1.6, 37)
         xi = np.array([[0.0], [1.0], [-2.5]])
-        shared = _shared_panels(spec, a, t)
+        shared = _shared_panels(spec, a, np.array([t]))[0]
         assert len(calls) == 1
         for batch in np.array_split(s, 4):
             calls.clear()
             got = integrated_symbol(spec, batch, t, xi, shared=shared)
             assert len(calls) == 1
             assert np.array_equal(got, integrated_symbol(spec, batch, t, xi))
-        assert _shared_panels(power_symbol(1.0, 2.0), a, t) is None
-        assert _shared_panels(_generic(), a, t) is None
+        assert _shared_panels(power_symbol(1.0, 2.0), a, np.array([t])) is None
+        assert _shared_panels(_generic(), a, np.array([t])) is None
+
+    def test_shared_panels_of_every_output_time_in_one_call(self):
+        # every output time's shared panels from one coefficient call,
+        # bit-identical to each window's own: times below the first anchor,
+        # on an anchor, between anchors and past them
+        calls = []
+        spec = _modulated()
+        coeff = spec.time_coeff
+        spec = dataclasses.replace(spec, time_coeff=lambda r: calls.append(r.size) or coeff(r))
+        a = 0.1
+        ts = np.array([0.15, 0.25, 0.3, 0.5, 0.9, 1.7])
+        shared = _shared_panels(spec, a, ts)
+        assert len(calls) == 1 and len(shared) == len(ts)
+        for t, (edges, full) in zip(ts, shared):
+            want_edges, want_full = _window_panels(_coefficient(spec), a, float(t))
+            assert np.array_equal(edges, want_edges)
+            assert np.array_equal(full, want_full)
 
     def test_complex_time_coefficient_rejected(self):
         # the separable path, and the half lattice of real fields in G,

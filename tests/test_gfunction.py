@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,14 @@ class TestWindowStart:
         quad = QuadratureSpec(panels=4, order=2, split_levels=2)
         res = g_function(f, power_symbol(1.0, 1.0), power_symbol(1.0, 2.0), 0.0, 0.0, 2.0, quad)
         assert np.all(res.values[0] == 0) and np.all(res.values[1:] > 0)
+
+    # a real field under separable symbols takes the stacked Hermitian test
+    # of psi1 and the shared panels, both over no output time here
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_window_start_at_the_last_node_gives_zero(self, d):
+        f = _random_field(d, 8, 1, nt=4, seed=1, real=True)
+        res = g_tilde(f, _modulated(1.0, d), _modulated(2.0, d), a=float(f.grid.t_grid[-1]), q=3.0)
+        assert res.values.shape == (4,) + (8,) * d and not np.any(res.values)
 
 
 class TestGTilde:
@@ -449,9 +459,72 @@ class TestBatchedCore:
         results = []
         for entries in (per_node, 7 * per_node, gfunction._CHUNK_ENTRIES, 2**20):
             monkeypatch.setattr(gfunction, "_CHUNK_ENTRIES", entries)
-            results.append(g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values)
+            # multiplier blocks of one batch, of 10 nodes (fewer than a
+            # time's) and of a whole time
+            for block in (1, 10 * 32, gfunction._BLOCK_ENTRIES):
+                monkeypatch.setattr(gfunction, "_BLOCK_ENTRIES", block)
+                results.append(g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values)
         assert np.max(results[0]) > 0
         assert all(np.array_equal(results[0], r) for r in results[1:])
+
+    @pytest.mark.parametrize("kind", ["static", "separable"])
+    def test_one_multiplier_build_per_block(self, monkeypatch, kind):
+        # the window multipliers of all of a time's nodes come from one
+        # integrated_symbol call, though the time takes several batches;
+        # a smaller block cap splits them at whole batches
+        calls = []
+
+        def counted(psi, s, *args):
+            calls.append(len(s))
+            return integrated_symbol(psi, s, *args)
+
+        monkeypatch.setattr(gfunction, "integrated_symbol", counted)
+        f = _random_field(1, 64, 2, nt=5, seed=60)
+        a = 0.25
+        live = int(np.sum(f.grid.t_grid > a))
+        nodes = len(graded_quadrature(a, 1.0, 1.5, self.QUAD)[0])
+        for entries in (gfunction._CHUNK_ENTRIES, gfunction._CHUNK_ENTRIES // 4):
+            monkeypatch.setattr(gfunction, "_CHUNK_ENTRIES", entries)
+            chunk = entries // (64 * 2)
+            assert nodes > chunk  # more than one batch per time
+            # the default cap holds a whole time, the other three batches
+            for cap, block in [(gfunction._BLOCK_ENTRIES, nodes), (3 * chunk * 64, 3 * chunk)]:
+                monkeypatch.setattr(gfunction, "_BLOCK_ENTRIES", cap)
+                calls.clear()
+                g_function(f, _modulated(1.0, 1), _psi2(kind, 1), 0.0, a, 3.0, self.QUAD)
+                assert calls == [min(block, nodes - lo) for lo in range(0, nodes, block)] * live
+
+    def test_buffers_sized_from_the_quadrature_nodes(self, monkeypatch):
+        # a quadrature that returns each node twice at half weight: the batch
+        # buffers follow its node count, not the QuadratureSpec's
+        f = _random_field(1, 16, 1, nt=4, seed=80)
+        psi1, psi2 = _modulated(1.0, 1, amp=0.3, rate=1.0), power_symbol(1.0, 2.0)
+        quad = QuadratureSpec(4, 4, 2)
+        want = g_function(f, psi1, psi2, 0.2, f.grid.a, 3.0, quad).values
+
+        def doubled(*args):
+            s, w = graded_quadrature(*args)
+            return np.repeat(s, 2), np.repeat(w / 2.0, 2)
+
+        monkeypatch.setattr(gfunction, "graded_quadrature", doubled)
+        got = g_function(f, psi1, psi2, 0.2, f.grid.a, 3.0, quad).values
+        assert np.max(want) > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_peak_memory_flat_in_the_node_count(self):
+        # the multiplier blocks and batch buffers are capped, so 8 times the
+        # nodes per window leave the transient peak of G where it was
+        f = _random_field(2, 32, 1, nt=4, seed=90)
+        psi1, psi2 = _modulated(1.0, 2, amp=0.3, rate=1.0), power_symbol(1.0, 2.0, d=2)
+        peaks = []
+        for quad in (QuadratureSpec(8, 8, 4), QuadratureSpec(92, 8, 4)):
+            tracemalloc.start()
+            try:
+                g_function(f, psi1, psi2, 0.2, f.grid.a, 3.0, quad)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     # the real d = 1 case takes n = 128: at n = 64 the half lattice holds a
     # whole window's nodes in one batch

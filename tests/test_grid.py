@@ -133,28 +133,13 @@ class TestLatticeArrays:
         got = lattice_inverse(work, g, out=work)
         assert got is work and np.array_equal(got, want)
 
-    # n = 6 built directly, as in test_1d_matches_direct_sum
+    # bare(X) = (-1)^(j_1 + ... + j_d) roll(lattice_inverse(X), n/2) / s; n = 6,
+    # with n/2 odd, built directly, as in test_1d_matches_direct_sum
     @pytest.mark.parametrize("n", [6, 8, 16])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_real_inverse_of_the_hermitian_half(self, d, n):
-        g = SpectralGrid(d, n, 0.75, np.array([0.0, 1.0]))
-        field = np.random.default_rng(10 * d + n).normal(size=(3,) + (n,) * d + (2,))
-        full = lattice_forward(field, g)
-        want = lattice_inverse(full, g).real
-        out = np.empty_like(field)
-        got = lattice_inverse(full[..., : n // 2 + 1, :], g, out=out, real=True)
-        assert got is out and got.shape == field.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.max(np.abs(got - field)) <= 1e-13 * np.max(np.abs(field))
-        with pytest.raises(ValueError, match="Hermitian half"):
-            lattice_inverse(full, g, real=True)
-
-    # bare(X) = (-1)^(j_1 + ... + j_d) roll(lattice_inverse(X), n/2) / s
-    @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_bare_inverse_is_shifted_and_unscaled(self, d, n, real):
-        g = make_grid(d, n, 0.75, [0.0, 1.0])
+        g = SpectralGrid(d, n, 0.75, np.array([0.0, 1.0]))
         rng = np.random.default_rng(20 * d + n)
         shape = (3,) + (n,) * d + (2,)
         if real:
@@ -168,6 +153,7 @@ class TestLatticeArrays:
         out = np.empty(shape) if real else None
         bare = lattice_inverse(vals, g, out=out, real=real, bare=True)
         assert np.array_equal(vals, given_vals)  # bare mode leaves values as they were
+        assert bare.shape == shape
         s = (2 * np.pi) ** (-d / 2) * g.dxi**d
         axes = tuple(range(1, d + 1))
         back = np.roll(bare, (n // 2,) * d, axes)
@@ -178,8 +164,12 @@ class TestLatticeArrays:
         sign = np.where(j % 2 == 0, 1.0, -1.0).reshape((1,) + (n,) * d + (1,))
         assert np.max(np.abs(np.roll(sign, (n // 2,) * d, axes) * back * s - want)) <= tol
         if real:
+            assert bare is out
             with pytest.raises(ValueError, match="Hermitian half"):
                 lattice_inverse(full, g, real=True, bare=True)
+            # the Hermitian half has no signed inverse
+            with pytest.raises(ValueError, match="bare only"):
+                lattice_inverse(vals, g, out=out, real=True)
 
     def test_real_input(self):
         g = make_grid(1, 16, 1.0, [0.0, 1.0])
