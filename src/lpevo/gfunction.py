@@ -17,15 +17,13 @@ with its window multipliers exp(integral_s^t psi2) psi1 and one inverse
 transform.  The window exponents come from one
 :func:`lpevo.evolution.integrated_symbol` call on an array of s nodes, the
 one path to the integrated symbol, so the core holds no symbol-specific
-code of its own; the frequency factor of psi2 and the coefficient integrals
-of a separable psi2 over the panels shared by the windows ending at each t
-are taken once per G and handed to that call.
+code of its own; the frequency factor of psi2 is taken once per G and
+handed to that call.
 
 Layout.  What runs how often:
 - per G: the forward transform, the time step f_hat[j+1] - f_hat[j], psi2's
   frequency factor, a frozen psi1 or the stack of psi1 at every output time
-  with one Hermitian test of it, the shared panels of every output time
-  (:func:`lpevo.evolution._shared_panels`), and the final roll and root;
+  with one Hermitian test of it, and the final roll and root;
 - per output time: the quadrature, the interval index j and the weight
   lambda of every node, so that a node's transform is
   f_hat[j] + lambda * step[j];
@@ -78,6 +76,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +85,7 @@ from lpevo.grid import (
     SpaceTimeField, SpectralGrid, _bare_to_lattice, _inverse_scale, lattice_forward, lattice_inverse, lp_norm,
 )
 from lpevo.symbols import SymbolSpec
-from lpevo.evolution import (
-    _frequency_factor,
-    _gl_rule,
-    _shared_panels,
-    integrated_symbol,
-    symbol_on_lattice,
-)
+from lpevo.evolution import _frequency_factor, _gl_rule, integrated_symbol, symbol_on_lattice
 
 __all__ = [
     "QuadratureSpec",
@@ -130,6 +123,12 @@ class QuadratureSpec:
     order: int = 8
     split_levels: int = 16
 
+    def __post_init__(self):
+        for name, least in (("panels", 1), ("order", 1), ("split_levels", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
 
 def graded_quadrature(
     a: float, t: float, beta: float, quad: QuadratureSpec = QuadratureSpec()
@@ -139,10 +138,10 @@ def graded_quadrature(
     Exact substitution u = (t-s)^beta; panel edges are the graded mesh
     u_k = (t-a)^beta * k/K, i.e. s_k = t - (t-a)(k/K)^(1/beta).
     """
-    if t <= a:
-        raise ValueError("window requires t > a")
-    if beta <= 0:
-        raise ValueError("weight exponent beta must be positive")
+    if not -np.inf < a < t < np.inf:
+        raise ValueError(f"window requires finite a < t, got a={a}, t={t}")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"weight exponent beta must be positive and finite, got {beta}")
     big_u = (t - a) ** beta
     first = big_u / quad.panels
     sub = [first * _SPLIT_RATIO**-j for j in range(quad.split_levels, 0, -1)]
@@ -206,8 +205,10 @@ def _g_core(
     f: SpaceTimeField, psi1: SymbolSpec, psi2: SymbolSpec, l: float | None, a: float, q: float, quad: QuadratureSpec
 ) -> GFunctionResult:
     """G f, with psi1 frozen at symbol time l, or at the output time if l is None."""
-    if q < 2:
-        raise ValueError(f"square function requires q >= 2, got {q}")
+    if not 2 <= q < np.inf:
+        raise ValueError(f"square function requires 2 <= q < inf, got {q}")
+    if not np.isfinite(a):
+        raise ValueError(f"window start must be finite, got {a}")
     grid = f.grid
     # tolerances relative to the time span, so they hold in any time unit
     span = grid.b - grid.a
@@ -244,10 +245,6 @@ def _g_core(
     mults1 = (_real_if_exact(m) for m in mults1[cut])
     if l is not None:
         mults1 = itertools.repeat(next(mults1))
-    # the coefficient integrals of a separable psi2 over the panels that each
-    # output time's windows share, taken once per G
-    shared = _shared_panels(psi2, a, t_grid[live])
-    shared = itertools.repeat(None) if shared is None else shared
     step = f_hat[1:] - f_hat[:-1]
     lattice = f_hat.shape[2:-1]
     chunk = max(1, _CHUNK_ENTRIES // (math.prod(lattice) * f.m))
@@ -258,7 +255,7 @@ def _g_core(
     spec_buf = rows_buf = np.empty((0,) + f_hat.shape[1:], dtype=complex)
     mult_buf = np.empty(0)  # the block's multipliers, grown likewise
     out = np.zeros((len(t_grid),) + spatial)
-    for i, mult1, panels in zip(live, mults1, shared):
+    for i, mult1 in zip(live, mults1):
         t = float(t_grid[i])
         s_nodes, w_nodes = graded_quadrature(a, t, beta, quad)
         idx = np.clip(np.searchsorted(t_grid, s_nodes, side="right") - 1, 0, len(t_grid) - 2)
@@ -275,7 +272,7 @@ def _g_core(
             # to a work array kept for the rest of G, as a fresh one would
             # page-fault on every block; the exponents are dropped before the
             # batches, so at most two blocks are held at once
-            expo = _real_if_exact(integrated_symbol(psi2, s_nodes[start : start + block], t, xi, factor2, panels))
+            expo = _real_if_exact(integrated_symbol(psi2, s_nodes[start : start + block], t, xi, factor2))
             dtype = np.result_type(expo, mult1)
             if len(mult_buf) < len(expo) or mult_buf.dtype != dtype:
                 mult_buf = np.empty(expo.shape, dtype)

@@ -95,8 +95,8 @@ def make_grid(d: int, n: int, half_length: float, t_nodes: Sequence[float]) -> S
         raise ValueError(f"spatial dimension must be 1 or 2, got {d}")
     if not _is_power_of_two(n) or n < 8:
         raise ValueError(f"n must be a power of two >= 8, got {n}")
-    if half_length <= 0:
-        raise ValueError("half_length must be positive")
+    if not 0 < half_length < np.inf:
+        raise ValueError(f"half_length must be positive and finite, got {half_length}")
     t = np.asarray(t_nodes, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("t_nodes must contain at least two nodes")

@@ -528,6 +528,11 @@ class FiltrationLevel:
         return self.time_side * self.space_side**d
 
 
+def _cells_per_side(level: FiltrationLevel, dt: float, dx: float) -> tuple[int, int]:
+    """The cells along a time side and along a space side of a level's cubes."""
+    return int(round(level.time_side / dt)), int(round(level.space_side / dx))
+
+
 def _dyadic_exponent(value: float, name: str) -> int:
     e = round(math.log2(value))
     if not np.isclose(value, 2.0**e, rtol=1e-9):
@@ -575,23 +580,16 @@ def filtration_sharp(
     dt = _uniform_dt(grid)
     levels = build_filtration_levels(grid, gamma)
     cell_meas = dt * grid.dx**grid.d
-    T = values.shape[0]
     d = grid.d
     sharp = np.zeros_like(values)
-    it_cells = np.arange(T)
+    it_cells = np.arange(values.shape[0])
     ix_cells = np.arange(grid.n)
     for level in levels:
-        cpt = int(round(level.time_side / dt))
-        cpx = int(round(level.space_side / grid.dx))
+        cpt, cpx = _cells_per_side(level, dt, grid.dx)
         ti = it_cells // cpt
         xi = ix_cells // cpx
-        nt, nx = ti[-1] + 1, xi[-1] + 1
-        if d == 1:
-            flat = (ti[:, None] * nx + xi[None, :]).ravel()
-        else:
-            flat = (
-                ti[:, None, None] * nx * nx + xi[None, :, None] * nx + xi[None, None, :]
-            ).ravel()
+        # the flat index of each cell's cube on the (time, space...) cube grid
+        flat = np.ravel_multi_index(np.ix_(ti, *[xi] * d), (ti[-1] + 1,) + (xi[-1] + 1,) * d).ravel()
         counts = np.bincount(flat)
         sums = np.bincount(flat, weights=values.ravel())
         cube_meas = level.cube_measure(d)
@@ -611,8 +609,7 @@ def nested_n1(grid: SpectralGrid, gamma: float) -> float:
     dt = _uniform_dt(grid)
     best = 0.0
     for level in build_filtration_levels(grid, gamma):
-        cpt = int(round(level.time_side / dt))
-        cpx = int(round(level.space_side / grid.dx))
+        cpt, cpx = _cells_per_side(level, dt, grid.dx)
         r0 = containment_radius(level, grid)
         mt, mx = _window_halfwidths(r0, gamma, dt, grid.dx)
         if mt < cpt - 1 or mx < cpx - 1:
@@ -626,8 +623,7 @@ def containment_radius(level: FiltrationLevel, grid: SpectralGrid) -> float:
     """Smallest parabolic-cube radius whose lattice window contains the
     level cube from any of the cube's own cells."""
     dt = _uniform_dt(grid)
-    cpt = int(round(level.time_side / dt))
-    cpx = int(round(level.space_side / grid.dx))
+    cpt, cpx = _cells_per_side(level, dt, grid.dx)
     r_time = (cpt - 1) * dt if cpt > 1 else 0.0
     r_space = ((cpx - 1) * grid.dx) ** level.gamma if cpx > 1 else 0.0
     base = max(r_time, r_space, 0.25 * min(dt, grid.dx**level.gamma))

@@ -86,8 +86,8 @@ class SymbolSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.mu <= 0 or self.gamma <= 0:
-            raise ValueError("kappa, mu, gamma must all be positive")
+        if not all(0 < c < np.inf for c in (self.kappa, self.mu, self.gamma)):
+            raise ValueError("kappa, mu, gamma must all be positive and finite")
         if self.n_derivs < self.d // 2 + 1:
             raise ValueError("n_derivs must be at least floor(d/2)+1")
         if self.class_flag not in (CLASS_S, CLASS_S_T):

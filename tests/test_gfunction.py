@@ -68,6 +68,8 @@ class TestGradedQuadrature:
             QuadratureSpec(panels=16, order=4, split_levels=8),
             QuadratureSpec(panels=3, order=1, split_levels=0),
             QuadratureSpec(panels=7, order=5, split_levels=3),
+            # the least knobs, one a numpy integer
+            QuadratureSpec(panels=np.int64(1), order=1, split_levels=0),
         ],
     )
     def test_matches_panel_loop_reference(self, a, t, quad):
@@ -110,6 +112,36 @@ class TestGradedQuadrature:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             graded_quadrature(1.0, 1.0, 1.0)
+
+    # each of these once passed silently, to NaN nodes or zero weights
+    @pytest.mark.parametrize(
+        "a, t, beta",
+        [
+            (0.0, np.nan, 1.0), (np.nan, 1.0, 1.0), (0.0, np.inf, 1.0),
+            (-np.inf, 1.0, 1.0), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+        ],
+    )
+    def test_rejects_non_finite_window_or_beta(self, a, t, beta):
+        with pytest.raises(ValueError):
+            graded_quadrature(a, t, beta)
+
+    # panels=2.5 once gave window weights summing to 0.6 where 0.5 is exact,
+    # and a negative split_levels counted as none
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"panels": 2.5},
+            {"panels": 0},
+            {"panels": "8"},
+            {"order": 0},
+            {"order": 4.0},
+            {"split_levels": -1},
+            {"split_levels": None},
+        ],
+    )
+    def test_spec_rejects_non_integer_or_out_of_range_knobs(self, knobs):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**knobs)
 
 
 class TestSingleModeOracle:
@@ -156,6 +188,19 @@ class TestGFunctionBasics:
         f = SpaceTimeField(grid, 1, np.zeros((5, 32, 1)))
         with pytest.raises(ValueError):
             g_function(f, power_symbol(1.0, 1.0), power_symbol(1.0, 2.0), 0.0, 0.0, 1.5)
+
+    # q = inf once gave G = 1 and a = nan all zeros, with no error
+    @pytest.mark.parametrize("a, q", [(0.0, np.inf), (0.0, np.nan), (np.nan, 2.0), (np.inf, 2.0), (-np.inf, 2.0)])
+    @pytest.mark.parametrize("frozen", [True, False], ids=["g_function", "g_tilde"])
+    def test_rejects_non_finite_q_or_window_start(self, a, q, frozen):
+        grid = _grid(n=32, nt=5)
+        f = SpaceTimeField(grid, 1, np.ones((5, 32, 1)))
+        psi1, psi2 = power_symbol(1.0, 1.0), power_symbol(1.0, 2.0)
+        with pytest.raises(ValueError):
+            if frozen:
+                g_function(f, psi1, psi2, 0.0, a, q)
+            else:
+                g_tilde(f, psi1, psi2, a, q)
 
     def test_failing_class_check_warns_not_fatal(self):
         from lpevo.symbols import SymbolSpec
@@ -219,7 +264,7 @@ class TestWindowStart:
         assert np.all(res.values[0] == 0) and np.all(res.values[1:] > 0)
 
     # a real field under separable symbols takes the stacked Hermitian test
-    # of psi1 and the shared panels, both over no output time here
+    # of psi1, over no output time here
     @pytest.mark.parametrize("d", [1, 2])
     def test_window_start_at_the_last_node_gives_zero(self, d):
         f = _random_field(d, 8, 1, nt=4, seed=1, real=True)

@@ -40,6 +40,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 8, 1.0, [0.0, 1.0, 0.5])
 
+    @pytest.mark.parametrize("half_length", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_half_length_not_positive_and_finite(self, half_length):
+        with pytest.raises(ValueError, match="half_length"):
+            make_grid(1, 8, half_length, [0.0, 1.0])
+
     def test_2d_freq_step(self):
         g = make_grid(2, 16, 8.0, [0.0, 0.5, 1.0])
         # direct arithmetic pi*k/L

@@ -1,9 +1,11 @@
 """Every name that a module of the package exports must resolve, so a
 deleted function cannot leave a stale entry in ``__all__``; every name a
 submodule exports, and every parameter with a default it takes, must have a
-consumer outside the tests; and the package needs numpy alone."""
+consumer outside the tests; every private helper must have one inside the
+package; and the package needs numpy alone."""
 
 import ast
+import collections
 import dataclasses
 import importlib
 import inspect
@@ -43,17 +45,38 @@ def test_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _name_uses(node: ast.AST) -> collections.Counter:
+    """How often each Name, Attribute and imported alias occurs under node."""
+    uses = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            uses[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            uses[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            uses.update(alias.name for alias in sub.names)
+    return uses
+
+
 def _used_names(path: Path) -> set[str]:
     """Every Name, Attribute and imported alias that a source file uses."""
-    used = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            used.update(alias.name for alias in node.names)
-    return used
+    return set(_name_uses(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_every_private_helper_has_a_consumer_in_the_package():
+    # a private function or class that only its own body or the tests use
+    # is a helper kept alive for its tests: surface to delete
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))]
+    uses = sum((_name_uses(tree) for tree in trees), collections.Counter())
+    unused = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and uses[node.name] == _name_uses(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_every_export_has_a_consumer():

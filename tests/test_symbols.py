@@ -68,6 +68,14 @@ class TestEvalSymbol:
             eval_symbol(bad, 0.0, np.array([1.0]))
 
 
+class TestSymbolSpec:
+    @pytest.mark.parametrize("constant", ["kappa", "mu", "gamma"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_constants_not_positive_and_finite(self, constant, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            replace(power_symbol(1.0, 2.0), **{constant: value})
+
+
 class TestClassCheck:
     def test_power_symbol_passes_all(self):
         spec = power_symbol(kappa=1.0, gamma=2.0, n_derivs=2)
