@@ -113,6 +113,8 @@ def integrated_symbol(
         factor = _frequency_factor(symbol, xi)
     if symbol.time_independent:
         return (t - s).reshape(lead) * factor
+    if not s.size:  # no window start: no panel to integrate
+        return np.zeros(s.shape + xi.shape[:-1], dtype=complex)
     if symbol.separable:
         coeff = _panel_integrals(_coefficient(symbol), s.ravel(), t)
         # the core's Hermitian half of the lattice relies on a real coefficient

@@ -23,7 +23,7 @@ handed to that call.
 Layout.  What runs how often:
 - per G: the forward transform, the time step f_hat[j+1] - f_hat[j], psi2's
   frequency factor, a frozen psi1 or the stack of psi1 at every output time
-  with one Hermitian test of it, and the final roll and root;
+  with one Hermitian test of it, and the final root;
 - per output time: the quadrature, the interval index j and the weight
   lambda of every node, so that a node's transform is
   f_hat[j] + lambda * step[j];
@@ -36,7 +36,7 @@ Layout.  What runs how often:
 - per batch: at most _CHUNK_ENTRIES complex entries (nodes x lattice points
   x V components), the interpolated transform times the block's multipliers
   in two work arrays, grown to the largest batch the quadrature gives and
-  kept for the rest of G, one bare inverse and the sum of w |u|_V^q.
+  kept for the rest of G, one inverse transform and the sum of w |u|_V^q.
 Blocks and batches are capped, so memory stays flat however many nodes the
 quadrature has.
 
@@ -46,17 +46,11 @@ array whose trailing singleton is the component axis of the
 its own contiguous transform.  When the field is real and the multipliers
 are Hermitian, m(-xi) = conj m(xi) for psi1 at every symbol time and for
 psi2's frequency factor, u is real: the core then keeps the Hermitian half
-of the lattice, the indices 0..n/2 of the last spatial axis, and inverts
-through ``lattice_inverse(..., real=True)``.  Anything else, a psi2 with no
-frequency factor included, keeps the full lattice.  Every batch inverts
-bare, ``lattice_inverse(..., bare=True)``: the FFT alone, without the parity
-signs and the scale s = (2 pi)^(-d/2) dxi^d.  The transformed field is
-multiplied by s once per G, so a batch's bare inverse is u times a sign
-(-1)^(j_1 + ... + j_d) on the lattice shifted by half a period; |u|_V drops
-the sign, and the sums over nodes stay on the shifted lattice until all
-output times are done, when ``grid._bare_to_lattice``, one roll by n/2 per
-spatial axis, puts G in place.  A batch is inverted in place, or on the
-half lattice into the floats of the second work array.
+of the lattice, the indices 0..n/2 of the last spatial axis, from the zero
+frequency to the Nyquist in the lattice's FFT order, and inverts through
+``lattice_inverse(..., real=True)``.  Anything else, a psi2 with no
+frequency factor included, keeps the full lattice.  A batch is inverted in
+place, or on the half lattice into the floats of the second work array.
 
 Arithmetic.  The Hermitian tests, like the tests for an imaginary part that
 is exactly zero, are exact, not tolerances.  Where psi1 on the lattice or a
@@ -64,12 +58,10 @@ block's window exponents are real, only the real part is kept, so exp and
 the products run on real arrays; a complex symbol keeps the complex path.
 |u|_V^2 is the sum over components of u^2 on the half lattice and of
 re^2 + im^2 on the full one, added component by component into one array;
-its power q/2 is x sqrt(x) for q = 3, x^2 sqrt(x) for q = 5, none for
-q = 2, and pow otherwise.  The per-node terms are summed in node order,
-the running sum added into the first term of each batch, so G is
-bit-identical whatever the batch and block sizes.  Against the signed,
-scaled inverse, the bare one moves G by a few units of roundoff: at most
-1.2e-15 relative, pointwise, on the benchmark's workloads.
+its power q/2 is x sqrt(x) for q = 3, none for q = 2, and pow otherwise.
+The per-node terms are summed in node order, the running sum added into the
+first term of each batch, so G is bit-identical whatever the batch and
+block sizes.
 """
 
 from __future__ import annotations
@@ -81,9 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lpevo.grid import (
-    SpaceTimeField, SpectralGrid, _bare_to_lattice, _inverse_scale, lattice_forward, lattice_inverse, lp_norm,
-)
+from lpevo.grid import SpaceTimeField, SpectralGrid, lattice_forward, lattice_inverse, lp_norm
 from lpevo.symbols import SymbolSpec
 from lpevo.evolution import _frequency_factor, _gl_rule, integrated_symbol, symbol_on_lattice
 
@@ -180,23 +170,18 @@ def _real_if_exact(x: np.ndarray | None) -> np.ndarray | None:
 def _hermitian(x: np.ndarray, d: int) -> bool:
     """Whether x(-xi) = conj x(xi) exactly on the trailing d lattice axes.
 
-    The storage index c pairs with n - c mod n, so the self-paired Nyquist
-    (c = 0) and zero (c = n/2) entries must be real.  An exact test, not a
+    In FFT order the index c pairs with n - c mod n, so the self-paired zero
+    (c = 0) and Nyquist (c = n/2) entries must be real.  An exact test, not a
     tolerance."""
     axes = tuple(range(x.ndim - d, x.ndim))
     return bool(np.array_equal(np.roll(np.flip(x, axes), 1, axes), np.conj(x)))
 
 
 def _half_power(x: np.ndarray, q: float) -> None:
-    """x^(q/2) in place, for x >= 0: x sqrt(x) for q = 3 and x^2 sqrt(x) for
-    q = 5, since numpy squares without pow and pow costs about twice a square
-    root and a product; pow for any other q but 2.  From q = 7 on, x^3 is a
-    pow itself and x^k sqrt(x) is slower than one pow."""
-    if q in (3.0, 5.0):
-        root = np.sqrt(x)
-        if q == 5.0:
-            np.square(x, out=x)
-        x *= root
+    """x^(q/2) in place, for x >= 0: x sqrt(x) for q = 3, since pow costs
+    about twice a square root and a product; pow for any other q but 2."""
+    if q == 3.0:
+        x *= np.sqrt(x)
     elif q != 2.0:
         x **= q / 2.0
 
@@ -237,9 +222,6 @@ def _g_core(
     )
     cut = (..., slice(grid.n // 2 + 1 if real else grid.n))
     f_hat = np.ascontiguousarray(f_hat[cut + (slice(None),)])
-    # the scale s that each batch's bare inverse leaves out, taken once per G:
-    # u, and so |u|^q, keeps the range of the signed inverse
-    f_hat *= _inverse_scale(grid)
     xi = xi[cut + (slice(None),)]
     factor2 = _real_if_exact(None if factor2 is None else factor2[cut])
     mults1 = (_real_if_exact(m) for m in mults1[cut])
@@ -291,12 +273,12 @@ def _g_core(
                 if real:
                     # |u|_V^2 = sum over components of u^2
                     field = field_floats[: size * f.m * math.prod(spatial)]
-                    u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True, bare=True)
+                    u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True)
                     np.square(u, out=u)
                     terms = np.sum(u[..., 0], axis=1)
                 else:
                     # |u|_V^2 = sum over components of re^2 + im^2
-                    sq = lattice_inverse(spec, grid, out=spec, bare=True).view(float)
+                    sq = lattice_inverse(spec, grid, out=spec).view(float)
                     np.square(sq, out=sq)
                     terms = np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1])
                     for c in range(1, f.m):
@@ -309,10 +291,7 @@ def _g_core(
                 terms[0] += acc
                 acc = np.sum(terms, axis=0)
         out[i] = acc
-    # the bare inverse leaves u on the lattice shifted by half a period: the
-    # shift is undone once per G, into out, as a result allocated after the
-    # batch temporaries would fragment the heap of a caller that keeps many
-    np.power(_bare_to_lattice(out, grid), 1.0 / q, out=out)
+    np.power(out, 1.0 / q, out=out)
     return GFunctionResult(grid=grid, q=q, values=out)
 
 

@@ -1,15 +1,30 @@
-"""Discrete space-time grids, lattice Fourier transforms, and Lebesgue norms.
+"""Discrete space-time grids, the lattice Fourier pair, and Lebesgue norms.
 
 The spatial domain is the periodic box [-L, L)^d sampled on n points per
-axis; the frequency lattice is xi_k = pi*k/L for k in [-n/2, n/2).  With
-the symmetric (2*pi)^(-d/2) transform normalization the forward/inverse
-lattice transforms below are exact inverses of each other and satisfy
-Parseval's identity on the lattice.
+axis, x_j = x_0 + j dx with the corner x_0 = (-L, ..., -L) and dx = 2L/n.
+The frequency lattice :attr:`SpectralGrid.freq` is xi_k = pi k / L for the
+wave numbers k in [-n/2, n/2), stored in FFT order: index 0 holds the zero
+frequency, index n/2 the Nyquist wave number -n/2, and the negative wave
+numbers follow it.
+
+The lattice pair takes Fourier-series coefficients relative to the corner:
+
+    F_k = n^(-d) sum_j f(x_j) exp(-i (x_j - x_0) . xi_k)    (lattice_forward)
+    f(x_j) = sum_k F_k exp(i (x_j - x_0) . xi_k)           (lattice_inverse)
+
+that is fftn and ifftn with norm="forward": exact inverses of each other,
+with the mean of |f|^2 equal to the sum of |F_k|^2.  A multiplier m(xi)
+acts by lattice_inverse(m F); that is the periodic convolution of f with the
+kernel K(j dx) = lattice_inverse(m)[j] / (2L)^d against dx^d.  For f
+smooth and decaying inside the box, (2L)^d (2 pi)^(-d/2) (-1)^(k_1+...+k_d)
+F_k approximates the continuous transform (2 pi)^(-d/2) int f e^(-i x.xi)
+dx at xi_k.  A real f has F_(-k) = conj F_k, so the indices 0..n/2 of the
+last spatial axis, numpy's rfft layout, hold all of it: the Hermitian half
+that ``lattice_inverse(..., real=True)`` takes.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,13 +85,8 @@ class SpectralGrid:
 
     @property
     def freq(self) -> np.ndarray:
-        """Frequency lattice along one axis: pi*k/L, k in [-n/2, n/2)."""
-        k = np.arange(self.n) - self.n // 2
-        return np.pi * k / self.half_length
-
-    @property
-    def dxi(self) -> float:
-        return np.pi / self.half_length
+        """Frequency lattice along one axis: pi*k/L, k in [-n/2, n/2), in FFT order."""
+        return np.pi * np.fft.fftfreq(self.n, 1.0 / self.n) / self.half_length
 
     def freq_vectors(self) -> np.ndarray:
         """All lattice frequencies stacked as an (n^d..., d) array."""
@@ -125,16 +135,6 @@ class SpaceTimeField:
         object.__setattr__(self, "values", values)
 
 
-@functools.cache
-def _parity_sign(n: int, d: int) -> np.ndarray:
-    """(-1)^(c_1 + ... + c_d) over the storage indices of an n^d array,
-    built once per (n, d)."""
-    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    out = s if d == 1 else np.multiply.outer(s, s)
-    out.flags.writeable = False
-    return out
-
-
 def _transform_axes(values: np.ndarray, grid: SpectralGrid) -> tuple[int, ...]:
     """Spatial axes by convention: values are (..., *spatial, m)."""
     if values.ndim < grid.d + 1:
@@ -142,99 +142,35 @@ def _transform_axes(values: np.ndarray, grid: SpectralGrid) -> tuple[int, ...]:
     return tuple(range(values.ndim - 1 - grid.d, values.ndim - 1))
 
 
-def _broadcast_sign(values: np.ndarray, grid: SpectralGrid, scale: float | None = None) -> np.ndarray:
-    """(-1)^(c_1 + ... + c_d), times ``scale`` if given, shaped to broadcast
-    over ``values``.
-
-    With n even, x_j = -L + j dx and xi_c = pi (c - n/2) / L, each axis has
-    exp(-i x_j xi_c) = (-1)^(n/2) (-1)^c (-1)^j exp(-2 pi i c j / n), so both
-    lattice transforms are a plain FFT between two parity-sign multiplies,
-    the second carrying (-1)^(d n/2) and the normalization: no shift of the
-    centred lattice.
-    """
-    sign = _parity_sign(grid.n, grid.d)
-    if scale is not None:
-        sign = sign * scale
-    lead = values.ndim - 1 - grid.d
-    return sign.reshape((1,) * lead + sign.shape + (1,))
-
-
-def _phase(grid: SpectralGrid) -> float:
-    """(-1)^(d n/2), carried by the second parity-sign multiply."""
-    return (-1.0) ** (grid.d * (grid.n // 2))
-
-
-def _inverse_scale(grid: SpectralGrid) -> float:
-    """s = (2 pi)^(-d/2) dxi^d, the normalization of :func:`lattice_inverse`."""
-    return (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dxi**grid.d
-
-
 def lattice_forward(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Riemann-sum Fourier transform of lattice samples onto the centered
-    frequency lattice: (2*pi)^(-d/2) * dx^d * sum_j exp(-i x_j . xi_k) f(x_j).
+    """The coefficients F_k of lattice samples, in FFT order (module docstring).
 
     ``values`` follow the (..., *spatial, component) axis convention; leading
     axes (e.g. time) pass through untouched.
     """
-    axes = _transform_axes(values, grid)
-    work = np.multiply(values, _broadcast_sign(values, grid), dtype=complex)
-    np.fft.fftn(work, axes=axes, out=work)
-    scale = _phase(grid) * (2.0 * np.pi) ** (-grid.d / 2.0) * grid.dx**grid.d
-    work *= _broadcast_sign(values, grid, scale)
-    return work
+    return np.fft.fftn(values, axes=_transform_axes(values, grid), norm="forward")
 
 
 def lattice_inverse(
-    values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None, real: bool = False, bare: bool = False
+    values: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None, real: bool = False
 ) -> np.ndarray:
-    """Inverse of :func:`lattice_forward`; exact roundtrip on the lattice.
+    """Inverse of :func:`lattice_forward`, into ``out`` when given, which may
+    be ``values`` itself: the transform then runs in place.
 
-    The result goes to ``out`` when given, which may be ``values`` itself.
-
-    With ``real``, which needs ``bare``, ``values`` is the Hermitian half of
-    the transform of a real field: the storage indices 0..n/2 of the last
-    spatial axis, that is the frequencies -n/2..0 along it, since
-    f^(-xi) = conj f^(xi) gives the rest.  The real field is returned, by
-    irfftn, and ``out`` must then be a real array.  The storage index c
-    pairs with n - c mod n, so the transform must be real at the
-    self-paired Nyquist (c = 0) and zero (c = n/2) entries; irfftn drops
-    their imaginary parts.
-
-    With ``bare``, only the FFT runs: ifftn, or irfftn on the Hermitian half,
-    with norm="forward", no parity sign and no scale.  The storage index c
-    carries the parity (-1)^c = exp(i pi c), a shift by n/2, so
-
-        bare(X) = ±roll(lattice_inverse(X), n/2 along each spatial axis) / s,
-
-    with s = (2 pi)^(-d/2) dxi^d and the sign (-1)^(j_1 + ... + j_d) of the
-    lattice point j: a phase that a modulus drops, and a constant a caller
-    can fold into X.  :func:`_bare_to_lattice` undoes the shift.  Bare mode
-    leaves ``values`` unchanged unless ``out`` is ``values``, on the full
-    lattice, where the FFT runs in place; with ``real`` they are kept, since
-    irfftn transforms a copy of them.
+    With ``real``, ``values`` is the Hermitian half of the coefficients of a
+    real field, the indices 0..n/2 of the last spatial axis, and the real
+    field is returned by irfftn; ``out`` must then be a real array, and
+    ``values`` are kept.  The zero (index 0) and Nyquist (index n/2) entries
+    pair with themselves, so irfftn drops their imaginary parts.
     """
     axes = _transform_axes(values, grid)
-    if real:
-        if not bare:
-            raise ValueError("the Hermitian half inverts bare only")
-        if values.shape[axes[-1]] != grid.n // 2 + 1:
-            raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
-        return np.fft.irfftn(values, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
-    if not bare:
-        values = out = np.multiply(values, _broadcast_sign(values, grid), out=out, dtype=complex)
-    # in place (numpy >= 2.0) when out is values: a fresh array per batch of G
-    # would page-fault
-    work = np.fft.ifftn(values, axes=axes, norm="forward", out=out)
-    if not bare:
-        work *= _broadcast_sign(work, grid, _phase(grid) * _inverse_scale(grid))
-    return work
-
-
-def _bare_to_lattice(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Samples shaped (..., *spatial) rolled by n/2 along each spatial axis,
-    a new array: what a bare :func:`lattice_inverse` put on the lattice
-    shifted by half a period goes back to its lattice point."""
-    return np.roll(values, (grid.n // 2,) * grid.d, tuple(range(-grid.d, 0)))
+    if not real:
+        # in place (numpy >= 2.0) when out is values: a fresh array per batch
+        # of G would page-fault
+        return np.fft.ifftn(values, axes=axes, norm="forward", out=out)
+    if values.shape[axes[-1]] != grid.n // 2 + 1:
+        raise ValueError("a Hermitian half has n // 2 + 1 entries on its last spatial axis")
+    return np.fft.irfftn(values, s=(grid.n,) * grid.d, axes=axes, norm="forward", out=out)
 
 
 def vector_norm(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 import lpevo.gfunction as gfunction
-import lpevo.grid as grid_module
 from lpevo.evolution import _gl_rule, integrated_symbol
 from lpevo.gfunction import (
     GFunctionResult,
@@ -27,7 +26,7 @@ def _grid(n=64, L=np.pi, nt=17, t1=1.0):
 
 
 def _mode_field(grid, k=2, m=1, envelope=None):
-    xi0 = grid.freq[grid.n // 2 + k]
+    xi0 = grid.freq[k]  # the wave number k >= 0, in FFT order
     base = np.exp(1j * xi0 * grid.x)
     T = len(grid.t_grid)
     env = np.ones(T) if envelope is None else envelope(grid.t_grid)
@@ -608,35 +607,6 @@ class TestBatchedCore:
         assert batches > sum(f.grid.t_grid > a)  # more than one batch per time
         assert calls == {"forward": 1, "inverse": batches}
 
-    # the setup of test_one_forward_and_one_inverse_per_batch
-    @pytest.mark.parametrize(
-        "d,n,m,real",
-        [
-            pytest.param(1, 64, 2, False, id="1-64-2"),
-            pytest.param(2, 16, 2, False, id="2-16-2"),
-            pytest.param(1, 128, 2, True, id="1-128-2-real"),
-            pytest.param(2, 16, 2, True, id="2-16-2-real"),
-        ],
-    )
-    def test_no_parity_sign_per_batch(self, monkeypatch, d, n, m, real):
-        # the bare inverse leaves the sign and scale to one pass per G: only
-        # the forward transform's two sign multiplies remain, however many
-        # batches the windows take
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return broadcast_sign(*args, **kwargs)
-
-        broadcast_sign = grid_module._broadcast_sign
-        monkeypatch.setattr(grid_module, "_broadcast_sign", counted)
-        f = _random_field(d, n, m, nt=5, seed=60, real=real)
-        for entries in (gfunction._CHUNK_ENTRIES, gfunction._CHUNK_ENTRIES // 4):
-            monkeypatch.setattr(gfunction, "_CHUNK_ENTRIES", entries)
-            calls.clear()
-            g_function(f, _modulated(1.0, d), power_symbol(1.0, 2.0, d=d), 0.0, 0.25, 3.0, self.QUAD)
-            assert len(calls) == 2
-
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
     def test_static_symbols_evaluated_once_per_g(self, variant):
         calls = []
@@ -666,7 +636,7 @@ class TestBatchedCore:
 
 class TestParsevalOracle:
     """q = 2: sum_x G(t, x)^2 dx^d equals, by lattice Parseval,
-    sum_s w_s sum_xi |psi1|^2 |exp int_s^t psi2|^2 |f^(s, xi)|^2 dxi^d,
+    (2L)^d sum_s w_s sum_xi |psi1|^2 |exp int_s^t psi2|^2 |f^(s, xi)|^2,
     with closed-form symbols and no inverse transform."""
 
     @pytest.mark.parametrize("d,n,m,real", _with_real((1, 64, 2), (2, 16, 1)))
@@ -700,7 +670,7 @@ class TestParsevalOracle:
                 c = -k2 * (t - s) - amp2 / rate2 * (np.exp(-rate2 * s) - np.exp(-rate2 * t))
                 energy = vector_norm(_interp_hat(f_hat, grid.t_grid, s)) ** 2
                 want[i] += w * np.sum(psi1_sq * np.exp(2.0 * c * r**g2) * energy)
-        want *= grid.dxi**d
+        want *= (2.0 * grid.half_length) ** d
         assert np.max(want) > 0
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
 
@@ -710,9 +680,9 @@ class TestInvariances:
     maps of V, for real fields with reflections x -> -x, with translations
     in time and with parabolic dilations, to 1e-12 of its largest value.
 
-    A parity sign (-1)^j dropped from a transform multiplies u by a
-    character, which |u|_V erases, so it passes both; the single-mode
-    oracle catches it."""
+    A multiplier laid out in centred order against coefficients in FFT
+    order is still a multiplier, only the wrong one, so it passes both; the
+    single-mode oracle catches it."""
 
     QUAD = QuadratureSpec(panels=4, order=2, split_levels=2)
     CASES = dict(

@@ -22,8 +22,9 @@ class TestMakeGrid:
     def test_basic_lattice(self):
         g = make_grid(1, 8, np.pi, [0.0, 1.0])
         assert g.dx == pytest.approx(np.pi / 4)
-        # L = pi makes xi_k = k
-        assert np.allclose(g.freq, np.arange(-4, 4))
+        # L = pi makes xi_k = k, in FFT order: 0, the positive wave numbers,
+        # the Nyquist -n/2, then the negative ones
+        assert np.array_equal(g.freq, [0, 1, 2, 3, -4, -3, -2, -1])
 
     def test_freq_lattice_symmetric_with_zero_once(self):
         g = make_grid(1, 16, 3.0, [0.0, 1.0])
@@ -61,33 +62,41 @@ class TestTransforms:
         assert err < 1e-12
 
     def test_gaussian_self_dual(self):
+        # the continuous transform (2 pi)^(-1/2) int f e^(-i x xi) dx at xi_k
+        # is (2L) (2 pi)^(-1/2) (-1)^k F_k: x_0 = -L gives e^(-i x_0 xi_k) = (-1)^k
         g = _grid_1d(n=256, L=12.0)
         spec = lattice_forward(np.exp(-g.x**2 / 2)[:, None], g)
+        sign = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
+        continuous = 2 * g.half_length * (2 * np.pi) ** -0.5 * sign * spec[:, 0]
         expected = np.exp(-g.freq**2 / 2)
-        assert np.max(np.abs(spec[:, 0] - expected)) < 1e-8
+        assert np.max(np.abs(continuous - expected)) < 1e-8
 
     def test_zero_maps_to_zero(self):
         g = _grid_1d()
         assert np.all(lattice_forward(np.zeros((g.n, 1)), g) == 0)
 
     def test_single_mode_point_mass(self):
-        # geometric-sum oracle: sum_j exp(i(xi0-xi_k)x_j) is n at k=k0, 0 otherwise
+        # geometric-sum oracle: n^(-1) sum_j exp(i(xi0-xi_k)(x_j - x_0)) is 1
+        # at k = k0 and 0 otherwise, so the mode exp(i xi0 x) has the single
+        # coefficient exp(i xi0 x_0) = (-1)^k0, at the index k0 mod n; a
+        # positive, a negative and the Nyquist wave number
         g = _grid_1d(n=32, L=4.0)
-        k0 = 5
-        xi0 = g.freq[g.n // 2 + k0]
-        spec = lattice_forward(np.exp(1j * xi0 * g.x)[:, None], g)[:, 0]
-        weight = (2 * np.pi) ** -0.5 * 2 * g.half_length
-        expected = np.zeros(g.n, dtype=complex)
-        expected[g.n // 2 + k0] = weight
-        assert np.max(np.abs(spec - expected)) < 1e-10 * weight
+        for k0 in (5, -3, -16):
+            xi0 = np.pi * k0 / g.half_length
+            spec = lattice_forward(np.exp(1j * xi0 * g.x)[:, None], g)[:, 0]
+            expected = np.zeros(g.n, dtype=complex)
+            expected[k0 % g.n] = (-1.0) ** k0
+            assert g.freq[k0 % g.n] == xi0
+            assert np.max(np.abs(spec - expected)) < 1e-13
 
     def test_parseval(self):
         g = _grid_1d(n=128, L=7.0)
         rng = np.random.default_rng(3)
         f = rng.normal(size=(g.n, 3)) + 1j * rng.normal(size=(g.n, 3))
         spec = lattice_forward(f, g)
-        lhs = np.sum(np.abs(f) ** 2) * g.dx
-        rhs = np.sum(np.abs(spec) ** 2) * g.dxi
+        # the mean of |f|^2 over the lattice is the sum of |F_k|^2
+        lhs = np.mean(np.sum(np.abs(f) ** 2, axis=-1))
+        rhs = np.sum(np.abs(spec) ** 2)
         assert abs(lhs - rhs) / lhs < 1e-10
 
     def test_roundtrip_2d(self):
@@ -104,30 +113,49 @@ class TestLatticeArrays:
 
     @staticmethod
     def _dft(g, sign):
-        # exp(sign * i x_j xi_k) over the spatial lattice and the centred frequencies
-        return np.exp(sign * 1j * np.multiply.outer(g.x, g.freq))
+        # exp(sign * i (x_j - x_0) xi_k) over the spatial lattice and the
+        # frequencies in FFT order
+        return np.exp(sign * 1j * np.multiply.outer(g.x + g.half_length, g.freq))
+
+    @staticmethod
+    def _check_real_half(g, full, field):
+        # the real field from the Hermitian half of its coefficients, the
+        # indices 0..n/2 of the last spatial axis, into out; the half is kept
+        half = full[..., : g.n // 2 + 1, :].copy()
+        given = half.copy()
+        out = np.empty(field.shape)
+        assert lattice_inverse(half, g, out=out, real=True) is out
+        assert np.array_equal(half, given)
+        assert np.max(np.abs(out - field)) < 1e-13 * np.max(np.abs(field))
+        with pytest.raises(ValueError, match="Hermitian half"):
+            lattice_inverse(full, g, real=True)
 
     # n = 6 is built directly, as make_grid takes powers of two >= 8 only:
-    # it is the even n with odd n/2, whose transforms carry a factor -1
+    # it is the even n with odd n/2
     @pytest.mark.parametrize("n,L", [(6, 2.0), (8, 1.0), (16, 0.5), (32, 3.0)])
     def test_1d_matches_direct_sum(self, n, L):
         g = SpectralGrid(1, n, L, np.array([0.0, 1.0]))
         rng = np.random.default_rng(n)
         vals = rng.normal(size=(3, n, 2)) + 1j * rng.normal(size=(3, n, 2))
-        want = (2 * np.pi) ** -0.5 * g.dx * np.einsum("jk,tjc->tkc", self._dft(g, -1), vals)
+        want = np.einsum("jk,tjc->tkc", self._dft(g, -1), vals) / n
         got = lattice_forward(vals, g)
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-        back = (2 * np.pi) ** -0.5 * g.dxi * np.einsum("jk,tkc->tjc", self._dft(g, 1), vals)
+        back = np.einsum("jk,tkc->tjc", self._dft(g, 1), vals)
         assert np.max(np.abs(lattice_inverse(vals, g) - back)) < 1e-13 * np.max(np.abs(back))
+        self._check_real_half(g, np.einsum("jk,tjc->tkc", self._dft(g, -1), vals.real) / n, vals.real)
 
     def test_2d_matches_direct_sum(self):
-        g = make_grid(2, 8, 2.0, [0.0, 1.0])
         rng = np.random.default_rng(5)
-        vals = rng.normal(size=(8, 8, 1)) + 1j * rng.normal(size=(8, 8, 1))
-        e = self._dft(g, -1)
-        want = (2 * np.pi) ** -1 * g.dx**2 * np.einsum("ak,bl,abc->klc", e, e, vals)
-        got = lattice_forward(vals, g)
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        for n in (6, 8):
+            g = SpectralGrid(2, n, 2.0, np.array([0.0, 1.0]))
+            vals = rng.normal(size=(n, n, 1)) + 1j * rng.normal(size=(n, n, 1))
+            e, conj = self._dft(g, -1), self._dft(g, 1)
+            want = np.einsum("ak,bl,abc->klc", e, e, vals) / n**2
+            got = lattice_forward(vals, g)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+            back = np.einsum("ak,bl,klc->abc", conj, conj, vals)
+            assert np.max(np.abs(lattice_inverse(vals, g) - back)) < 1e-13 * np.max(np.abs(back))
+            self._check_real_half(g, np.einsum("ak,bl,abc->klc", e, e, vals.real) / n**2, vals.real)
 
     def test_inverse_into_its_input(self):
         g = make_grid(1, 16, 1.0, [0.0, 1.0])
@@ -137,44 +165,6 @@ class TestLatticeArrays:
         work = vals.copy()
         got = lattice_inverse(work, g, out=work)
         assert got is work and np.array_equal(got, want)
-
-    # bare(X) = (-1)^(j_1 + ... + j_d) roll(lattice_inverse(X), n/2) / s; n = 6,
-    # with n/2 odd, built directly, as in test_1d_matches_direct_sum
-    @pytest.mark.parametrize("n", [6, 8, 16])
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_bare_inverse_is_shifted_and_unscaled(self, d, n, real):
-        g = SpectralGrid(d, n, 0.75, np.array([0.0, 1.0]))
-        rng = np.random.default_rng(20 * d + n)
-        shape = (3,) + (n,) * d + (2,)
-        if real:
-            full = lattice_forward(rng.normal(size=shape), g)
-            vals = full[..., : n // 2 + 1, :].copy()
-            want = lattice_inverse(full, g).real
-        else:
-            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            want = lattice_inverse(vals, g)
-        given_vals = vals.copy()
-        out = np.empty(shape) if real else None
-        bare = lattice_inverse(vals, g, out=out, real=real, bare=True)
-        assert np.array_equal(vals, given_vals)  # bare mode leaves values as they were
-        assert bare.shape == shape
-        s = (2 * np.pi) ** (-d / 2) * g.dxi**d
-        axes = tuple(range(1, d + 1))
-        back = np.roll(bare, (n // 2,) * d, axes)
-        tol = 1e-13 * np.max(np.abs(want))
-        assert np.max(np.abs(np.abs(back) * s - np.abs(want))) <= tol
-        # the sign is the character (-1)^(j_1 + ... + j_d) of the lattice point
-        j = np.indices((n,) * d).sum(axis=0)
-        sign = np.where(j % 2 == 0, 1.0, -1.0).reshape((1,) + (n,) * d + (1,))
-        assert np.max(np.abs(np.roll(sign, (n // 2,) * d, axes) * back * s - want)) <= tol
-        if real:
-            assert bare is out
-            with pytest.raises(ValueError, match="Hermitian half"):
-                lattice_inverse(full, g, real=True, bare=True)
-            # the Hermitian half has no signed inverse
-            with pytest.raises(ValueError, match="bare only"):
-                lattice_inverse(vals, g, out=out, real=True)
 
     def test_real_input(self):
         g = make_grid(1, 16, 1.0, [0.0, 1.0])

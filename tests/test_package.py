@@ -2,7 +2,8 @@
 deleted function cannot leave a stale entry in ``__all__``; every name a
 submodule exports, and every parameter with a default it takes, must have a
 consumer outside the tests; every private helper must have one inside the
-package; and the package needs numpy alone."""
+package; only ``grid.py`` names numpy's FFT; and the package needs numpy
+alone."""
 
 import ast
 import collections
@@ -61,6 +62,32 @@ def _name_uses(node: ast.AST) -> collections.Counter:
 def _used_names(path: Path) -> set[str]:
     """Every Name, Attribute and imported alias that a source file uses."""
     return set(_name_uses(ast.parse(path.read_text(), filename=str(path))))
+
+
+def _names_fft(node: ast.AST) -> bool:
+    """Whether node is the attribute np.fft (or numpy.fft) or an import of
+    numpy's FFT module."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "fft" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.fft") or (module == "numpy" and any(a.name == "fft" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.fft") for a in node.names)
+    return False
+
+
+def test_only_grid_names_the_fft():
+    # the lattice convention lives in one module: every other one transforms
+    # through lattice_forward and lattice_inverse
+    named = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "grid.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _names_fft(node)
+    ]
+    assert named == []
 
 
 def test_every_private_helper_has_a_consumer_in_the_package():
