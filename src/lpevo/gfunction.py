@@ -11,34 +11,27 @@ fixed-order Gauss-Legendre per panel.  The first panel is refined
 geometrically toward u = 0 because the substitution trades the weight
 singularity for a u^(1/beta) Hölder kink of the transformed integrand there.
 
-The core works one output time t at a time and batches its s nodes: a
-batch takes the time interpolation of the field's transform, the product
-with its window multipliers exp(integral_s^t psi2) psi1 and one inverse
-transform.  The window exponents come from one
-:func:`lpevo.evolution.integrated_symbol` call on an array of s nodes, the
-one path to the integrated symbol, so the core holds no symbol-specific
-code of its own; the frequency factor of psi2 is taken once per G and
-handed to that call.
+The core works one output time t at a time and batches its s nodes.  A
+batch's window exponents come from one
+:func:`lpevo.evolution.integrated_symbol` call, the one path to the
+integrated symbol, so the core holds no symbol-specific code of its own;
+the frequency factor of psi2 is taken once per G and handed to that call.
 
 Layout.  What runs how often:
 - per G: the forward transform, the time step f_hat[j+1] - f_hat[j], psi2's
-  frequency factor, a frozen psi1 or the stack of psi1 at every output time
-  with one Hermitian test of it, and the final root;
+  frequency factor, the stack of psi1 at every output time (one row for a
+  frozen psi1) with one Hermitian test of it, and the final root;
 - per output time: the quadrature, the interval index j and the weight
   lambda of every node, so that a node's transform is
   f_hat[j] + lambda * step[j];
-- per block of nodes: the window multipliers, from one integrated_symbol
-  call, one exp and one product with psi1.  A block holds whole batches and
-  at most _BLOCK_ENTRIES nodes x lattice points, one batch if a batch is
-  larger, which is a whole output time on every benchmark grid; a generic
-  psi2, with no time and frequency split, holds 8 complex panel values per
-  block entry while its block is integrated;
-- per batch: at most _CHUNK_ENTRIES complex entries (nodes x lattice points
-  x V components), the interpolated transform times the block's multipliers
-  in two work arrays, grown to the largest batch the quadrature gives and
-  kept for the rest of G, one inverse transform and the sum of w |u|_V^q.
-Blocks and batches are capped, so memory stays flat however many nodes the
-quadrature has.
+- per batch of at most _BATCH_ENTRIES nodes x lattice points (one node if
+  a lattice is larger): the window multipliers exp(integral_s^t psi2) psi1
+  from one integrated_symbol call, one exp and one product with psi1; the
+  interpolated transform times them, in work arrays grown to the largest
+  batch and kept for the rest of G; one inverse transform; and the sum of
+  w |u|_V^q.
+Batches are capped, so memory stays flat however many nodes the quadrature
+has.
 
 The field is transformed component-major, as a contiguous (T, m, n^d..., 1)
 array whose trailing singleton is the component axis of the
@@ -53,20 +46,18 @@ frequency factor included, keeps the full lattice.  A batch is inverted in
 place, or on the half lattice into the floats of the second work array.
 
 Arithmetic.  The Hermitian tests, like the tests for an imaginary part that
-is exactly zero, are exact, not tolerances.  Where psi1 on the lattice or a
-block's window exponents are real, only the real part is kept, so exp and
+is exactly zero, are exact, not tolerances.  Where the psi1 stack or a
+batch's window exponents are real, only the real part is kept, so exp and
 the products run on real arrays; a complex symbol keeps the complex path.
 |u|_V^2 is the sum over components of u^2 on the half lattice and of
 re^2 + im^2 on the full one, added component by component into one array;
 its power q/2 is x sqrt(x) for q = 3, none for q = 2, and pow otherwise.
 The per-node terms are summed in node order, the running sum added into the
-first term of each batch, so G is bit-identical whatever the batch and
-block sizes.
+first term of each batch, so G is bit-identical whatever the batch size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -86,15 +77,11 @@ __all__ = [
     "g_lp_norm",
 ]
 
-# complex entries (nodes x lattice points x V components) per batched inverse
-# transform; larger batches buy little speed for their memory
-_CHUNK_ENTRIES = 2**14
-# nodes x lattice points per block of window multipliers, which one
-# integrated_symbol call, one exp and one product with psi1 build: a whole
-# output time on the benchmark grids (640 x 64 entries at most), while the
-# block, 1 MiB complex, and a generic psi2's 8 panel values per entry, 8 MiB,
-# keep memory flat in the node count
-_BLOCK_ENTRIES = 2**16
+# nodes x lattice points per batch: a whole output time on the benchmark
+# grids (640 x 64 entries at most), while its multipliers, 1 MiB complex, its
+# two work arrays, 1 MiB complex per V component each, and a generic psi2's 8
+# panel values per entry, 8 MiB, keep memory flat in the node count
+_BATCH_ENTRIES = 2**16
 # ratio of the geometric refinement of the panel touching s = t
 _SPLIT_RATIO = 4.0
 
@@ -224,72 +211,65 @@ def _g_core(
     f_hat = np.ascontiguousarray(f_hat[cut + (slice(None),)])
     xi = xi[cut + (slice(None),)]
     factor2 = _real_if_exact(None if factor2 is None else factor2[cut])
-    mults1 = (_real_if_exact(m) for m in mults1[cut])
-    if l is not None:
-        mults1 = itertools.repeat(next(mults1))
+    # one row per output time; a frozen psi1's one row serves them all
+    mults1 = np.broadcast_to(_real_if_exact(mults1[cut]), (len(live),) + xi.shape[:-1])
     step = f_hat[1:] - f_hat[:-1]
     lattice = f_hat.shape[2:-1]
-    chunk = max(1, _CHUNK_ENTRIES // (math.prod(lattice) * f.m))
-    # a block of window multipliers holds whole batches
-    block = chunk * max(1, _BLOCK_ENTRIES // (chunk * math.prod(lattice)))
-    # batch work arrays, grown to the largest batch: fresh ones would
-    # page-fault on every batch
-    spec_buf = rows_buf = np.empty((0,) + f_hat.shape[1:], dtype=complex)
-    mult_buf = np.empty(0)  # the block's multipliers, grown likewise
+    batch = max(1, _BATCH_ENTRIES // math.prod(lattice))
+    spec_buf = np.empty(0)
     out = np.zeros((len(t_grid),) + spatial)
     for i, mult1 in zip(live, mults1):
         t = float(t_grid[i])
         s_nodes, w_nodes = graded_quadrature(a, t, beta, quad)
         idx = np.clip(np.searchsorted(t_grid, s_nodes, side="right") - 1, 0, len(t_grid) - 2)
         lam = (s_nodes - t_grid[idx]) / (t_grid[idx + 1] - t_grid[idx])
-        if len(spec_buf) < min(chunk, len(s_nodes)):
-            shape = (min(chunk, len(s_nodes)),) + f_hat.shape[1:]
+        if len(spec_buf) < min(batch, len(s_nodes)):
+            # work arrays, grown to the largest batch and kept for the rest
+            # of G: fresh ones would page-fault on every batch
+            shape = (min(batch, len(s_nodes)),) + f_hat.shape[1:]
             spec_buf, rows_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+            # floats enough for complex multipliers, viewed as complex for them
+            mult_buf = np.empty(2 * shape[0] * math.prod(lattice))
             # on the half lattice the real u of a batch goes to the floats of
             # rows_buf, whose transform rows are spent by then
             field_floats = rows_buf.view(float).reshape(-1)
         acc = np.zeros(spatial)
-        for start in range(0, len(s_nodes), block):
-            # the window multipliers exp(integral_s^t psi2) psi1 of a block go
-            # to a work array kept for the rest of G, as a fresh one would
-            # page-fault on every block; the exponents are dropped before the
-            # batches, so at most two blocks are held at once
-            expo = _real_if_exact(integrated_symbol(psi2, s_nodes[start : start + block], t, xi, factor2))
+        for lo in range(0, len(s_nodes), batch):
+            nodes = slice(lo, lo + batch)
+            w = w_nodes[nodes]
+            size = len(w)
+            # the window multipliers exp(integral_s^t psi2) psi1; the
+            # exponents are dropped before the batch's spectrum is built
+            expo = _real_if_exact(integrated_symbol(psi2, s_nodes[nodes], t, xi, factor2))
             dtype = np.result_type(expo, mult1)
-            if len(mult_buf) < len(expo) or mult_buf.dtype != dtype:
-                mult_buf = np.empty(expo.shape, dtype)
-            mults = np.exp(expo, out=mult_buf[: len(expo)])
+            mults = np.exp(expo, out=mult_buf.view(dtype)[: expo.size].reshape(expo.shape))
             del expo
             mults *= mult1
-            for lo in range(start, start + len(mults), chunk):
-                nodes = slice(lo, lo + chunk)
-                w = w_nodes[nodes]
-                size = len(w)
-                # f_hat(s) = f_hat[idx] + lam * step[idx], times the batch multipliers
-                spec = np.take(step, idx[nodes], axis=0, out=spec_buf[:size], mode="clip")
-                spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
-                spec += np.take(f_hat, idx[nodes], axis=0, out=rows_buf[:size], mode="clip")
-                spec *= mults[lo - start : lo - start + size].reshape((size, 1) + lattice + (1,))
-                if real:
-                    # |u|_V^2 = sum over components of u^2
-                    field = field_floats[: size * f.m * math.prod(spatial)]
-                    u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True)
-                    np.square(u, out=u)
-                    terms = np.sum(u[..., 0], axis=1)
-                else:
-                    # |u|_V^2 = sum over components of re^2 + im^2
-                    sq = lattice_inverse(spec, grid, out=spec).view(float)
-                    np.square(sq, out=sq)
-                    terms = np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1])
-                    for c in range(1, f.m):
-                        terms += sq[:, c, ..., 0]
-                        terms += sq[:, c, ..., 1]
-                # w |u|_V^q in place: batch temporaries set the peak memory of G
-                _half_power(terms, q)
-                terms *= w.reshape((-1,) + (1,) * grid.d)
-                # adding acc into the first term keeps the node-by-node sum order
-                terms[0] += acc
-                acc = np.sum(terms, axis=0)
+            # f_hat(s) = f_hat[idx] + lam * step[idx], times the multipliers
+            spec = np.take(step, idx[nodes], axis=0, out=spec_buf[:size], mode="clip")
+            spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
+            spec += np.take(f_hat, idx[nodes], axis=0, out=rows_buf[:size], mode="clip")
+            spec *= mults.reshape((size, 1) + lattice + (1,))
+            if real:
+                # |u|_V^2 = sum over components of u^2
+                field = field_floats[: size * f.m * math.prod(spatial)]
+                u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True)
+                np.square(u, out=u)
+                terms = np.sum(u[..., 0], axis=1)
+            else:
+                # |u|_V^2 = sum over components of re^2 + im^2
+                sq = lattice_inverse(spec, grid, out=spec).view(float)
+                np.square(sq, out=sq)
+                terms = np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1])
+                for c in range(1, f.m):
+                    terms += sq[:, c, ..., 0]
+                    terms += sq[:, c, ..., 1]
+            # w |u|_V^q in place: batch temporaries set the peak memory of G
+            _half_power(terms, q)
+            terms *= w.reshape((-1,) + (1,) * grid.d)
+            # adding acc into the first term keeps the node-by-node sum order
+            terms[0] += acc
+            acc = np.sum(terms, axis=0)
         out[i] = acc
     np.power(out, 1.0 / q, out=out)
     return GFunctionResult(grid=grid, q=q, values=out)

@@ -25,6 +25,7 @@ that ``lattice_inverse(..., real=True)`` takes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,6 +127,8 @@ class SpaceTimeField:
     values: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         values = np.asarray(self.values, dtype=complex)
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite (no NaN/Inf)")

@@ -186,15 +186,20 @@ def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndar
 
     Both are exact: in space, in d = 1 and d = 2 alike, every distinct
     cell-inclusion ball up to the whole period; in time, every radius.
+    In space leading axes batch; in time axis 0 holds the time nodes.
     Time steps equal to a relative 1e-12 take the running-sum rule of
     space, any other grid the graded one, whatever the time unit."""
     values = _real(values)
     if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
         raise ValueError("maximal_values expects finite nonnegative values")
     if axis == "space":
+        if values.shape[-grid.d :] != grid.spatial_shape():
+            raise ValueError(f"trailing axes of {values.shape} are not the lattice {grid.spatial_shape()}")
         return _window_sup(values, (grid.n // 2,) * grid.d, "wrap")
     if axis == "time":
         t = grid.t_grid
+        if values.shape[:1] != t.shape:
+            raise ValueError(f"axis 0 of {values.shape} does not match the {len(t)} time nodes")
         dt = np.diff(t)
         moved = np.moveaxis(values, 0, -1)
         if _uniform_steps(dt):
@@ -217,6 +222,12 @@ def _space_time_values(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return values
 
 
+def _check_gamma(gamma: float) -> None:
+    """The parabolic scaling exponent gamma must be finite and positive."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+
+
 def _uniform_dt(grid: SpectralGrid) -> float:
     dt = np.diff(grid.t_grid)
     if not _uniform_steps(dt):
@@ -226,6 +237,7 @@ def _uniform_dt(grid: SpectralGrid) -> float:
 
 def default_radius_ladder(grid: SpectralGrid, gamma: float) -> np.ndarray:
     """Geometric ladder of cube radii from one-cell cubes up to the box."""
+    _check_gamma(gamma)
     dt = _uniform_dt(grid)
     r_lo = 0.5 * min(dt, grid.dx**gamma)
     span = grid.b - grid.a
@@ -402,6 +414,7 @@ def sharp_parabolic(
     it, its gather buffer and two pair buffers are allocated once per call,
     however large the window.
     """
+    _check_gamma(gamma)
     values = _space_time_values(values, grid)
     dt = _uniform_dt(grid)
     if ladder is None:
@@ -547,6 +560,7 @@ def build_filtration_levels(grid: SpectralGrid, gamma: float) -> list[Filtration
     Requires dyadic cell sides (dt = 2^-a, dx = 2^-b with b = floor(a/gamma))
     so the finest level is exactly one cell per cube.
     """
+    _check_gamma(gamma)
     dt = _uniform_dt(grid)
     a_exp = _dyadic_exponent(1.0 / dt, "1/dt")
     b_exp = _dyadic_exponent(1.0 / grid.dx, "1/dx")

@@ -421,8 +421,15 @@ def _with_real(*cases):
     return params
 
 
+def _small_batches(monkeypatch, grid):
+    """Cap a batch at 7 nodes of the full lattice, 11 to 13 of the half one,
+    so that the reference cases' 144 or 24 nodes per output time take
+    several batches, the last one partial."""
+    monkeypatch.setattr(gfunction, "_BATCH_ENTRIES", 7 * grid.n**grid.d)
+
+
 class TestBatchedCore:
-    # 144 nodes: more than one chunk of 128 (n^d m = 128) and not a multiple
+    # 144 nodes per output time
     QUAD = QuadratureSpec(panels=20, order=6, split_levels=4)
 
     # q = 3 under every variant and symbol kind; q = 2, 5 and 2.5 take the
@@ -440,8 +447,9 @@ class TestBatchedCore:
 
     @pytest.mark.parametrize("d,n,m,real", _with_real((1, 64, 2), (1, 32, 1), (2, 8, 1), (2, 8, 2)))
     @pytest.mark.parametrize("variant,kind,q", CASES)
-    def test_matches_per_node_reference(self, d, n, m, real, variant, kind, q):
+    def test_matches_per_node_reference(self, monkeypatch, d, n, m, real, variant, kind, q):
         f = _random_field(d, n, m, nt=4, seed=20 + d + m, real=real)
+        _small_batches(monkeypatch, f.grid)
         psi2 = _psi2(kind, d)
         psi1 = _modulated(1.0, d, amp=0.3, rate=1.0)
         quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
@@ -457,9 +465,10 @@ class TestBatchedCore:
     # s = (2 pi)^(-1) (pi / L)^2 is 1.6e-4 at L = 100, so summing |u / s|^q
     # for |u| near 1 would overflow from q of about 80
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_large_q_keeps_the_range_of_the_signed_inverse(self, real):
+    def test_large_q_keeps_the_range_of_the_signed_inverse(self, monkeypatch, real):
         f = _random_field(2, 8, 1, nt=4, seed=70, real=real)
         f = SpaceTimeField(make_grid(2, 8, 100.0, f.grid.t_grid), 1, f.values)
+        _small_batches(monkeypatch, f.grid)
         psi1, psi2 = _modulated(1.0, 2, amp=0.3, rate=1.0), power_symbol(1.0, 2.0, d=2)
         quad = QuadratureSpec(panels=4, order=4, split_levels=2)
         got = g_function(f, psi1, psi2, l=0.2, a=f.grid.a, q=120.0, quad=quad).values
@@ -471,8 +480,9 @@ class TestBatchedCore:
     @pytest.mark.parametrize("d,n,real", _with_real((1, 32), (2, 8)))
     @pytest.mark.parametrize("which", ["psi1", "psi2"])
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
-    def test_complex_symbol_matches_per_node_reference(self, d, n, real, which, variant):
+    def test_complex_symbol_matches_per_node_reference(self, monkeypatch, d, n, real, which, variant):
         f = _random_field(d, n, 2, nt=4, seed=40 + d, real=real)
+        _small_batches(monkeypatch, f.grid)
         if which == "psi1":
             psi1, psi2 = _drift(1.0, d), power_symbol(1.0, 2.0, d=d)
             quad = self.QUAD
@@ -488,10 +498,16 @@ class TestBatchedCore:
         assert np.max(want) > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
-    def test_reference_case_spans_a_partial_chunk(self):
-        chunk = gfunction._CHUNK_ENTRIES // (64 * 2)
-        nodes = len(graded_quadrature(0.0, 1.0, 1.0, self.QUAD)[0])
-        assert nodes > chunk and nodes % chunk != 0
+    # every lattice of the reference tests, full and half
+    @pytest.mark.parametrize("d,n,real", _with_real((1, 64), (1, 32), (2, 8)))
+    def test_reference_cases_span_a_partial_batch(self, monkeypatch, d, n, real):
+        grid = make_grid(d, n, 0.5, [0.0, 1.0])
+        _small_batches(monkeypatch, grid)
+        lattice = n ** (d - 1) * (n // 2 + 1 if real else n)
+        batch = gfunction._BATCH_ENTRIES // lattice
+        for quad in (self.QUAD, QuadratureSpec(panels=4, order=4, split_levels=2)):
+            nodes = len(graded_quadrature(0.0, 1.0, 1.0, quad)[0])
+            assert nodes > batch and nodes % batch != 0
 
     @pytest.mark.parametrize("m,real", _with_real(1, 2))
     @pytest.mark.parametrize("kind", ["static", "separable", "general"])
@@ -499,44 +515,13 @@ class TestBatchedCore:
         f = _random_field(1, 32, m, nt=4, seed=50 + m, real=real)
         psi1, psi2 = _modulated(1.0, 1, amp=0.3, rate=1.0), _psi2(kind, 1)
         quad = self.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
-        per_node = 32 * m
         results = []
-        for entries in (per_node, 7 * per_node, gfunction._CHUNK_ENTRIES, 2**20):
-            monkeypatch.setattr(gfunction, "_CHUNK_ENTRIES", entries)
-            # multiplier blocks of one batch, of 10 nodes (fewer than a
-            # time's) and of a whole time
-            for block in (1, 10 * 32, gfunction._BLOCK_ENTRIES):
-                monkeypatch.setattr(gfunction, "_BLOCK_ENTRIES", block)
-                results.append(g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values)
+        # batches of one node, of a few, of 10 and of a whole output time
+        for entries in (1, 7 * 32, 10 * 32, gfunction._BATCH_ENTRIES, 2**20):
+            monkeypatch.setattr(gfunction, "_BATCH_ENTRIES", entries)
+            results.append(g_tilde(f, psi1, psi2, a=f.grid.a, q=3.0, quad=quad).values)
         assert np.max(results[0]) > 0
         assert all(np.array_equal(results[0], r) for r in results[1:])
-
-    @pytest.mark.parametrize("kind", ["static", "separable"])
-    def test_one_multiplier_build_per_block(self, monkeypatch, kind):
-        # the window multipliers of all of a time's nodes come from one
-        # integrated_symbol call, though the time takes several batches;
-        # a smaller block cap splits them at whole batches
-        calls = []
-
-        def counted(psi, s, *args):
-            calls.append(len(s))
-            return integrated_symbol(psi, s, *args)
-
-        monkeypatch.setattr(gfunction, "integrated_symbol", counted)
-        f = _random_field(1, 64, 2, nt=5, seed=60)
-        a = 0.25
-        live = int(np.sum(f.grid.t_grid > a))
-        nodes = len(graded_quadrature(a, 1.0, 1.5, self.QUAD)[0])
-        for entries in (gfunction._CHUNK_ENTRIES, gfunction._CHUNK_ENTRIES // 4):
-            monkeypatch.setattr(gfunction, "_CHUNK_ENTRIES", entries)
-            chunk = entries // (64 * 2)
-            assert nodes > chunk  # more than one batch per time
-            # the default cap holds a whole time, the other three batches
-            for cap, block in [(gfunction._BLOCK_ENTRIES, nodes), (3 * chunk * 64, 3 * chunk)]:
-                monkeypatch.setattr(gfunction, "_BLOCK_ENTRIES", cap)
-                calls.clear()
-                g_function(f, _modulated(1.0, 1), _psi2(kind, 1), 0.0, a, 3.0, self.QUAD)
-                assert calls == [min(block, nodes - lo) for lo in range(0, nodes, block)] * live
 
     def test_buffers_sized_from_the_quadrature_nodes(self, monkeypatch):
         # a quadrature that returns each node twice at half weight: the batch
@@ -556,7 +541,7 @@ class TestBatchedCore:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
     def test_peak_memory_flat_in_the_node_count(self):
-        # the multiplier blocks and batch buffers are capped, so 8 times the
+        # the batches and their work arrays are capped, so 8 times the
         # nodes per window leave the transient peak of G where it was
         f = _random_field(2, 32, 1, nt=4, seed=90)
         psi1, psi2 = _modulated(1.0, 2, amp=0.3, rate=1.0), power_symbol(1.0, 2.0, d=2)
@@ -570,8 +555,6 @@ class TestBatchedCore:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
 
-    # the real d = 1 case takes n = 128: at n = 64 the half lattice holds a
-    # whole window's nodes in one batch
     @pytest.mark.parametrize(
         "d,n,m,real",
         [
@@ -581,8 +564,12 @@ class TestBatchedCore:
             pytest.param(2, 16, 2, True, id="2-16-2-real"),
         ],
     )
-    def test_one_forward_and_one_inverse_per_batch(self, monkeypatch, d, n, m, real):
-        calls = {"forward": 0, "inverse": 0}
+    @pytest.mark.parametrize("kind", ["static", "separable"])
+    def test_one_forward_and_one_inverse_per_batch(self, monkeypatch, kind, d, n, m, real):
+        # one integrated_symbol call and one inverse per batch: one batch per
+        # output time at the default cap, and several, the last partial,
+        # under a cap of 40 nodes of the full lattice
+        calls = {"forward": 0, "inverse": 0, "symbol": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -591,21 +578,27 @@ class TestBatchedCore:
 
             return wrapper
 
+        def counted_symbol(psi, s, *args):
+            calls["symbol"].append(len(s))
+            return integrated_symbol(psi, s, *args)
+
         monkeypatch.setattr(gfunction, "lattice_forward", counted("forward", lattice_forward))
         monkeypatch.setattr(gfunction, "lattice_inverse", counted("inverse", lattice_inverse))
+        monkeypatch.setattr(gfunction, "integrated_symbol", counted_symbol)
         f = _random_field(d, n, m, nt=5, seed=60, real=real)
         a = 0.25
-        g_function(f, _modulated(1.0, d), power_symbol(1.0, 2.0, d=d), 0.0, a, 3.0, self.QUAD)
+        live = int(np.sum(f.grid.t_grid > a))
+        nodes = len(graded_quadrature(a, 1.0, 1.5, self.QUAD)[0])
         # a real field works on the Hermitian half, n // 2 + 1 along the last axis
         lattice = n ** (d - 1) * (n // 2 + 1 if real else n)
-        chunk = gfunction._CHUNK_ENTRIES // (lattice * m)
-        batches = sum(
-            -(-len(graded_quadrature(a, float(t), 1.5, self.QUAD)[0]) // chunk)
-            for t in f.grid.t_grid
-            if t > a
-        )
-        assert batches > sum(f.grid.t_grid > a)  # more than one batch per time
-        assert calls == {"forward": 1, "inverse": batches}
+        for cap, split in ((gfunction._BATCH_ENTRIES, False), (40 * n**d, True)):
+            monkeypatch.setattr(gfunction, "_BATCH_ENTRIES", cap)
+            calls.update(forward=0, inverse=0, symbol=[])
+            g_function(f, _modulated(1.0, d), _psi2(kind, d), 0.0, a, 3.0, self.QUAD)
+            batch = cap // lattice
+            sizes = [min(batch, nodes - lo) for lo in range(0, nodes, batch)]
+            assert (len(sizes) > 1 and sizes[-1] < batch) == split
+            assert calls == {"forward": 1, "inverse": len(sizes) * live, "symbol": sizes * live}
 
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
     def test_static_symbols_evaluated_once_per_g(self, variant):

@@ -274,6 +274,17 @@ class TestFieldValidation:
         with pytest.raises(ValueError):
             SpaceTimeField(g, 1, np.ones((3, 16, 1)))
 
+    # m = 0 used to construct, and G then divided by it; a float m = 1.0
+    # matched the shape of the values
+    @pytest.mark.parametrize("m,width", [(0, 0), (-1, 1), (1.0, 1), (np.float64(2.0), 2)])
+    def test_rejects_m_other_than_an_integer_of_at_least_one(self, m, width):
+        g = _grid_1d(n=16)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            SpaceTimeField(g, m, np.ones((2, 16, width)))
+
+    def test_accepts_a_numpy_integer_m(self):
+        assert SpaceTimeField(_grid_1d(n=16), np.int64(2), np.ones((2, 16, 2))).m == 2
+
 
 def test_vector_norm():
     v = np.array([[3.0, 4.0]])

@@ -12,6 +12,7 @@ from lpevo.maximal import (
     _graded_maximal_time,
     build_filtration_levels,
     containment_radius,
+    default_radius_ladder,
     filtration_sharp,
     maximal_values,
     nested_n1,
@@ -329,6 +330,38 @@ def test_complex_input_rejected(operator):
     h = np.full((8, 8), 1.0 + 1.0j)
     with pytest.raises(ValueError, match="real"):
         _OPERATORS[operator](h, g)
+
+
+# leading batch axes in space stay allowed (test_batched_equals_row_wise)
+@pytest.mark.parametrize(
+    "d,axis,shape",
+    [(1, "space", (8, 15)), (1, "space", (8,)), (2, "space", (8, 16, 8)), (1, "time", (7, 16)), (2, "time", (16,))],
+)
+def test_values_off_the_grid_rejected(d, axis, shape):
+    g = make_grid(d, 16, 0.5, (np.arange(8) + 0.5) / 8)
+    with pytest.raises(ValueError, match="lattice|time nodes"):
+        maximal_values(np.ones(shape), g, axis)
+
+
+_GAMMA_OPERATORS = {
+    "sharp": sharp_parabolic,
+    "sharp-ladder": lambda h, g, gamma: sharp_parabolic(h, g, gamma, ladder=np.array([0.2])),
+    "filtration": filtration_sharp,
+    "nested_n1": lambda h, g, gamma: nested_n1(g, gamma),
+    "ladder": lambda h, g, gamma: default_radius_ladder(g, gamma),
+    "levels": lambda h, g, gamma: build_filtration_levels(g, gamma),
+}
+
+
+# gamma = -1 used to return a sharp function, 0 and inf to divide by zero,
+# and NaN to fail converting a window to an integer
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, np.inf, np.nan])
+@pytest.mark.parametrize("operator", sorted(_GAMMA_OPERATORS))
+def test_gamma_not_finite_and_positive_rejected(operator, gamma):
+    g = make_grid(1, 8, 0.5, (np.arange(8) + 0.5) / 8)
+    h = np.abs(np.random.default_rng(22).normal(size=(8, 8)))
+    with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+        _GAMMA_OPERATORS[operator](h, g, gamma)
 
 
 class TestSharpParabolic:

@@ -2,8 +2,8 @@
 deleted function cannot leave a stale entry in ``__all__``; every name a
 submodule exports, and every parameter with a default it takes, must have a
 consumer outside the tests; every private helper must have one inside the
-package; only ``grid.py`` names numpy's FFT; and the package needs numpy
-alone."""
+package, and every private constant must be read in its own module; only
+``grid.py`` names numpy's FFT; and the package needs numpy alone."""
 
 import ast
 import collections
@@ -104,6 +104,26 @@ def test_every_private_helper_has_a_consumer_in_the_package():
         and uses[node.name] == _name_uses(node)[node.name]
     ]
     assert unused == []
+
+
+def test_every_private_constant_is_read_in_its_module():
+    # per module, since two modules may hold constants of one name: a cap or
+    # a tolerance that its module no longer reads is a knob that does nothing
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [
+            f"{path.name}:{target.id}"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+            and target.id.startswith("_")
+            and target.id.isupper()
+            and target.id not in loaded
+        ]
+    assert unread == []
 
 
 def test_every_export_has_a_consumer():
