@@ -6,9 +6,8 @@ Modules:
 - :mod:`lpevo.grid` -- space-time lattices, the lattice transforms and
   Lebesgue norms
 - :mod:`lpevo.symbols` -- operator symbols and their class-condition check
-- :mod:`lpevo.evolution` -- the integrated symbol and the lattice symbol,
-  the two multipliers of the square function
-- :mod:`lpevo.gfunction` -- square functions with singular time weights
+- :mod:`lpevo.gfunction` -- square functions with singular time weights,
+  and their two multipliers: the lattice symbol and the integrated symbol
 - :mod:`lpevo.maximal` -- maximal and sharp functions and the dyadic
   filtration
 """

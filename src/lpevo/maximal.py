@@ -18,35 +18,7 @@ Conventions shared by every operator here:
   is the set of cells whose centers fall inside, so each ladder radius
   yields an integer window shape.
 
-The sharp function is exact and costs no pass per window offset.  For each
-window shape, centers whose windows cover the same in-box time rows form one
-time class that shares the mean and the oscillation, and the zero rows
-outside the box enter in closed form.  The 2mx+1 periodic space shifts fold
-onto at most n distinct shifts per axis, each weighted by its multiplicity;
-a move (one shift per axis) carries the product of these weights.  The mean
-oscillation is that of Fefferman and Stein, (1/|Q|) sum_Q |v - mu|, and over
-the in-box cells of total weight W it is taken through
-
-    sum |v - mu| = 2 sum max(v, mu) - sum v - W mu,
-
-where sum v is a window sum, so each move costs one max and one add per
-cell.  Each in-box row is centred on its own spatial mean first (v and mu
-alike), which keeps the terms of the identity on the scale of the
-oscillation, so an offset added to the field loses no more digits than the
-mean does.  Moves of equal weight are summed before one multiply per weight.
-A window that covers most of the period gives most residues one common
-weight c, the base weight.  Its part is c F_r(mu') per (class, row r) pair,
-with F_r(mu) = sum over the whole centred row of max(v', mu); each row is
-sorted once per call and keeps its suffix sums, so F_r(mu) = k mu + S_k with
-k the entries <= mu, one binary search per (pair, point) in place of a move
-per residue.  The moves then carry the residual weights w - c, which may be
-negative.  A shape takes c only where that removes more than _LOOKUP_MOVES
-moves, the measured cost of one lookup; other shapes (c = 0) keep the moves.
-The (class, in-box row) pairs are gathered in chunks of at most
-_CHUNK_ENTRIES floats, transposed into C-ordered (space..., pair) blocks so
-that each move reads one contiguous slab; the buffers are allocated once
-per call, so its transient memory is a few such blocks whatever the window
-size.
+The sharp function's algorithm is described in :func:`sharp_parabolic`.
 
 The filtration uses the nested variant of the anisotropic dyadic partition:
 level n has time side 2^-n and space side 2^-floor(n/gamma), so each cube
@@ -368,9 +340,11 @@ def sharp_parabolic(
     """Mean-oscillation supremum over parabolic cubes containing each point.
 
     ``values`` is a real scalar space-time array (time leading).  Cubes are
-    the lattice windows of the radius ladder; with ``offsets`` the supremum
-    also ranges over every window position containing the point (via a
-    maximum filter), matching the definition's arbitrary cube centers.
+    the lattice windows of the radius ladder, a non-empty 1-d array of
+    finite radii > 0 (the default ladder if None); with ``offsets`` the
+    supremum also ranges over every window position containing the point
+    (via a maximum filter), matching the definition's arbitrary cube
+    centers.
     Time extends by zero outside the box; space wraps periodically.
 
     The oscillation is exact, not sampled.  Per window shape it is reduced
@@ -384,7 +358,9 @@ def sharp_parabolic(
       axis, and the moves are grouped by weight;
     - where most residues of the lattice share one weight c (a window
       that covers the period), c goes to one lookup per (pair, point) in
-      the sorted centred row, and the moves carry w - c on the others.
+      the sorted centred row, and the moves carry w - c on the others,
+      which may be negative; a shape takes c only where that removes more
+      than _LOOKUP_MOVES moves, the measured cost of one lookup.
 
     Over in-box cells v of total weight W and a mean mu, sum |v - mu| =
     2 sum max(v, mu) - sum v - W mu, so a move costs one max and one add per
@@ -396,13 +372,15 @@ def sharp_parabolic(
     roll-sum.  The weight groups are nested (Horner), so each costs one
     multiply, not one per move.
 
-    The base weight's sum c F_r(mu') = c (k mu' + S_k) is taken on the same
-    centred row and mu', so its terms keep the scale of the moves it
-    replaces; S_k adds the n^d - k largest entries of the sorted row once
-    per call.  The lookup and the residual moves together carry the weight
-    c n^d + sum |w - c|, between 1.0 and 1.31 times W on the default ladders
-    of the benchmark grids, so the rounding stays that of a sum over the
-    window, however the weight is split.
+    The base weight's sum is c F_r(mu'), with F_r(mu) the sum of max(v', mu)
+    over the whole centred row r.  Each row is sorted once per call and
+    keeps its suffix sums, so F_r(mu') = k mu' + S_k, with k the entries
+    <= mu' found by one binary search and S_k the sum of the n^d - k
+    largest.  It is taken on the same centred row and mu' as the moves, so
+    its terms keep their scale.  The lookup and the residual moves together
+    carry the weight c n^d + sum |w - c|, between 1.0 and 1.31 times W on
+    the default ladders of the benchmark grids, so the rounding stays that
+    of a sum over the window, however the weight is split.
 
     Window sums add cells directly, so a one-cell window returns the cell
     value exactly.  The (class, in-box row) pairs are gathered in chunks:
@@ -419,11 +397,14 @@ def sharp_parabolic(
     dt = _uniform_dt(grid)
     if ladder is None:
         ladder = default_radius_ladder(grid, gamma)
+    ladder = _real(ladder)
+    if ladder.ndim != 1 or not ladder.size or not np.all((0 < ladder) & (ladder < np.inf)):
+        raise ValueError(f"ladder must be a non-empty 1-d array of finite radii > 0, got {ladder!r}")
 
     T = values.shape[0]
     d, n = grid.d, grid.n
     spatial = grid.spatial_shape()
-    shapes = sorted({_window_halfwidths(r, gamma, dt, grid.dx) for r in np.asarray(ladder)})
+    shapes = sorted({_window_halfwidths(r, gamma, dt, grid.dx) for r in ladder})
     plans = [_shape_plan(T, n, d, mt, mx, offsets) for mt, mx in shapes]
     # the output before the buffers: a long-lived array allocated after
     # them takes the space they free, and the next call's buffers then grow
@@ -532,10 +513,11 @@ class FiltrationLevel:
 
     n: int
     gamma: float
-    origin_t: float
-    origin_x: float
     time_side: float
     space_side: float
+
+    def __post_init__(self):
+        _check_gamma(self.gamma)
 
     def cube_measure(self, d: int) -> float:
         return self.time_side * self.space_side**d
@@ -575,8 +557,6 @@ def build_filtration_levels(grid: SpectralGrid, gamma: float) -> list[Filtration
             FiltrationLevel(
                 n=n,
                 gamma=gamma,
-                origin_t=grid.a,
-                origin_x=-grid.half_length,
                 time_side=2.0**-n,
                 space_side=2.0 ** -math.floor(n / gamma),
             )

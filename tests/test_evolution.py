@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lpevo.evolution import _gl_rule, integrated_symbol, symbol_on_lattice
+from lpevo.gfunction import _gl_rule, integrated_symbol, symbol_on_lattice
 from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, lebesgue_norm, make_grid
 from lpevo.symbols import SymbolSpec, power_symbol
 

@@ -8,14 +8,15 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 import lpevo.gfunction as gfunction
-from lpevo.evolution import _gl_rule, integrated_symbol
 from lpevo.gfunction import (
     GFunctionResult,
     QuadratureSpec,
+    _gl_rule,
     g_function,
     g_lp_norm,
     g_tilde,
     graded_quadrature,
+    integrated_symbol,
 )
 from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, make_grid, vector_norm
 from lpevo.symbols import SymbolSpec, check_symbol_class, eval_symbol, power_symbol

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -350,6 +351,10 @@ _GAMMA_OPERATORS = {
     "nested_n1": lambda h, g, gamma: nested_n1(g, gamma),
     "ladder": lambda h, g, gamma: default_radius_ladder(g, gamma),
     "levels": lambda h, g, gamma: build_filtration_levels(g, gamma),
+    # a level built directly: its radius read gamma unchecked
+    "containment_radius": lambda h, g, gamma: containment_radius(
+        dataclasses.replace(build_filtration_levels(g, 1.0)[-2], gamma=gamma), g
+    ),
 }
 
 
@@ -362,6 +367,17 @@ def test_gamma_not_finite_and_positive_rejected(operator, gamma):
     h = np.abs(np.random.default_rng(22).normal(size=(8, 8)))
     with pytest.raises(ValueError, match="gamma must be finite and > 0"):
         _GAMMA_OPERATORS[operator](h, g, gamma)
+
+
+# [] used to fail in max(), [-0.2] and [0] to return a sharp function of 0,
+# [nan] and [inf] to fail converting a window to an integer, and [[0.2]] and
+# a complex radius to raise a TypeError
+@pytest.mark.parametrize("ladder", [[], [-0.2], [0.0], [np.nan], [np.inf], [[0.2]], [0.2 + 1j]], ids=str)
+def test_ladder_not_finite_positive_radii_rejected(ladder):
+    g = make_grid(1, 8, 0.5, (np.arange(8) + 0.5) / 8)
+    h = np.abs(np.random.default_rng(22).normal(size=(8, 8)))
+    with pytest.raises(ValueError, match="ladder must be a non-empty 1-d array of finite radii > 0|must be real"):
+        sharp_parabolic(h, g, 1.0, ladder=np.array(ladder))
 
 
 class TestSharpParabolic:
@@ -588,13 +604,12 @@ class TestFiltration:
         levels = build_filtration_levels(g, gamma=2.0)
         rng = np.random.default_rng(8)
         pts = np.stack([rng.uniform(0, 1, 500), rng.uniform(-1, 1, 500)], axis=1)
+        origin = np.array([g.a, -g.half_length])  # the box corner
         for fine, coarse in zip(levels[1:], levels[:-1]):
-            assert (fine.origin_t, fine.origin_x) == (coarse.origin_t, coarse.origin_x)
             ratio = np.array([coarse.time_side / fine.time_side, coarse.space_side / fine.space_side])
             assert ratio[0] == 2.0 and ratio[1] in (1.0, 2.0)
             assert coarse.cube_measure(1) / fine.cube_measure(1) <= 2.0 ** (1 + 1)
             # the parent of each point's cube is the point's cube one level up
-            origin = np.array([fine.origin_t, fine.origin_x])
             child = np.floor((pts - origin) / [fine.time_side, fine.space_side])
             parent = np.floor((pts - origin) / [coarse.time_side, coarse.space_side])
             assert np.array_equal(np.floor(child / ratio), parent)

@@ -2,8 +2,9 @@
 deleted function cannot leave a stale entry in ``__all__``; every name a
 submodule exports, and every parameter with a default it takes, must have a
 consumer outside the tests; every private helper must have one inside the
-package, and every private constant must be read in its own module; only
-``grid.py`` names numpy's FFT; and the package needs numpy alone."""
+package, and every private constant must be read in its own module; no
+module reaches for another's private names; only ``grid.py`` names numpy's
+FFT; and the package needs numpy alone."""
 
 import ast
 import collections
@@ -124,6 +125,31 @@ def test_every_private_constant_is_read_in_its_module():
             and target.id not in loaded
         ]
     assert unread == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name that crosses modules is a decision split between two
+    # modules: it belongs to its one user, or it is public
+    crossed = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "lpevo"
+            and any(_private(alias.name) for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and _private(node.attr)
+            and ast.unparse(node.value).startswith("lpevo.")
+        )
+    ]
+    assert crossed == []
 
 
 def test_every_export_has_a_consumer():
