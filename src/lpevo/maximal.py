@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lpevo.grid import SpectralGrid
 
@@ -225,20 +226,6 @@ def _window_halfwidths(radius: float, gamma: float, dt: float, dx: float) -> tup
     return mt, mx
 
 
-def _time_classes(T: int, mt: int, ext: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-box row intervals of the windows centered at rows -ext..T-1+ext.
-
-    Returns the distinct intervals as (first row, row count) and, for each
-    center, the index of its interval.
-    """
-    centers = np.arange(-ext, T + ext)
-    lo = np.maximum(centers - mt, 0)
-    hi = np.minimum(centers + mt, T - 1)
-    keys, of_center = np.unique(lo * T + hi, return_inverse=True)
-    lo, hi = np.divmod(keys, T)
-    return lo, hi - lo + 1, of_center
-
-
 def _pair_chunks(lo: np.ndarray, count: np.ndarray, step: int):
     """The (class, in-box row) pairs of the time classes, in chunks of at
     most ``step`` pairs.
@@ -280,24 +267,25 @@ def _row_max_sum(ordered: np.ndarray, suffix: np.ndarray, mu: np.ndarray, out: n
 
 @dataclass(frozen=True)
 class _ShapePlan:
-    """The work of one window shape (see ``_shape_plan``)."""
+    """The work of one window shape (see ``_shape_plan``); cached, so read-only."""
 
     mt: int
     mx: int
     lo: np.ndarray  # first in-box row of each time class
     count: np.ndarray  # in-box rows of each time class
     of_center: np.ndarray  # time class of each center
-    shifts: np.ndarray  # distinct space shifts mod n
-    mult: np.ndarray  # how many of -mx..mx land on each shift
+    wrap: int  # cells past n the lattice wraps on each axis: the largest shift mod n
     base: int  # the base weight c, taken from every residue by one lookup per (pair, point)
-    moves: list[tuple[int, list[tuple[slice, ...]]]]  # (weight - base, moves), heaviest first
+    moves: tuple[tuple[int, tuple[tuple[slice, ...], ...]], ...]  # (weight - base, moves), heaviest first
     lattice: int  # points of the lattice wrapped once
     step: int  # pairs per chunk
+    chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # the pairs, as _pair_chunks yields them
 
 
+@functools.cache
 def _shape_plan(T: int, n: int, d: int, mt: int, mx: int, offsets: bool) -> _ShapePlan:
-    """The time classes, space shifts and moves of one window shape, and the
-    pairs a chunk of at most _CHUNK_ENTRIES floats holds.
+    """The time classes, moves and pair chunks of one window shape, a chunk
+    of at most _CHUNK_ENTRIES floats; built once per grid and shape.
 
     Every residue s of the n^d lattice has a weight: the product over axes
     of how many of -mx..mx land on it, 0 off the window.  The base weight is
@@ -307,9 +295,15 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int, offsets: bool) -> _Sha
     carrying the residual weight.  The moves are grouped by residual weight,
     which may be negative.
     """
-    # centers whose window can reach an in-box point sit up to mt rows
-    # outside the box once offsets move the windows
-    lo, count, of_center = _time_classes(T, mt, mt if offsets else 0)
+    # the time classes: the distinct in-box row intervals of the windows, as
+    # (first row, row count), and the class of each center; centers whose
+    # window can reach an in-box point sit up to mt rows outside the box
+    # once offsets move the windows
+    centers = np.arange(-mt, T + mt) if offsets else np.arange(T)
+    first, last = np.maximum(centers - mt, 0), np.minimum(centers + mt, T - 1)
+    keys, of_center = np.unique(first * T + last, return_inverse=True)
+    lo, last = np.divmod(keys, T)
+    count = last - lo + 1
     shifts, mult = np.unique(np.arange(-mx, mx + 1) % n, return_counts=True)
     axis_weight = np.zeros(n, dtype=int)
     axis_weight[shifts] = mult
@@ -318,16 +312,21 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int, offsets: bool) -> _Sha
     base = int(kinds[np.argmax(counts)])  # the lighter of equally common weights
     if np.count_nonzero(weight) - np.count_nonzero(weight != base) <= _LOOKUP_MOVES:
         base = 0
-    moved = weight != base
     cuts = [slice(s, s + n) for s in range(n)]
-    groups: dict[int, list[tuple[slice, ...]]] = {}
-    # residues in C order: with no base weight, the shifts' product order
-    for s, w in zip(np.argwhere(moved).tolist(), weight[moved].tolist()):
-        groups.setdefault(w - base, []).append(tuple(cuts[c] for c in s))
-    lattice = (n + int(shifts[-1])) ** d
+    # each weight's residues in C order: with no base weight, the shifts'
+    # product order
+    moves = tuple(
+        (w - base, tuple(tuple(cuts[c] for c in s) for s in np.argwhere(weight == w).tolist()))
+        for w in kinds[::-1].tolist()
+        if w != base
+    )
+    wrap = int(shifts[-1])
+    lattice = (n + wrap) ** d
     step = min(max(1, _CHUNK_ENTRIES // lattice), int(count.sum()))
-    moves = sorted(groups.items(), key=lambda group: -group[0])
-    return _ShapePlan(mt, mx, lo, count, of_center, shifts, mult, base, moves, lattice, step)
+    chunks = tuple(_pair_chunks(lo, count, step))
+    for a in (lo, count, of_center, *itertools.chain(*chunks)):
+        a.flags.writeable = False
+    return _ShapePlan(mt, mx, lo, count, of_center, wrap, base, moves, lattice, step, chunks)
 
 
 def sharp_parabolic(
@@ -368,9 +367,11 @@ def sharp_parabolic(
     spatial mean c_r first: v' = v - c_r and mu' = mu - c_r keep the terms
     of the identity on the scale of the oscillation rather than of the
     values, so an offset added to the field costs no more digits than it
-    does in the mean.  The window sums of v and v' come from one periodic
-    roll-sum.  The weight groups are nested (Horner), so each costs one
-    multiply, not one per move.
+    does in the mean.  Only v' is window-summed, by one strided sum per
+    space axis and one ``reduceat`` over a class's rows, which also sums
+    their means: mu = (sum_W v' + side sum_r c_r) / cells, with side the
+    cells of a row.  The weight groups are nested (Horner), so each costs
+    one multiply, not one per move.
 
     The base weight's sum is c F_r(mu'), with F_r(mu) the sum of max(v', mu)
     over the whole centred row r.  Each row is sorted once per call and
@@ -382,15 +383,15 @@ def sharp_parabolic(
     the default ladders of the benchmark grids, so the rounding stays that
     of a sum over the window, however the weight is split.
 
-    Window sums add cells directly, so a one-cell window returns the cell
-    value exactly.  The (class, in-box row) pairs are gathered in chunks:
-    a chunk's rows are taken along time from a time-first copy of the
-    centred lattice wrapped once, then transposed once into a C-ordered
-    (space..., pair) block, and mu' per pair is laid out alike, so each move
-    reads one slab that numpy runs as a single inner loop.  A block holds
-    at most _CHUNK_ENTRIES floats (one pair if a lattice alone is larger);
-    it, its gather buffer and two pair buffers are allocated once per call,
-    however large the window.
+    Window sums add cells directly.  Plans are cached per grid and shape,
+    and the one-cell window, of oscillation 0, is skipped.  The (class,
+    in-box row) pairs are gathered in chunks: a chunk's rows are taken along
+    time from a time-first copy of the centred lattice wrapped once, then
+    transposed once into a C-ordered (space..., pair) block, and mu' per
+    pair is laid out alike, so each move reads one slab that numpy runs as
+    a single inner loop.  A block holds at most _CHUNK_ENTRIES floats (one
+    pair if a lattice alone is larger); it, its gather buffer and two pair
+    buffers are allocated once per call, however large the window.
     """
     _check_gamma(gamma)
     values = _space_time_values(values, grid)
@@ -404,20 +405,19 @@ def sharp_parabolic(
     T = values.shape[0]
     d, n = grid.d, grid.n
     spatial = grid.spatial_shape()
-    shapes = sorted({_window_halfwidths(r, gamma, dt, grid.dx) for r in ladder})
-    plans = [_shape_plan(T, n, d, mt, mx, offsets) for mt, mx in shapes]
+    shapes = {_window_halfwidths(r, gamma, dt, grid.dx) for r in ladder} - {(0, 0)}
+    plans = [_shape_plan(T, n, d, mt, mx, offsets) for mt, mx in sorted(shapes)]
     # the output before the buffers: a long-lived array allocated after
     # them takes the space they free, and the next call's buffers then grow
     # the heap
     sharp = np.zeros_like(values)
-    block_buf = np.empty(max(p.step * p.lattice for p in plans))
+    block_buf = np.empty(max((p.step * p.lattice for p in plans), default=0))
     gather_buf = np.empty_like(block_buf)
-    mu_buf = np.empty(max(p.step for p in plans) * n**d)
+    mu_buf = np.empty(max((p.step for p in plans), default=0) * n**d)
     acc_buf = np.empty_like(mu_buf)
 
     ref = values.mean(axis=tuple(range(1, d + 1)))  # c_r of every in-box row
     centred = values - ref.reshape((T,) + (1,) * d)
-    both = np.stack([values, centred])
     # each centred row sorted, with its suffix sums, for _row_max_sum
     ordered = np.sort(centred.reshape(T, -1), axis=1)
     suffix = np.zeros((T, n**d + 1))
@@ -426,25 +426,25 @@ def sharp_parabolic(
         mt, mx, count = p.mt, p.mx, p.count
         side = (2 * mx + 1) ** d
         cells = (2 * mt + 1) * side
-        chunks = list(_pair_chunks(p.lo, count, p.step))
-        # window sums of v and v' over the weighted periodic shifts; a window
-        # longer than the period counts cells more than once
-        window = both
-        for ax in range(2, d + 2):
-            window = sum(k * np.roll(window, -s, axis=ax) for s, k in zip(p.shifts, p.mult))
-        sums = np.zeros((2, count.size) + spatial)
-        for rows, cls, seg in chunks:
+        # window sums of v' per row, axis by axis; a window longer than the
+        # period counts cells more than once
+        window = centred
+        for ax in range(1, d + 1):
+            pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
+            window = sliding_window_view(np.pad(window, pad, mode="wrap"), 2 * mx + 1, axis=ax).sum(axis=-1)
+        sums = np.zeros((count.size,) + spatial)
+        ref_sums = np.zeros(count.size)
+        for rows, cls, seg in p.chunks:
             gathered = gather_buf[: rows.size * n**d].reshape((rows.size,) + spatial)
-            # indexed, not bound to loop names, so no view outlives the shape
-            for k in range(2):
-                np.take(window[k], rows, axis=0, out=gathered, mode="clip")
-                sums[k, cls[seg]] += np.add.reduceat(gathered, seg, axis=0)
-        mu = sums[0] / cells
+            np.take(window, rows, axis=0, out=gathered, mode="clip")
+            sums[cls[seg]] += np.add.reduceat(gathered, seg, axis=0)
+            ref_sums[cls[seg]] += np.add.reduceat(ref[rows], seg)
+        mu = (sums + side * ref_sums.reshape((-1,) + (1,) * d)) / cells
 
-        wrapped = np.pad(centred, [(0, 0)] + [(0, int(p.shifts[-1]))] * d, mode="wrap")
+        wrapped = np.pad(centred, [(0, 0)] + [(0, p.wrap)] * d, mode="wrap")
         max_sum = np.zeros((count.size,) + spatial)
         lightest = p.moves[-1][0]
-        for rows, cls, seg in chunks:
+        for rows, cls, seg in p.chunks:
             pairs = rows.size
             gathered = gather_buf[: pairs * wrapped[0].size].reshape((pairs,) + wrapped.shape[1:])
             np.take(wrapped, rows, axis=0, out=gathered, mode="clip")
@@ -487,20 +487,19 @@ def sharp_parabolic(
                     f_r *= scale
                     max_sum[part] += f_r
         out_rows = ((2 * mt + 1 - count) * side).reshape((-1,) + (1,) * d)
-        osc = (2.0 * lightest * max_sum - sums[1] + out_rows * np.abs(mu)) / cells
+        osc = (2.0 * lightest * max_sum - sums + out_rows * np.abs(mu)) / cells
         osc = osc[p.of_center]
         if offsets:
             # sup over the window positions containing each point: the
             # centers of in-box rows are all computed, and space wraps
             osc = _sliding_max(osc, mt, 0)
             for ax in range(1, d + 1):
-                pad = [(0, 0)] * (d + 1)
-                pad[ax] = (mx, mx)
+                pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
                 osc = _sliding_max(np.pad(osc, pad, mode="wrap"), mx, ax)
         np.maximum(sharp, osc, out=sharp)
         # this shape's arrays go before the next shape allocates its own, so
         # the transient peak is one shape's, not the sum of two
-        del chunks, window, sums, mu, wrapped, max_sum, osc
+        del window, sums, mu, wrapped, max_sum, osc
     return sharp
 
 

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -374,6 +375,24 @@ def _random_field(d, n, m, nt, seed, real=False):
     return SpaceTimeField(grid, m, values)
 
 
+def _refined_pair(f):
+    """``f`` without its Nyquist modes, and the same band-limited function on
+    the lattice twice as fine over the same box and times, by zero-padding
+    its coefficients in FFT order.  A real field stays real on both, since
+    the Nyquist modes are the ones that pair with themselves."""
+    grid, n, d, m = f.grid, f.grid.n, f.grid.d, f.m
+    keep = np.arange(n) != n // 2
+    coeffs = lattice_forward(f.values, grid) * functools.reduce(np.multiply.outer, [keep] * d)[..., None]
+    fine_grid = make_grid(d, 2 * n, grid.half_length, grid.t_grid)
+    fine_index = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) + n)
+    padded = np.zeros((len(grid.t_grid),) + (2 * n,) * d + (m,), dtype=complex)
+    padded[np.ix_(np.arange(len(grid.t_grid)), *[fine_index] * d, np.arange(m))] = coeffs
+    coarse, fine = lattice_inverse(coeffs, grid), lattice_inverse(padded, fine_grid)
+    if not np.any(f.values.imag):
+        coarse, fine = coarse.real, fine.real
+    return SpaceTimeField(grid, m, coarse), SpaceTimeField(fine_grid, m, fine)
+
+
 def _modulated(gamma, d, amp=0.5, rate=2.0):
     return power_symbol(
         1.0, gamma, k_fn=lambda t: amp * np.exp(-rate * t), k_bound=amp,
@@ -740,6 +759,17 @@ class TestInvariances:
         moved = SpaceTimeField(grid, m, f.values)
         want = self._g(f, variant, q)
         assert np.max(np.abs(self._g(moved, variant, q) - want)) <= 1e-12 * np.max(want)
+
+    @pytest.mark.parametrize("d, m, real", [(1, 2, False), (2, 1, True)], ids=["1d-complex", "2d-real"])
+    def test_spatial_refinement(self, d, m, real):
+        # a band-limited field is one function on every lattice of its box,
+        # and G acts on it mode by mode, so the G of the finer lattice, read
+        # at the coarse points, is the coarse G; a real field takes the half
+        # lattice on both
+        f, fine = _refined_pair(_random_field(d, 8, m, nt=3, seed=23, real=real))
+        want = self._g(f, "g_function", 3.0)
+        points = (slice(None),) + (slice(None, None, 2),) * d
+        assert np.max(np.abs(self._g(fine, "g_function", 3.0)[points] - want)) <= 1e-13 * np.max(want)
 
     @settings(max_examples=15, deadline=None)
     @given(scale=st.sampled_from([0.25, 0.5, 0.7, 2.0, 3.0]), **CASES)

@@ -83,12 +83,20 @@ _LOOKUP_SHAPES = {
 }
 
 
+def _set_plan_constant(monkeypatch, name, value):
+    """Set a constant that shape plans read, under a plan cache of the
+    test's own: no plan cached before serves the test, and none it builds
+    outlives it."""
+    monkeypatch.setattr(maximal_module, name, value)
+    monkeypatch.setattr(maximal_module, "_shape_plan", functools.cache(maximal_module._shape_plan.__wrapped__))
+
+
 def _lookup_if_listed(monkeypatch, d, n, T, mt, mx):
     """Let a shape of _LOOKUP_SHAPES take its base weight however few moves
     that removes, and check its base weight; other shapes keep the default
     rule."""
     if (d, n, T, mt, mx) in _LOOKUP_SHAPES:
-        monkeypatch.setattr(maximal_module, "_LOOKUP_MOVES", 0)
+        _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", 0)
         assert maximal_module._shape_plan(T, n, d, mt, mx, True).base == _LOOKUP_SHAPES[d, n, T, mt, mx]
 
 
@@ -463,13 +471,13 @@ class TestSharpParabolic:
         # the lookup, whose blocks of classes the cap cuts as well: base
         # weight 1 (7 of 8 residues), 2 in d = 1 and 2 in d = 2 (13 = 8 + 5
         # cells), and 3 or 9 (23 = 2 * 8 + 7 cells, wider than 2n)
-        monkeypatch.setattr(maximal_module, "_CHUNK_ENTRIES", cap)
+        _set_plan_constant(monkeypatch, "_CHUNK_ENTRIES", cap)
         h = _cap_field(d)
         for lookup_moves, shapes in (
             (maximal_module._LOOKUP_MOVES, ((4, 2), (4, 6))),
             (0, ((4, 3), (4, 6), (4, 11))),
         ):
-            monkeypatch.setattr(maximal_module, "_LOOKUP_MOVES", lookup_moves)
+            _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", lookup_moves)
             for mt, mx in shapes:
                 assert (maximal_module._shape_plan(6, 8, d, mt, mx, True).base != 0) == (lookup_moves == 0)
                 g, r = _window_grid(d, 8, 6, mt, mx)
@@ -517,6 +525,14 @@ class TestSharpParabolic:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * maximal_module._CHUNK_ENTRIES * 8 + 16 * h.nbytes
+
+    def test_plans_are_cached_and_read_only(self):
+        # one plan serves every call on its grid and window shape
+        plan = maximal_module._shape_plan(6, 8, 2, 1, 3, True)
+        assert maximal_module._shape_plan(6, 8, 2, 1, 3, True) is plan
+        for a in [plan.lo, plan.count, plan.of_center] + [a for chunk in plan.chunks for a in chunk]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
     @pytest.mark.parametrize("d, n, T, moves", [(2, 16, 16, 397), (1, 64, 64, 170)], ids=["sharp-2d", "static-1d"])
     def test_default_ladder_moves(self, d, n, T, moves):
@@ -567,6 +583,31 @@ class TestSharpParabolic:
         shifted = np.roll(h, (3, 5), axis=(1, 2))  # spatial lattice shift
         out2 = sharp_parabolic(shifted, g, gamma=2.0, offsets=True)
         assert np.allclose(out2, np.roll(out, (3, 5), axis=(1, 2)), atol=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        n=st.sampled_from([8, 16]),
+        T=st.integers(min_value=2, max_value=8),
+        gamma=st.sampled_from([1.0, 2.0]),
+        offsets=st.booleans(),
+        shift=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_commutes_with_symmetries(self, d, n, T, gamma, offsets, shift, seed):
+        # space wraps and each window is symmetric about its centre in time
+        # and along each space axis, so a shift by any vector, the
+        # reflection j -> -j mod n of one axis and time reversal on uniform
+        # cells move the sharp function with the field
+        g = make_grid(d, n, 0.5, (np.arange(T) + 0.5) / T)
+        h = np.random.default_rng(seed).normal(size=(T,) + (n,) * d)
+        out = sharp_parabolic(h, g, gamma, offsets=offsets)
+        axes = tuple(range(1, d + 1))
+        mirror = (-np.arange(n)) % n
+        maps = [lambda a: np.roll(a, shift[:d], axis=axes), lambda a: a[::-1]]
+        maps += [lambda a, ax=ax: np.take(a, mirror, axis=ax) for ax in axes]
+        for move in maps:
+            np.testing.assert_allclose(sharp_parabolic(move(h), g, gamma, offsets=offsets), move(out), rtol=1e-12, atol=0.0)
 
     def test_offsets_enlarge(self):
         g = _cells_grid(n=16, T=32)

@@ -1,3 +1,7 @@
+"""G's two multipliers, which live in ``lpevo.gfunction``: the lattice
+symbol psi1 and the integrated symbol exp(int_s^t psi2), with the
+Gauss-Legendre rule and the lattice transforms that apply them."""
+
 import dataclasses
 
 import numpy as np
