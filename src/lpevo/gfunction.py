@@ -298,6 +298,8 @@ def _g_core(
     if not np.isfinite(a):
         raise ValueError(f"window start must be finite, got {a}")
     grid = f.grid
+    if not psi1.d == psi2.d == grid.d:
+        raise ValueError(f"symbols of dimension {psi1.d} and {psi2.d} on a grid of dimension {grid.d}")
     # tolerances relative to the time span, so they hold in any time unit
     span = grid.b - grid.a
     if a < grid.a - 1e-12 * span:

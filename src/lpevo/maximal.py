@@ -60,7 +60,6 @@ __all__ = [
     "build_filtration_levels",
     "containment_radius",
     "nested_n1",
-    "default_radius_ladder",
 ]
 
 
@@ -208,7 +207,7 @@ def _uniform_dt(grid: SpectralGrid) -> float:
     return float(dt[0])
 
 
-def default_radius_ladder(grid: SpectralGrid, gamma: float) -> np.ndarray:
+def _default_radius_ladder(grid: SpectralGrid, gamma: float) -> np.ndarray:
     """Geometric ladder of cube radii from one-cell cubes up to the box."""
     _check_gamma(gamma)
     dt = _uniform_dt(grid)
@@ -271,9 +270,10 @@ class _ShapePlan:
 
     mt: int
     mx: int
-    lo: np.ndarray  # first in-box row of each time class
     count: np.ndarray  # in-box rows of each time class
-    of_center: np.ndarray  # time class of each center
+    of_center: np.ndarray  # time class of each center -mt..T+mt-1
+    rep: np.ndarray  # one center of each time class, as an index into of_center
+    held: tuple[range, ...]  # the time classes holding each in-box row: one run
     wrap: int  # cells past n the lattice wraps on each axis: the largest shift mod n
     base: int  # the base weight c, taken from every residue by one lookup per (pair, point)
     moves: tuple[tuple[int, tuple[tuple[slice, ...], ...]], ...]  # (weight - base, moves), heaviest first
@@ -283,7 +283,7 @@ class _ShapePlan:
 
 
 @functools.cache
-def _shape_plan(T: int, n: int, d: int, mt: int, mx: int, offsets: bool) -> _ShapePlan:
+def _shape_plan(T: int, n: int, d: int, mt: int, mx: int) -> _ShapePlan:
     """The time classes, moves and pair chunks of one window shape, a chunk
     of at most _CHUNK_ENTRIES floats; built once per grid and shape.
 
@@ -295,15 +295,17 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int, offsets: bool) -> _Sha
     carrying the residual weight.  The moves are grouped by residual weight,
     which may be negative.
     """
-    # the time classes: the distinct in-box row intervals of the windows, as
-    # (first row, row count), and the class of each center; centers whose
-    # window can reach an in-box point sit up to mt rows outside the box
-    # once offsets move the windows
-    centers = np.arange(-mt, T + mt) if offsets else np.arange(T)
+    # the time classes: the distinct in-box row intervals, as (first row,
+    # row count), of the windows of centers up to mt rows outside the box.
+    # Both ends of a window rise with its center, so the classes holding a
+    # row r run from the first ending at or past r to the last starting at
+    # or before it
+    centers = np.arange(-mt, T + mt)
     first, last = np.maximum(centers - mt, 0), np.minimum(centers + mt, T - 1)
-    keys, of_center = np.unique(first * T + last, return_inverse=True)
+    keys, rep, of_center = np.unique(first * T + last, return_index=True, return_inverse=True)
     lo, last = np.divmod(keys, T)
     count = last - lo + 1
+    held = tuple(map(range, np.searchsorted(last, np.arange(T)), np.searchsorted(lo, np.arange(T), "right")))
     shifts, mult = np.unique(np.arange(-mx, mx + 1) % n, return_counts=True)
     axis_weight = np.zeros(n, dtype=int)
     axis_weight[shifts] = mult
@@ -324,34 +326,30 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int, offsets: bool) -> _Sha
     lattice = (n + wrap) ** d
     step = min(max(1, _CHUNK_ENTRIES // lattice), int(count.sum()))
     chunks = tuple(_pair_chunks(lo, count, step))
-    for a in (lo, count, of_center, *itertools.chain(*chunks)):
+    for a in (count, of_center, rep, *itertools.chain(*chunks)):
         a.flags.writeable = False
-    return _ShapePlan(mt, mx, lo, count, of_center, wrap, base, moves, lattice, step, chunks)
+    return _ShapePlan(mt, mx, count, of_center, rep, held, wrap, base, moves, lattice, step, chunks)
 
 
-def sharp_parabolic(
-    values: np.ndarray,
-    grid: SpectralGrid,
-    gamma: float,
-    ladder: np.ndarray | None = None,
-    offsets: bool = True,
-) -> np.ndarray:
-    """Mean-oscillation supremum over parabolic cubes containing each point.
+def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.ndarray:
+    """Mean-oscillation supremum over the parabolic cubes containing each
+    point, at every position, as the definition's arbitrary centres ask.
 
-    ``values`` is a real scalar space-time array (time leading).  Cubes are
-    the lattice windows of the radius ladder, a non-empty 1-d array of
-    finite radii > 0 (the default ladder if None); with ``offsets`` the
-    supremum also ranges over every window position containing the point
-    (via a maximum filter), matching the definition's arbitrary cube
-    centers.
-    Time extends by zero outside the box; space wraps periodically.
+    ``values`` is a finite real scalar space-time array (time leading) on
+    uniform time cells.  The cubes are the lattice windows, mt time and mx
+    space cells on either side of a centre, of a sqrt(2) ladder of radii
+    from one-cell cubes up to the box.  Time extends by zero outside the
+    box; space wraps periodically.  A maximum filter takes each shape's
+    oscillation over the window positions holding each point.
 
     The oscillation is exact, not sampled.  Per window shape it is reduced
     to the distinct work:
 
     - centers whose windows cover the same in-box rows share the mean and
       the oscillation, so each such time class is computed once; its zero
-      rows outside the box add (out-of-box cells) x |mean| in closed form;
+      rows outside the box add (out-of-box cells) x |mean| in closed form.
+      Both ends of a window rise with its centre, so the classes holding
+      an in-box row form one run;
     - the space shifts fold onto at most n distinct periodic shifts per
       axis, each weighted by how often it occurs; a move is one shift per
       axis, and the moves are grouped by weight;
@@ -368,10 +366,11 @@ def sharp_parabolic(
     of the identity on the scale of the oscillation rather than of the
     values, so an offset added to the field costs no more digits than it
     does in the mean.  Only v' is window-summed, by one strided sum per
-    space axis and one ``reduceat`` over a class's rows, which also sums
-    their means: mu = (sum_W v' + side sum_r c_r) / cells, with side the
-    cells of a row.  The weight groups are nested (Horner), so each costs
-    one multiply, not one per move.
+    axis; in time it runs over 2 mt zero rows each side and gives every
+    centre from -mt to T + mt - 1.  The row means are summed alike, and a
+    class reads both at one of its centres: mu = (sum_W v' + side sum_r
+    c_r) / cells, with side the cells of a row.  The weight groups are
+    nested (Horner), so each costs one multiply, not one per move.
 
     The base weight's sum is c F_r(mu'), with F_r(mu) the sum of max(v', mu)
     over the whole centred row r.  Each row is sorted once per call and
@@ -396,17 +395,16 @@ def sharp_parabolic(
     _check_gamma(gamma)
     values = _space_time_values(values, grid)
     dt = _uniform_dt(grid)
-    if ladder is None:
-        ladder = default_radius_ladder(grid, gamma)
-    ladder = _real(ladder)
-    if ladder.ndim != 1 or not ladder.size or not np.all((0 < ladder) & (ladder < np.inf)):
-        raise ValueError(f"ladder must be a non-empty 1-d array of finite radii > 0, got {ladder!r}")
+    shapes = {_window_halfwidths(r, gamma, dt, grid.dx) for r in _default_radius_ladder(grid, gamma)}
+    return _window_sharp(values, shapes)
 
-    T = values.shape[0]
-    d, n = grid.d, grid.n
-    spatial = grid.spatial_shape()
-    shapes = {_window_halfwidths(r, gamma, dt, grid.dx) for r in ladder} - {(0, 0)}
-    plans = [_shape_plan(T, n, d, mt, mx, offsets) for mt, mx in sorted(shapes)]
+
+def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarray:
+    """The sharp function of a float space-time array over the windows of
+    half-widths (mt, mx) in ``shapes``, as :func:`sharp_parabolic` says."""
+    T, n, d = values.shape[0], values.shape[1], values.ndim - 1
+    spatial = values.shape[1:]
+    plans = [_shape_plan(T, n, d, mt, mx) for mt, mx in sorted(set(shapes) - {(0, 0)})]
     # the output before the buffers: a long-lived array allocated after
     # them takes the space they free, and the next call's buffers then grow
     # the heap
@@ -432,13 +430,11 @@ def sharp_parabolic(
         for ax in range(1, d + 1):
             pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
             window = sliding_window_view(np.pad(window, pad, mode="wrap"), 2 * mx + 1, axis=ax).sum(axis=-1)
-        sums = np.zeros((count.size,) + spatial)
-        ref_sums = np.zeros(count.size)
-        for rows, cls, seg in p.chunks:
-            gathered = gather_buf[: rows.size * n**d].reshape((rows.size,) + spatial)
-            np.take(window, rows, axis=0, out=gathered, mode="clip")
-            sums[cls[seg]] += np.add.reduceat(gathered, seg, axis=0)
-            ref_sums[cls[seg]] += np.add.reduceat(ref[rows], seg)
+        # then along time over zero rows past the box, of v' and of the row
+        # means: every center -mt..T+mt-1, read at one center of each class
+        pad = [(2 * mt, 2 * mt)] + [(0, 0)] * d
+        sums = sliding_window_view(np.pad(window, pad), 2 * mt + 1, axis=0).sum(axis=-1)[p.rep]
+        ref_sums = sliding_window_view(np.pad(ref, pad[0]), 2 * mt + 1).sum(axis=-1)[p.rep]
         mu = (sums + side * ref_sums.reshape((-1,) + (1,) * d)) / cells
 
         wrapped = np.pad(centred, [(0, 0)] + [(0, p.wrap)] * d, mode="wrap")
@@ -474,28 +470,25 @@ def sharp_parabolic(
             acc -= tmp
             max_sum[cls[seg]] += np.moveaxis(np.add.reduceat(acc, seg, axis=-1), -1, 0)
         if p.base:
-            # base x F_r(mu') over the classes holding each in-box row r, up
-            # to a chunk's pairs at a time, in the pair buffers
+            # base x F_r(mu') over the run of classes holding each in-box row
+            # r, up to a chunk's pairs at a time, in the pair buffers
             scale = p.base / lightest
-            for r in range(T):
-                held = np.flatnonzero((p.lo <= r) & (r < p.lo + count))
-                for a in range(0, held.size, p.step):
-                    part = held[a : a + p.step]
-                    mu_r = mu_buf[: part.size * n**d].reshape((part.size,) + spatial)
-                    np.subtract(np.take(mu, part, axis=0, out=mu_r), ref[r], out=mu_r)
+            for r, held in enumerate(p.held):
+                for a in held[:: p.step]:
+                    part = slice(a, min(a + p.step, held.stop))
+                    mu_r = mu_buf[: (part.stop - a) * n**d].reshape((part.stop - a,) + spatial)
+                    np.subtract(mu[part], ref[r], out=mu_r)
                     f_r = _row_max_sum(ordered[r], suffix[r], mu_r, acc_buf[: mu_r.size].reshape(mu_r.shape))
                     f_r *= scale
                     max_sum[part] += f_r
         out_rows = ((2 * mt + 1 - count) * side).reshape((-1,) + (1,) * d)
         osc = (2.0 * lightest * max_sum - sums + out_rows * np.abs(mu)) / cells
-        osc = osc[p.of_center]
-        if offsets:
-            # sup over the window positions containing each point: the
-            # centers of in-box rows are all computed, and space wraps
-            osc = _sliding_max(osc, mt, 0)
-            for ax in range(1, d + 1):
-                pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
-                osc = _sliding_max(np.pad(osc, pad, mode="wrap"), mx, ax)
+        # sup over the window positions containing each point: every center
+        # whose window reaches the box is computed, and space wraps
+        osc = _sliding_max(osc[p.of_center], mt, 0)
+        for ax in range(1, d + 1):
+            pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
+            osc = _sliding_max(np.pad(osc, pad, mode="wrap"), mx, ax)
         np.maximum(sharp, osc, out=sharp)
         # this shape's arrays go before the next shape allocates its own, so
         # the transient peak is one shape's, not the sum of two

@@ -88,6 +88,10 @@ class SymbolSpec:
     def __post_init__(self):
         if not all(0 < c < np.inf for c in (self.kappa, self.mu, self.gamma)):
             raise ValueError("kappa, mu, gamma must all be positive and finite")
+        if self.d not in (1, 2):
+            raise ValueError(f"d must be 1 or 2, got {self.d!r}")
+        if not isinstance(self.n_derivs, (int, np.integer)):
+            raise ValueError(f"n_derivs must be an integer, got {self.n_derivs!r}")
         if self.n_derivs < self.d // 2 + 1:
             raise ValueError("n_derivs must be at least floor(d/2)+1")
         if self.class_flag not in (CLASS_S, CLASS_S_T):

@@ -203,6 +203,17 @@ class TestGFunctionBasics:
             else:
                 g_tilde(f, psi1, psi2, a, q)
 
+    # a d = 2 symbol on a d = 1 grid used to give a G whose class check
+    # described the other dimension
+    @pytest.mark.parametrize("which", ["psi1", "psi2"])
+    def test_rejects_symbols_of_another_dimension(self, which):
+        grid = _grid(n=32, nt=5)
+        f = SpaceTimeField(grid, 1, np.ones((5, 32, 1)))
+        symbols = {"psi1": power_symbol(1.0, 1.0), "psi2": power_symbol(1.0, 2.0)}
+        symbols[which] = power_symbol(1.0, symbols[which].gamma, d=2)
+        with pytest.raises(ValueError, match="dimension"):
+            g_function(f, symbols["psi1"], symbols["psi2"], 0.0, 0.0, 2.0)
+
     def test_failing_class_check_warns_not_fatal(self):
         from lpevo.symbols import SymbolSpec
 

@@ -11,9 +11,9 @@ from lpevo import maximal as maximal_module
 from lpevo.grid import make_grid, vector_norm
 from lpevo.maximal import (
     _graded_maximal_time,
+    _window_sharp,
     build_filtration_levels,
     containment_radius,
-    default_radius_ladder,
     filtration_sharp,
     maximal_values,
     nested_n1,
@@ -31,34 +31,22 @@ def _cells_grid(n=16, L=1.0, T=64, span=1.0):
     return make_grid(1, n, L, t)
 
 
-def _window_grid(d, n, T, mt, mx):
-    """Grid and gamma = 1 cube radius whose lattice window is (mt, mx):
-    the radius sits half a cell past mt time cells and mx space cells."""
-    dt = 1.0 / T
-    r = (mt + 0.5) * dt
-    dx = r / (mx + 0.5)
-    return make_grid(d, n, n * dx / 2.0, (np.arange(T) + 0.5) * dt), r
-
-
-def _sharp_oracle(h, mt, mx, offsets):
+def _sharp_oracle(h, mt, mx):
     """Direct enumeration of the sharp function for one window shape.
 
-    The mean oscillation of the (2mt+1) x (2mx+1)^d window centered at each
-    center, with zero rows outside the box and n-periodic space; with
-    offsets, the sup over every window position containing the point.
-    Works in the dtype of ``h``.
+    The mean oscillation of the (2mt+1) x (2mx+1)^d window at each center,
+    with zero rows outside the box and n-periodic space, then the sup over
+    every window position containing the point.  Works in the dtype of
+    ``h``.
     """
     T, n, d = h.shape[0], h.shape[1], h.ndim - 1
-    ext = mt if offsets else 0
-    padded = np.pad(h, [(ext + mt, ext + mt)] + [(0, 0)] * d)
+    padded = np.pad(h, [(2 * mt, 2 * mt)] + [(0, 0)] * d)
     span = np.arange(-mx, mx + 1)
-    osc = np.empty((T + 2 * ext,) + h.shape[1:], dtype=h.dtype)
+    osc = np.empty((T + 2 * mt,) + h.shape[1:], dtype=h.dtype)
     for idx in np.ndindex(osc.shape):
-        c, x = idx[0], idx[1:]  # center row c - ext
+        c, x = idx[0], idx[1:]  # center row c - mt
         cells = padded[np.ix_(np.arange(c, c + 2 * mt + 1), *[(xi + span) % n for xi in x])]
         osc[idx] = np.mean(np.abs(cells - cells.mean()))
-    if not offsets:
-        return osc
     out = np.empty_like(h)
     for idx in np.ndindex(h.shape):
         i, x = idx[0], idx[1:]
@@ -97,7 +85,7 @@ def _lookup_if_listed(monkeypatch, d, n, T, mt, mx):
     rule."""
     if (d, n, T, mt, mx) in _LOOKUP_SHAPES:
         _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", 0)
-        assert maximal_module._shape_plan(T, n, d, mt, mx, True).base == _LOOKUP_SHAPES[d, n, T, mt, mx]
+        assert maximal_module._shape_plan(T, n, d, mt, mx).base == _LOOKUP_SHAPES[d, n, T, mt, mx]
 
 
 def _cap_field(d):
@@ -107,7 +95,7 @@ def _cap_field(d):
 @functools.cache
 def _cap_oracle(d, mt, mx):
     """The oracle of test_chunk_cap_leaves_values, once for all its caps."""
-    return _sharp_oracle(_cap_field(d), mt, mx, True)
+    return _sharp_oracle(_cap_field(d), mt, mx)
 
 
 def _graded_loop_reference(batch, edges):
@@ -354,10 +342,9 @@ def test_values_off_the_grid_rejected(d, axis, shape):
 
 _GAMMA_OPERATORS = {
     "sharp": sharp_parabolic,
-    "sharp-ladder": lambda h, g, gamma: sharp_parabolic(h, g, gamma, ladder=np.array([0.2])),
     "filtration": filtration_sharp,
     "nested_n1": lambda h, g, gamma: nested_n1(g, gamma),
-    "ladder": lambda h, g, gamma: default_radius_ladder(g, gamma),
+    "ladder": lambda h, g, gamma: maximal_module._default_radius_ladder(g, gamma),
     "levels": lambda h, g, gamma: build_filtration_levels(g, gamma),
     # a level built directly: its radius read gamma unchecked
     "containment_radius": lambda h, g, gamma: containment_radius(
@@ -377,54 +364,42 @@ def test_gamma_not_finite_and_positive_rejected(operator, gamma):
         _GAMMA_OPERATORS[operator](h, g, gamma)
 
 
-# [] used to fail in max(), [-0.2] and [0] to return a sharp function of 0,
-# [nan] and [inf] to fail converting a window to an integer, and [[0.2]] and
-# a complex radius to raise a TypeError
-@pytest.mark.parametrize("ladder", [[], [-0.2], [0.0], [np.nan], [np.inf], [[0.2]], [0.2 + 1j]], ids=str)
-def test_ladder_not_finite_positive_radii_rejected(ladder):
-    g = make_grid(1, 8, 0.5, (np.arange(8) + 0.5) / 8)
-    h = np.abs(np.random.default_rng(22).normal(size=(8, 8)))
-    with pytest.raises(ValueError, match="ladder must be a non-empty 1-d array of finite radii > 0|must be real"):
-        sharp_parabolic(h, g, 1.0, ladder=np.array(ladder))
-
-
 class TestSharpParabolic:
     def test_constant_is_zero(self):
         g = _cells_grid()
         h = np.full((64, 16), 4.2)
         out = sharp_parabolic(h, g, gamma=2.0)
-        # zero extension: cubes sticking outside the box see the jump to 0
-        interior = out[16:48, :]
         assert np.all(out >= 0)
-        small = sharp_parabolic(h, g, gamma=2.0, ladder=np.array([np.diff(g.t_grid)[0] * 0.6]))
-        assert np.allclose(small[16:48], 0.0, atol=1e-14)
+        # a 3 x 5 window holding a point of rows 2..61 lies in the box; one
+        # holding row 0 or 1 may reach row -1, and sees the jump to 0 there
+        small = _window_sharp(h, {(1, 2)})
+        assert np.allclose(small[2:-2], 0.0, atol=1e-14)
+        assert np.all(small[:2] > 0.1)
 
     def test_halfspace_indicator_brute_force(self):
+        # h = 1 on x >= 0: direct sums over every 3 x 5 window holding a
+        # point on the interface, in the box and at its first row
         g = _cells_grid(n=16, T=16, span=1.0)
         h = (g.x >= 0).astype(float)[None, :].repeat(16, axis=0)
-        dt = np.diff(g.t_grid)[0]
-        ladder = np.array([2 * dt])
-        out = sharp_parabolic(h, g, gamma=2.0, ladder=ladder, offsets=False)
-        mt = int(np.ceil(2 * dt / dt - 1e-12)) - 1
-        mx = int(np.ceil(np.sqrt(2 * dt) / g.dx - 1e-12)) - 1
-        # direct summation over the centered window at one interface point
-        i, j = 8, 8
-        cells = []
-        for a in range(i - mt, i + mt + 1):
-            for b in range(j - mx, j + mx + 1):
-                inside = 0 <= a < 16
-                cells.append(h[a, b % 16] if inside else 0.0)
-        cells = np.asarray(cells)
-        mu = cells.mean()
-        assert out[i, j] == pytest.approx(np.mean(np.abs(cells - mu)), rel=1e-12)
+        mt, mx = 1, 2
+        out = _window_sharp(h, {(mt, mx)})
+
+        def osc(a, b):  # the window centred at time row a, space column b
+            cells = np.array(
+                [h[r, c % 16] if 0 <= r < 16 else 0.0 for r in range(a - mt, a + mt + 1) for c in range(b - mx, b + mx + 1)]
+            )
+            return np.mean(np.abs(cells - cells.mean()))
+
+        for i, j in [(8, 8), (0, 8)]:
+            best = max(osc(a, b) for a in range(i - mt, i + mt + 1) for b in range(j - mx, j + mx + 1))
+            assert out[i, j] == pytest.approx(best, rel=1e-12)
 
     def test_offsets_brute_force(self):
         # sup of the centered oscillation over every window containing the
         # point; the space window (2*5+1 cells) is longer than the period
-        g = make_grid(1, 8, 1.0, 0.7 * np.arange(6))
         h = np.random.default_rng(13).normal(size=(6, 8))
-        out = sharp_parabolic(h, g, gamma=2.0, ladder=np.array([1.75]), offsets=True)
         mt, mx = 2, 5
+        out = _window_sharp(h, {(mt, mx)})
         zero_ext = np.pad(h, [(2 * mt, 2 * mt), (0, 0)])
 
         def osc(a, b):  # centered window at time row a, space column b
@@ -441,7 +416,6 @@ class TestSharpParabolic:
                 )
                 assert out[i, j] == pytest.approx(best, rel=1e-12)
 
-    @pytest.mark.parametrize("offsets", [False, True])
     @pytest.mark.parametrize(
         "d, n, T, mt, mx",
         [
@@ -454,12 +428,10 @@ class TestSharpParabolic:
         ]
         + list(_LOOKUP_SHAPES),
     )
-    def test_direct_enumeration_oracle(self, monkeypatch, d, n, T, mt, mx, offsets):
+    def test_direct_enumeration_oracle(self, monkeypatch, d, n, T, mt, mx):
         _lookup_if_listed(monkeypatch, d, n, T, mt, mx)
-        g, r = _window_grid(d, n, T, mt, mx)
         h = np.random.default_rng(17).normal(size=(T,) + (n,) * d)
-        out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=offsets)
-        np.testing.assert_allclose(out, _sharp_oracle(h, mt, mx, offsets), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(_window_sharp(h, {(mt, mx)}), _sharp_oracle(h, mt, mx), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("cap", [1, 100, 1000, 2**15])
@@ -468,7 +440,7 @@ class TestSharpParabolic:
         # second window is longer than the period, so its moves carry
         # weights 1 and 2 (and 4 in d = 2) in every chunk.  Then, with the
         # base weight taken whenever it removes a move, the last three take
-        # the lookup, whose blocks of classes the cap cuts as well: base
+        # the lookup, whose runs of classes the cap cuts as well: base
         # weight 1 (7 of 8 residues), 2 in d = 1 and 2 in d = 2 (13 = 8 + 5
         # cells), and 3 or 9 (23 = 2 * 8 + 7 cells, wider than 2n)
         _set_plan_constant(monkeypatch, "_CHUNK_ENTRIES", cap)
@@ -479,9 +451,8 @@ class TestSharpParabolic:
         ):
             _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", lookup_moves)
             for mt, mx in shapes:
-                assert (maximal_module._shape_plan(6, 8, d, mt, mx, True).base != 0) == (lookup_moves == 0)
-                g, r = _window_grid(d, 8, 6, mt, mx)
-                out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
+                assert (maximal_module._shape_plan(6, 8, d, mt, mx).base != 0) == (lookup_moves == 0)
+                out = _window_sharp(h, {(mt, mx)})
                 np.testing.assert_allclose(out, _cap_oracle(d, mt, mx), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
@@ -497,10 +468,9 @@ class TestSharpParabolic:
         # c = 1e3 in d = 2).  The last three shapes take the base-weight
         # lookup, whose sorted rows are centred too
         _lookup_if_listed(monkeypatch, d, n, T, mt, mx)
-        g, r = _window_grid(d, n, T, mt, mx)
         h = offset + np.random.default_rng(1).normal(size=(T,) + (n,) * d)
-        out = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
-        exact = _sharp_oracle(h.astype(np.longdouble), mt, mx, True)
+        out = _window_sharp(h, {(mt, mx)})
+        exact = _sharp_oracle(h.astype(np.longdouble), mt, mx)
         rel = np.max(np.abs(out - exact) / np.abs(exact))
         assert rel <= 1e-15 + 5e-16 * offset
 
@@ -511,9 +481,9 @@ class TestSharpParabolic:
         # and 1 (the residue 0, 0): the base weight 4 goes to the lookup and
         # leaves the residual weights -2 and -3 to 31 moves
         g = make_grid(2, 16, 0.5, (np.arange(16) + 0.5) / 16)
-        ladder = maximal_module.default_radius_ladder(g, 1.0)
+        ladder = maximal_module._default_radius_ladder(g, 1.0)
         widest = maximal_module._window_halfwidths(ladder[-1], 1.0, 1 / 16, g.dx)
-        plan = maximal_module._shape_plan(16, 16, 2, *widest, offsets=True)
+        plan = maximal_module._shape_plan(16, 16, 2, *widest)
         assert plan.base == 4
         assert [(weight, len(cuts)) for weight, cuts in plan.moves] == [(-2, 30), (-3, 1)]
         h = np.random.default_rng(19).normal(size=(16, 16, 16))
@@ -528,11 +498,27 @@ class TestSharpParabolic:
 
     def test_plans_are_cached_and_read_only(self):
         # one plan serves every call on its grid and window shape
-        plan = maximal_module._shape_plan(6, 8, 2, 1, 3, True)
-        assert maximal_module._shape_plan(6, 8, 2, 1, 3, True) is plan
-        for a in [plan.lo, plan.count, plan.of_center] + [a for chunk in plan.chunks for a in chunk]:
+        plan = maximal_module._shape_plan(6, 8, 2, 1, 3)
+        assert maximal_module._shape_plan(6, 8, 2, 1, 3) is plan
+        for a in [plan.count, plan.of_center, plan.rep] + [a for chunk in plan.chunks for a in chunk]:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(min_value=1, max_value=12), mt=st.integers(min_value=0, max_value=15))
+    def test_plan_classes_by_rows(self, T, mt):
+        # the in-box rows of each center's window, enumerated: a class is one
+        # row set, its representative center maps back to it, and the run a
+        # plan keeps for row r is every class whose rows hold r
+        plan = maximal_module._shape_plan(T, 8, 1, mt, 1)
+        rows = [set(range(max(c - mt, 0), min(c + mt, T - 1) + 1)) for c in range(-mt, T + mt)]
+        classes = [rows[c] for c in plan.rep]
+        assert np.array_equal(plan.of_center[plan.rep], np.arange(len(classes)))
+        assert all(rows[c] == classes[k] for c, k in enumerate(plan.of_center))
+        assert len(set(map(frozenset, classes))) == len(classes)
+        assert plan.count.tolist() == [len(held) for held in classes]
+        for r in range(T):
+            assert set(plan.held[r]) == {k for k, held in enumerate(classes) if r in held}
 
     @pytest.mark.parametrize("d, n, T, moves", [(2, 16, 16, 397), (1, 64, 64, 170)], ids=["sharp-2d", "static-1d"])
     def test_default_ladder_moves(self, d, n, T, moves):
@@ -543,9 +529,10 @@ class TestSharpParabolic:
         # period (mx = 7, 11, 15 of 16, and 31, 45, 63 of 64)
         g = make_grid(d, n, 0.5, (np.arange(T) + 0.5) / T)
         shapes = {
-            maximal_module._window_halfwidths(r, 1.0, 1 / T, g.dx) for r in maximal_module.default_radius_ladder(g, 1.0)
+            maximal_module._window_halfwidths(r, 1.0, 1 / T, g.dx)
+            for r in maximal_module._default_radius_ladder(g, 1.0)
         }
-        plans = [maximal_module._shape_plan(T, n, d, mt, mx, True) for mt, mx in shapes]
+        plans = [maximal_module._shape_plan(T, n, d, mt, mx) for mt, mx in shapes]
         assert sum(len(cuts) for p in plans for _, cuts in p.moves) == moves
 
     @settings(max_examples=12, deadline=None)
@@ -558,13 +545,8 @@ class TestSharpParabolic:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_matches_oracle_property(self, d, n, T, mt, mx, seed):
-        g, r = _window_grid(d, n, T, mt, mx)
         h = np.random.default_rng(seed).normal(size=(T,) + (n,) * d)
-        centered = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=False)
-        full = sharp_parabolic(h, g, gamma=1.0, ladder=np.array([r]), offsets=True)
-        np.testing.assert_allclose(centered, _sharp_oracle(h, mt, mx, False), rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(full, _sharp_oracle(h, mt, mx, True), rtol=1e-12, atol=0.0)
-        assert np.all(full >= centered * (1 - 1e-12))
+        np.testing.assert_allclose(_window_sharp(h, {(mt, mx)}), _sharp_oracle(h, mt, mx), rtol=1e-12, atol=0.0)
 
     def test_shift_invariance(self):
         g = _cells_grid(n=16, T=32)
@@ -579,9 +561,9 @@ class TestSharpParabolic:
         g = make_grid(2, 8, 1.0, (np.arange(8) + 0.5) / 8)
         rng = np.random.default_rng(12)
         h = rng.normal(size=(8, 8, 8))
-        out = sharp_parabolic(h, g, gamma=2.0, offsets=True)
+        out = sharp_parabolic(h, g, gamma=2.0)
         shifted = np.roll(h, (3, 5), axis=(1, 2))  # spatial lattice shift
-        out2 = sharp_parabolic(shifted, g, gamma=2.0, offsets=True)
+        out2 = sharp_parabolic(shifted, g, gamma=2.0)
         assert np.allclose(out2, np.roll(out, (3, 5), axis=(1, 2)), atol=1e-12)
 
     @settings(max_examples=10, deadline=None)
@@ -590,43 +572,40 @@ class TestSharpParabolic:
         n=st.sampled_from([8, 16]),
         T=st.integers(min_value=2, max_value=8),
         gamma=st.sampled_from([1.0, 2.0]),
-        offsets=st.booleans(),
         shift=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_commutes_with_symmetries(self, d, n, T, gamma, offsets, shift, seed):
+    def test_commutes_with_symmetries(self, d, n, T, gamma, shift, seed):
         # space wraps and each window is symmetric about its centre in time
         # and along each space axis, so a shift by any vector, the
         # reflection j -> -j mod n of one axis and time reversal on uniform
         # cells move the sharp function with the field
         g = make_grid(d, n, 0.5, (np.arange(T) + 0.5) / T)
         h = np.random.default_rng(seed).normal(size=(T,) + (n,) * d)
-        out = sharp_parabolic(h, g, gamma, offsets=offsets)
+        out = sharp_parabolic(h, g, gamma)
         axes = tuple(range(1, d + 1))
         mirror = (-np.arange(n)) % n
         maps = [lambda a: np.roll(a, shift[:d], axis=axes), lambda a: a[::-1]]
         maps += [lambda a, ax=ax: np.take(a, mirror, axis=ax) for ax in axes]
         for move in maps:
-            np.testing.assert_allclose(sharp_parabolic(move(h), g, gamma, offsets=offsets), move(out), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(sharp_parabolic(move(h), g, gamma), move(out), rtol=1e-12, atol=0.0)
 
-    def test_offsets_enlarge(self):
-        g = _cells_grid(n=16, T=32)
-        rng = np.random.default_rng(6)
-        h = rng.normal(size=(32, 16))
-        centered = sharp_parabolic(h, g, gamma=2.0, offsets=False)
-        full = sharp_parabolic(h, g, gamma=2.0, offsets=True)
-        assert np.all(full >= centered - 1e-12)
-
-    def test_bounded_by_twice_local_average(self):
-        # |h - mu| <= |h| + |mu| gives osc <= 2 sup of windowed |h| averages
+    def test_bounded_by_local_averages(self):
+        # |h - mu| <= |h| + |mu| gives osc(Q) <= 2 avg_Q |h|.  A window Q of
+        # half-widths (mt, mx) that holds a point lies in the window of
+        # half-widths (2mt, 2mx) centred on it, which has (4mt + 1)/(2mt + 1)
+        # < 2 times the rows and (4mx + 1)/(2mx + 1) < 2 times the cells of a
+        # row, so avg_Q |h| < 2^(1+d) times its average; that average is at
+        # most M_t M_x |h| (past the period, a wrapped space window averages
+        # whole periods and one centred window).  Here d = 1
         g = _cells_grid(n=16, T=32)
         rng = np.random.default_rng(7)
         h = rng.normal(size=(32, 16))
-        sharp = sharp_parabolic(h, g, gamma=2.0, offsets=False)
+        sharp = sharp_parabolic(h, g, gamma=2.0)
         mx = maximal_values(
             maximal_values(np.abs(h), g, "space"), g, "time"
         )
-        assert np.all(sharp <= 2 * mx + 1e-10)
+        assert np.all(sharp <= 2 * 2**2 * mx + 1e-10)
 
 
 class TestFiltration:
@@ -692,8 +671,9 @@ class TestFiltration:
         h = rng.normal(size=(64, 16))
         fsharp, levels = filtration_sharp(h, g, gamma=2.0)
         n1 = nested_n1(g, gamma=2.0)
-        ladder = np.array([containment_radius(lvl, g) for lvl in levels])
-        qsharp = sharp_parabolic(h, g, gamma=2.0, ladder=ladder, offsets=False)
+        dt = np.diff(g.t_grid)[0]
+        shapes = {maximal_module._window_halfwidths(containment_radius(lvl, g), 2.0, dt, g.dx) for lvl in levels}
+        qsharp = _window_sharp(h, shapes)
         assert np.all(fsharp <= 2 * n1**2 * qsharp + 1e-10)
 
     def test_misaligned_grid_rejected(self):

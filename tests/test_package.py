@@ -167,9 +167,6 @@ def test_every_export_has_a_consumer():
 
 # parameters with a default that only the tests set, each with its reason
 UNSET_BY_CONSUMERS = {
-    # the brute-force oracle tests pin one window shape at a time
-    "sharp_parabolic.ladder",
-    "sharp_parabolic.offsets",
     # the class's N, which the class-check tests sweep
     "power_symbol.n_derivs",
 }

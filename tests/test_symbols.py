@@ -75,6 +75,17 @@ class TestSymbolSpec:
         with pytest.raises(ValueError, match="positive and finite"):
             replace(power_symbol(1.0, 2.0), **{constant: value})
 
+    # d = 3 and d = 0 used to fail inside check_symbol_class with an
+    # IndexError, and n_derivs = 2.5 with a TypeError
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("d", 3, "d must be 1 or 2"), ("d", 0, "d must be 1 or 2"), ("n_derivs", 2.5, "n_derivs must be an integer")],
+        ids=["d=3", "d=0", "n_derivs=2.5"],
+    )
+    def test_rejects_dimension_and_derivative_count(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            replace(power_symbol(1.0, 1.0), **{field: value})
+
 
 class TestClassCheck:
     def test_power_symbol_passes_all(self):
