@@ -340,6 +340,30 @@ def test_values_off_the_grid_rejected(d, axis, shape):
         maximal_values(np.ones(shape), g, axis)
 
 
+_SPACE_TIME_OPERATORS = {
+    "sharp": lambda h, g: sharp_parabolic(h, g, gamma=1.0),
+    "filtration": lambda h, g: filtration_sharp(h, g, gamma=1.0),
+}
+
+
+# a space-time field has one time row per node and exactly the lattice
+# after it: no batch axis, no vector axis
+@pytest.mark.parametrize("shape", [(8, 15), (7, 16), (8, 16, 1)])
+@pytest.mark.parametrize("operator", sorted(_SPACE_TIME_OPERATORS))
+def test_space_time_values_off_the_grid_rejected(operator, shape):
+    g = make_grid(1, 16, 0.5, (np.arange(8) + 0.5) / 8)
+    with pytest.raises(ValueError, match="space-time array on the grid"):
+        _SPACE_TIME_OPERATORS[operator](np.ones(shape), g)
+
+
+# the windows count time in cells of one length
+@pytest.mark.parametrize("operator", sorted(_SPACE_TIME_OPERATORS))
+def test_nonuniform_time_cells_rejected(operator):
+    g = make_grid(1, 8, 0.5, np.array([0.0, 0.1, 0.3, 0.7, 1.5]))
+    with pytest.raises(ValueError, match="uniform time cells"):
+        _SPACE_TIME_OPERATORS[operator](np.ones((5, 8)), g)
+
+
 _GAMMA_OPERATORS = {
     "sharp": sharp_parabolic,
     "filtration": filtration_sharp,
@@ -416,6 +440,7 @@ class TestSharpParabolic:
                 )
                 assert out[i, j] == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("lookup", [False, True])
     @pytest.mark.parametrize(
         "d, n, T, mt, mx",
         [
@@ -428,10 +453,33 @@ class TestSharpParabolic:
         ]
         + list(_LOOKUP_SHAPES),
     )
-    def test_direct_enumeration_oracle(self, monkeypatch, d, n, T, mt, mx):
-        _lookup_if_listed(monkeypatch, d, n, T, mt, mx)
+    def test_direct_enumeration_oracle(self, monkeypatch, d, n, T, mt, mx, lookup):
+        # every shape by moves alone (no base weight removes n^d moves), then
+        # with the base weight taken however few moves that removes: the
+        # shapes of _LOOKUP_SHAPES run once without and once with the lookup
+        _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", 0 if lookup else n**d)
+        if (d, n, T, mt, mx) in _LOOKUP_SHAPES:
+            expected = _LOOKUP_SHAPES[d, n, T, mt, mx] if lookup else 0
+            assert maximal_module._shape_plan(T, n, d, mt, mx).base == expected
         h = np.random.default_rng(17).normal(size=(T,) + (n,) * d)
         np.testing.assert_allclose(_window_sharp(h, {(mt, mx)}), _sharp_oracle(h, mt, mx), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sup_over_the_ladder_oracle(self, d, gamma):
+        # the public operator is the direct enumeration's sup over the window
+        # shapes of the default ladder, from the one-cell window to windows
+        # past the box and the period
+        g = make_grid(d, 8, 0.5, (np.arange(5) + 0.5) / 5)
+        h = np.random.default_rng(23).normal(size=(5,) + (8,) * d)
+        shapes = {
+            maximal_module._window_halfwidths(r, gamma, 1 / 5, g.dx)
+            for r in maximal_module._default_radius_ladder(g, gamma)
+        }
+        mt, mx = max(shapes)
+        assert (0, 0) in shapes and 2 * mt + 1 > 5 and 2 * mx + 1 > 8
+        exact = np.max([_sharp_oracle(h, mt, mx) for mt, mx in shapes], axis=0)
+        np.testing.assert_allclose(sharp_parabolic(h, g, gamma), exact, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("cap", [1, 100, 1000, 2**15])
