@@ -14,32 +14,44 @@ singularity for a u^(1/beta) Hölder kink of the transformed integrand there.
 Multipliers.  L(l) T(t, s) comes from two multipliers on the frequency
 lattice: :func:`symbol_on_lattice` gives psi1(l, xi), and
 :func:`integrated_symbol` the exponent integral_s^t psi2(r, xi) dr of
-T(t, s), for a scalar or a whole array of window starts s.  It is the one
-path to that integral: exact for time-independent symbols, and otherwise
-composite Gauss-Legendre on panels anchored to one global lattice, with all
-of a call's panels in one evaluation of the separable coefficient or the
-generic symbol.
+T(t, s), for a scalar or a whole array of window starts s.  The integral is
+exact for time-independent symbols, and otherwise composite Gauss-Legendre
+on panels anchored to one global lattice, with all of a call's panels in
+one evaluation of the separable coefficient or the generic symbol.  One
+panel-integral implementation, :func:`_panel_integrals`, serves
+integrated_symbol and the core's node plan.
 
-The core works one output time t at a time and batches its s nodes.  A
-batch's window exponents come from one :func:`integrated_symbol` call, so
-the core holds no symbol-specific code of its own; the frequency factor of
-psi2 is taken once per G and handed to that call.
+The core works one output time t at a time and batches its s nodes.  Where
+psi2 splits into a time coefficient c and a frequency factor (a
+time-independent psi2, c = 1, or a separable one), T(t, s) is
+exp(integral_s^t c times the factor): the core takes the factor once per G
+and the coefficient integral of every window from its node plan.  Any other
+psi2 takes one :func:`integrated_symbol` call per batch.
 
 Layout.  What runs how often:
 - per G: the forward transform, the time step f_hat[j+1] - f_hat[j], psi2's
-  frequency factor, the stack of psi1 at every output time (one row for a
-  frozen psi1) with one Hermitian test of it, and the final root;
-- per output time: the quadrature, the interval index j and the weight
-  lambda of every node, so that a node's transform is
-  f_hat[j] + lambda * step[j];
+  frequency factor, the stack of psi1 at every output time (a separable
+  psi1's in one evaluation of its coefficient times its profile, one row
+  for a psi1 frozen at l or time-independent) with one Hermitian test of
+  it, the work arrays for the largest batch, and the final root; and the
+  node plan.  For every output time after a it holds the quadrature nodes
+  and weights, from one :func:`graded_quadrature` call, the interval index
+  j and the weight lambda of every node, so that a node's transform is
+  f_hat[j] + lambda * step[j], and, for a psi2 that splits, the coefficient
+  integral integral_s^t c of every window in place of its node; the rest of
+  it is built over at most _PLAN_NODES nodes at a time;
+- per output time: the running sum of its batches, and its row of G;
 - per batch of at most _BATCH_ENTRIES nodes x lattice points (one node if
-  a lattice is larger): the window multipliers exp(integral_s^t psi2) psi1
-  from one integrated_symbol call, one exp and one product with psi1; the
-  interpolated transform times them, in work arrays grown to the largest
-  batch and kept for the rest of G; one inverse transform; and the sum of
-  w |u|_V^q.
-Batches are capped, so memory stays flat however many nodes the quadrature
-has.
+  a lattice is larger): the window multipliers, the plan's coefficient
+  integrals times psi2's factor (or one integrated_symbol call), one exp
+  and one product with psi1, in the third work array; the interpolated
+  transform times them, in the other two; one inverse transform; and the
+  sum of w |u|_V^q, whose terms take the third work array once the
+  multipliers are spent.
+Memory: the plan holds O(T N) scalars per G, for T output times of N nodes
+each: three floats and one index, a byte up to 257 time nodes, per node,
+about 1 MiB for 63 times of 640 nodes.  The batches and their work arrays
+stay capped however many nodes the quadrature has.
 
 The field is transformed component-major, as a contiguous (T, m, n^d..., 1)
 array whose trailing singleton is the component axis of the
@@ -96,6 +108,10 @@ _PANEL_WIDTH = 0.25
 _BATCH_ENTRIES = 2**16
 # ratio of the geometric refinement of the panel touching s = t
 _SPLIT_RATIO = 4.0
+# nodes per step of building a node plan, whole output times at a time: the
+# temporaries of a step, a separable psi2's _GL_ORDER coefficient values per
+# node the largest, stay below 128 KiB each
+_PLAN_NODES = 2**11
 
 
 @functools.cache
@@ -104,50 +120,82 @@ def _gl_rule(order: int = _GL_ORDER):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_edges(s: float, t: float) -> list[float]:
-    """s, the multiples of _PANEL_WIDTH strictly inside (s, t), then t.
-
-    Anchoring the inner edges to one global lattice makes windows that end
-    at the same t share all their panels but the first."""
-    lo = np.ceil(s / _PANEL_WIDTH)
-    hi = np.floor(t / _PANEL_WIDTH)
-    return [s] + [e * _PANEL_WIDTH for e in np.arange(lo, hi + 1) if s < e * _PANEL_WIDTH < t] + [t]
-
-
 def _panels(integrand: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integrals of ``integrand`` over the panels (lo, hi)."""
+    """Gauss-Legendre integrals of ``integrand`` over the panels (lo, hi).
+
+    The rule's axis leads the evaluation points, so each of its rows of
+    values is contiguous, and the weights contract it row by row, in a fixed
+    order: a panel's integral does not depend on the other panels of the
+    call, as it would through a BLAS product, whose sums follow the matrix
+    shape."""
     z, w = _gl_rule()
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    vals = integrand(mid[:, None] + half[:, None] * z)
-    tail = (1,) * (vals.ndim - 2)
-    return half.reshape((-1,) + tail) * np.sum(w.reshape((-1,) + tail) * vals, axis=1)
+    r = half * z[:, None]
+    r += mid
+    vals = integrand(r)
+    total = vals[0] * w[0]
+    for weight, row in zip(w[1:], vals[1:]):
+        total += weight * row
+    return half.reshape((-1,) + (1,) * (vals.ndim - 2)) * total
 
 
-def _panel_integrals(integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarray, t: float) -> np.ndarray:
-    """integral_s^t integrand(r) dr for every entry of a 1-d array s (all < t).
+def _panel_integrals(integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """integral_s^t integrand(r) dr for a (rows, K) array s of window starts,
+    those of row i before its end t[i].
 
     ``integrand`` maps an array r of times to values of shape
     r.shape + tail; the result has shape s.shape + tail.  Composite
-    Gauss-Legendre on the panels of :func:`_panel_edges`, all in one call of
-    ``integrand``: each s's first panel, up to the first anchor above it, and
-    the full panels between the anchors above min(s) and t.  Each window adds
-    to its first panel the sum of its full panels, taken from t down.
+    Gauss-Legendre on panels edged by the multiples of _PANEL_WIDTH, the
+    anchors, all in one call of ``integrand``: each s's first panel, up to
+    the first anchor above it or its row's t; the full panels between the
+    anchors above min(s) and below max(t); and each row's last panel, from
+    the last anchor below its t up to t.  Each window adds to its first
+    panel the sum of the panels above it, taken from its t down, so windows
+    that end at the same t share all their panels but the first.
     """
-    edges = np.asarray(_panel_edges(float(np.min(s)), t)[1:])  # the anchors above min(s), then t
-    first = np.searchsorted(edges[:-1], s, side="right")  # first edge above each s
-    vals = _panels(integrand, np.concatenate((s, edges[:-1])), np.concatenate((edges[first], edges[1:])))
-    head, full = np.split(vals, [len(s)])
-    # suffix[k]: the sum of the full panels from edges[k] to t, so zero at t
-    suffix = np.cumsum(np.concatenate((np.zeros_like(head[:1]), full[::-1])), axis=0)[::-1]
-    return head + suffix[first]
+    s_min, t_max = np.min(s), np.max(t)
+    anchors = _PANEL_WIDTH * np.arange(np.ceil(s_min / _PANEL_WIDTH), np.floor(t_max / _PANEL_WIDTH) + 1)
+    anchors = anchors[(s_min < anchors) & (anchors < t_max)]
+    rows = np.arange(len(t))[:, None]
+    first = np.searchsorted(anchors, s, side="right")  # the first anchor above each s
+    below = np.searchsorted(anchors, t)[:, None]  # the anchors below each t
+    inside = first < below
+    last = below[:, 0] > 0  # the rows whose last panel starts at an anchor
+    lo = np.concatenate((s.ravel(), anchors[:-1], anchors[below[last, 0] - 1]))
+    ends = np.where(inside, np.append(anchors, 0.0)[first], t[:, None])
+    hi = np.concatenate((ends.ravel(), anchors[1:], t[last]))
+    vals = _panels(integrand, lo, hi)
+    head, full, tops = np.split(vals, [s.size, s.size + max(len(anchors) - 1, 0)])
+    # steps[i, k]: row i's k-th panel down from its t, after a zero, so that
+    # the cumulative sum at k is the sum of its top k panels, taken from t
+    # down; the full panel of index j is row i's k-th for k = below[i] - j
+    steps = np.zeros((len(t), len(anchors) + 2) + vals.shape[1:], dtype=vals.dtype)
+    steps[last, 1] = tops
+    full_index = below - np.arange(2, len(anchors) + 2)
+    steps[:, 2:][full_index >= 0] = full[full_index[full_index >= 0]]
+    above = np.cumsum(steps, axis=1)
+    return head.reshape(s.shape + vals.shape[1:]) + above[rows, np.where(inside, below - first, 0)]
+
+
+def _coeff_integrals(symbol: SymbolSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """integral_s^t c(max(r, 0)) dr of a separable symbol's time
+    coefficient c, through :func:`_panel_integrals` with its (rows, K) s
+    and t.
+
+    The core's Hermitian half of the lattice relies on a real coefficient:
+    a nonzero imaginary part of an integral raises ValueError."""
+    coeff = _panel_integrals(lambda r: symbol.time_coeff(np.maximum(r, 0.0)), s, t)
+    if np.iscomplexobj(coeff) and np.any(coeff.imag):
+        raise ValueError(f"symbol {symbol.name!r} has a complex time coefficient")
+    return coeff.real
 
 
 def _frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
     """The frequency factor of a symbol that splits off its time dependence:
     psi(0, xi) when time-independent, the profile when separable, else None.
 
-    :func:`_g_core` evaluates it once per G and hands it to
-    :func:`integrated_symbol` as ``factor``.
+    Its product with the coefficient integral is the integrated symbol;
+    :func:`_g_core` evaluates it once per G for the node plan's integrals.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if symbol.time_independent:
@@ -157,48 +205,41 @@ def _frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def integrated_symbol(
-    symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray, factor: np.ndarray | None = None
-) -> np.ndarray:
+def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray) -> np.ndarray:
     """integral_s^t psi(r, xi) dr for a scalar or an array of window starts s
     on an (..., d) frequency array, with shape s.shape + xi.shape[:-1].
 
     Exact to roundoff for time-independent symbols; separable symbols reduce
-    to the time integral of the coefficient times the frequency profile, and
-    their coefficient must be real: a nonzero imaginary part in its integral
-    raises ValueError.  ``factor`` is :func:`_frequency_factor` of this
-    symbol on this xi, or its real part where the imaginary part is exactly
-    zero; it is not checked, and :func:`_g_core` is the one caller that
-    passes it.  Generic symbols ignore it.  Every s must lie before t.
+    to the time integral of the coefficient, :func:`_coeff_integrals`, times
+    the frequency profile, and their coefficient must be real: a nonzero
+    imaginary part in its integral raises ValueError.  Every s must lie
+    before t.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s >= t):
         raise ValueError(f"integrated symbol requires t > s, got max s={np.max(s)}, t={t}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     lead = s.shape + (1,) * (xi.ndim - 1)
-    if factor is None:
-        factor = _frequency_factor(symbol, xi)
+    factor = _frequency_factor(symbol, xi)
     if symbol.time_independent:
         return (t - s).reshape(lead) * factor
     if not s.size:  # no window start: no panel to integrate
         return np.zeros(s.shape + xi.shape[:-1], dtype=complex)
+    ends = np.array([t], dtype=float)
     if symbol.separable:
-        # the time coefficient at clamped times max(r, 0)
-        coeff = _panel_integrals(lambda r: symbol.time_coeff(np.maximum(r, 0.0)), s.ravel(), t)
-        # the core's Hermitian half of the lattice relies on a real coefficient
-        if np.iscomplexobj(coeff) and np.any(coeff.imag):
-            raise ValueError(f"symbol {symbol.name!r} has a complex time coefficient")
-        return coeff.reshape(lead) * factor
+        return _coeff_integrals(symbol, s.reshape(1, -1), ends).reshape(lead) * factor
 
     def psi(r: np.ndarray) -> np.ndarray:
         vals = np.stack([eval_symbol(symbol, x, xi) for x in r.ravel()])
         return vals.reshape(r.shape + xi.shape[:-1])
 
-    return _panel_integrals(psi, s.ravel(), t).reshape(s.shape + xi.shape[:-1])
+    return _panel_integrals(psi, s.reshape(1, -1), ends).reshape(s.shape + xi.shape[:-1])
 
 
-def symbol_on_lattice(symbol: SymbolSpec, l: float, grid: SpectralGrid) -> np.ndarray:
-    """psi(l, xi) evaluated on the full frequency lattice."""
+def symbol_on_lattice(symbol: SymbolSpec, l: float | np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """psi(l, xi) evaluated on the full frequency lattice, at one symbol time
+    l or, stacked along a leading axis, at a 1-d array of them (see
+    :func:`eval_symbol`)."""
     return eval_symbol(symbol, l, grid.freq_vectors())
 
 
@@ -224,29 +265,42 @@ class QuadratureSpec:
 
 
 def graded_quadrature(
-    a: float, t: float, beta: float, quad: QuadratureSpec = QuadratureSpec()
+    a: float, t: float | np.ndarray, beta: float, quad: QuadratureSpec = QuadratureSpec()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights with sum_i w_i g(s_i) ~= int_a^t (t-s)^(beta-1) g(s) ds.
 
     Exact substitution u = (t-s)^beta; panel edges are the graded mesh
-    u_k = (t-a)^beta * k/K, i.e. s_k = t - (t-a)(k/K)^(1/beta).
+    u_k = (t-a)^beta * k/K, i.e. s_k = t - (t-a)(k/K)^(1/beta).  t is an
+    output time or a 1-d array of them: the nodes and weights of their
+    windows follow one another, output time by output time, in two flat
+    arrays, each window's equal to those of its own call.
     """
-    if not -np.inf < a < t < np.inf:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"output times must be a scalar or a 1-d array, got shape {times.shape}")
+    times = times.reshape(-1, 1, 1)
+    if not (-np.inf < a < np.inf and np.all((a < times) & (times < np.inf))):
         raise ValueError(f"window requires finite a < t, got a={a}, t={t}")
     if not 0 < beta < np.inf:
         raise ValueError(f"weight exponent beta must be positive and finite, got {beta}")
-    big_u = (t - a) ** beta
+    # (t - a)^beta by Python's float power, as for a scalar t: numpy's array
+    # power may round it differently
+    big_u = np.array([(x - a) ** beta for x in times.ravel().tolist()]).reshape(-1, 1)
     first = big_u / quad.panels
-    sub = [first * _SPLIT_RATIO**-j for j in range(quad.split_levels, 0, -1)]
-    edges = np.concatenate(([0.0], sub, big_u * np.arange(1, quad.panels + 1) / quad.panels))
+    sub = first * np.array([_SPLIT_RATIO**-j for j in range(quad.split_levels, 0, -1)])
+    edges = np.concatenate((np.zeros_like(big_u), sub, big_u * np.arange(1, quad.panels + 1) / quad.panels), axis=1)
     z, w = _gl_rule(quad.order)
-    ua, ub = edges[:-1, None], edges[1:, None]
+    ua, ub = edges[:, :-1, None], edges[:, 1:, None]
     mid, half = (ua + ub) / 2.0, (ub - ua) / 2.0
-    s_nodes = (t - (mid + half * z) ** (1.0 / beta)).ravel()
-    w_nodes = (half * w / beta).ravel()
+    s_nodes = half * z
+    s_nodes += mid
+    s_nodes **= 1.0 / beta
+    np.subtract(times, s_nodes, out=s_nodes)
     # guard against roundoff pushing a node to exactly t or below a
-    s_nodes = np.clip(s_nodes, a, np.nextafter(t, a))
-    return s_nodes, w_nodes
+    np.clip(s_nodes, a, np.nextafter(times, a), out=s_nodes)
+    w_nodes = half * w
+    w_nodes /= beta
+    return s_nodes.ravel(), w_nodes.ravel()
 
 
 @dataclass(frozen=True)
@@ -289,6 +343,44 @@ def _half_power(x: np.ndarray, q: float) -> None:
         x **= q / 2.0
 
 
+def _node_plan(
+    psi2: SymbolSpec, a: float, times: np.ndarray, beta: float, quad: QuadratureSpec, t_grid: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The quadrature of the output times ``times`` on the time nodes
+    ``t_grid``, output-time-major, from one :func:`graded_quadrature` call:
+    the nodes per output time, and per node its weight, its interval index j
+    and weight lambda, so that its transform is f_hat[j] + lambda * step[j],
+    and either the integral over its window of psi2's time coefficient (1
+    for a time-independent psi2), or, for a psi2 whose frequency factor does
+    not split off, the node itself: (per_time, weights, index, lam, coeff,
+    starts), with one of coeff and starts None.
+
+    The rest is built over at most _PLAN_NODES nodes, whole output times, at
+    a time, and the coefficient integrals replace the nodes in place: t - s
+    for a time-independent psi2, and :func:`_coeff_integrals` for a
+    separable one."""
+    s, w = graded_quadrature(a, times, beta, quad)
+    per = len(s) // max(len(times), 1)
+    windows = s.reshape(len(times), per)
+    # the plan's one integer array, in the least type that holds it: a byte
+    # up to 257 time nodes, where intp would take eight per node
+    index = np.empty(windows.shape, dtype=np.min_scalar_type(len(t_grid) - 2))
+    lam = np.empty(windows.shape)
+    rows = max(1, _PLAN_NODES // max(per, 1))
+    for lo in range(0, len(times), rows):
+        part = slice(lo, lo + rows)
+        j = np.clip(np.searchsorted(t_grid, windows[part], side="right") - 1, 0, len(t_grid) - 2)
+        index[part] = j
+        lam[part] = (windows[part] - t_grid[j]) / (t_grid[j + 1] - t_grid[j])
+        if psi2.time_independent:
+            windows[part] = times[part, None] - windows[part]
+        elif psi2.separable:
+            windows[part] = _coeff_integrals(psi2, windows[part], times[part])
+    if psi2.time_independent or psi2.separable:
+        return per, w, index.ravel(), lam.ravel(), s, None
+    return per, w, index.ravel(), lam.ravel(), None, s
+
+
 def _g_core(
     f: SpaceTimeField, psi1: SymbolSpec, psi2: SymbolSpec, l: float | None, a: float, q: float, quad: QuadratureSpec
 ) -> GFunctionResult:
@@ -308,16 +400,17 @@ def _g_core(
     t_grid = grid.t_grid
     live = np.flatnonzero(t_grid > a + 1e-15 * span)  # the output times after a
     spatial = grid.spatial_shape()
+    out = np.zeros((len(t_grid),) + spatial)
     # component-major (T, m, spatial..., 1): each V component is a contiguous
     # transform, and the trailing singleton is the transform's component axis
     f_hat = lattice_forward(np.ascontiguousarray(np.moveaxis(f.values, -1, 1))[..., None], grid)
     xi = grid.freq_vectors()
-    # psi2's frequency factor and a frozen psi1 are evaluated once per G, a
-    # psi1 that tracks the output time once per t, stacked in the lattice's
-    # shape even when no output time follows a
+    # psi2's frequency factor and psi1 are evaluated once per G, psi1 as a
+    # stack in the lattice's shape, one row per output time, even when none
+    # follows a, or one row when frozen at l or time-independent
     factor2 = _frequency_factor(psi2, xi)
-    times1 = t_grid[live] if l is None else [l]
-    mults1 = np.reshape([symbol_on_lattice(psi1, float(t), grid) for t in times1], (len(times1),) + spatial)
+    times1 = t_grid[live] if l is None and not psi1.time_independent else np.array([0.0 if l is None else l])
+    mults1 = np.reshape(symbol_on_lattice(psi1, times1, grid), (len(times1),) + spatial)
     # the Hermitian half of the lattice serves while u stays real
     real = (
         not np.any(f.values.imag)
@@ -329,62 +422,67 @@ def _g_core(
     f_hat = np.ascontiguousarray(f_hat[cut + (slice(None),)])
     xi = xi[cut + (slice(None),)]
     factor2 = _real_if_exact(None if factor2 is None else factor2[cut])
-    # one row per output time; a frozen psi1's one row serves them all
+    # one row per output time; a frozen or time-independent psi1's one row
+    # serves them all
     mults1 = np.broadcast_to(_real_if_exact(mults1[cut]), (len(live),) + xi.shape[:-1])
     step = f_hat[1:] - f_hat[:-1]
+    per, weights, index, lam, coeff, starts = _node_plan(psi2, a, t_grid[live], beta, quad, t_grid)
     lattice = f_hat.shape[2:-1]
     batch = max(1, _BATCH_ENTRIES // math.prod(lattice))
-    spec_buf = np.empty(0)
-    out = np.zeros((len(t_grid),) + spatial)
-    for i, mult1 in zip(live, mults1):
-        t = float(t_grid[i])
-        s_nodes, w_nodes = graded_quadrature(a, t, beta, quad)
-        idx = np.clip(np.searchsorted(t_grid, s_nodes, side="right") - 1, 0, len(t_grid) - 2)
-        lam = (s_nodes - t_grid[idx]) / (t_grid[idx + 1] - t_grid[idx])
-        if len(spec_buf) < min(batch, len(s_nodes)):
-            # work arrays, grown to the largest batch and kept for the rest
-            # of G: fresh ones would page-fault on every batch
-            shape = (min(batch, len(s_nodes)),) + f_hat.shape[1:]
-            spec_buf, rows_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-            # floats enough for complex multipliers, viewed as complex for them
-            mult_buf = np.empty(2 * shape[0] * math.prod(lattice))
-            # on the half lattice the real u of a batch goes to the floats of
-            # rows_buf, whose transform rows are spent by then
-            field_floats = rows_buf.view(float).reshape(-1)
+    # work arrays for the largest batch, kept for the whole of G: fresh ones
+    # would page-fault on every batch
+    shape = (min(batch, per),) + f_hat.shape[1:]
+    spec_buf, rows_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    # floats enough for complex multipliers, viewed as complex for them, and
+    # then for the batch's terms, once the multipliers are spent
+    mult_buf = np.empty(2 * shape[0] * math.prod(lattice))
+    # on the half lattice the real u of a batch goes to the floats of rows_buf,
+    # whose transform rows are spent by then
+    field_floats = rows_buf.view(float).reshape(-1)
+    lead = (-1,) + (1,) * grid.d
+    for row, (i, mult1) in enumerate(zip(live, mults1)):
         acc = np.zeros(spatial)
-        for lo in range(0, len(s_nodes), batch):
-            nodes = slice(lo, lo + batch)
-            w = w_nodes[nodes]
+        for lo in range(row * per, (row + 1) * per, batch):
+            nodes = slice(lo, min(lo + batch, (row + 1) * per))
+            w = weights[nodes]
             size = len(w)
-            # the window multipliers exp(integral_s^t psi2) psi1; the
-            # exponents are dropped before the batch's spectrum is built
-            expo = _real_if_exact(integrated_symbol(psi2, s_nodes[nodes], t, xi, factor2))
-            dtype = np.result_type(expo, mult1)
-            mults = np.exp(expo, out=mult_buf.view(dtype)[: expo.size].reshape(expo.shape))
-            del expo
+            # the window multipliers exp(integral_s^t psi2) psi1: the
+            # exponents are the plan's coefficient integrals times psi2's
+            # frequency factor, made in place, or, for a psi2 with none, one
+            # integrated_symbol call, dropped before the batch's spectrum
+            if coeff is None:
+                expo = _real_if_exact(integrated_symbol(psi2, starts[nodes], float(t_grid[i]), xi))
+                dtype = np.result_type(expo, mult1)
+                mults = np.exp(expo, out=mult_buf.view(dtype)[: expo.size].reshape(expo.shape))
+                del expo
+            else:
+                dtype = np.result_type(factor2, mult1)
+                mults = mult_buf.view(dtype)[: size * factor2.size].reshape((size,) + lattice)
+                np.exp(np.multiply(coeff[nodes].reshape(lead), factor2, out=mults), out=mults)
             mults *= mult1
             # f_hat(s) = f_hat[idx] + lam * step[idx], times the multipliers
-            spec = np.take(step, idx[nodes], axis=0, out=spec_buf[:size], mode="clip")
+            spec = np.take(step, index[nodes], axis=0, out=spec_buf[:size], mode="clip")
             spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
-            spec += np.take(f_hat, idx[nodes], axis=0, out=rows_buf[:size], mode="clip")
+            spec += np.take(f_hat, index[nodes], axis=0, out=rows_buf[:size], mode="clip")
             spec *= mults.reshape((size, 1) + lattice + (1,))
+            terms = mult_buf[: size * math.prod(spatial)].reshape((size,) + spatial)
             if real:
                 # |u|_V^2 = sum over components of u^2
                 field = field_floats[: size * f.m * math.prod(spatial)]
                 u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True)
                 np.square(u, out=u)
-                terms = np.sum(u[..., 0], axis=1)
+                np.sum(u[..., 0], axis=1, out=terms)
             else:
                 # |u|_V^2 = sum over components of re^2 + im^2
                 sq = lattice_inverse(spec, grid, out=spec).view(float)
                 np.square(sq, out=sq)
-                terms = np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1])
+                np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1], out=terms)
                 for c in range(1, f.m):
                     terms += sq[:, c, ..., 0]
                     terms += sq[:, c, ..., 1]
             # w |u|_V^q in place: batch temporaries set the peak memory of G
             _half_power(terms, q)
-            terms *= w.reshape((-1,) + (1,) * grid.d)
+            terms *= w.reshape(lead)
             # adding acc into the first term keeps the node-by-node sum order
             terms[0] += acc
             acc = np.sum(terms, axis=0)

@@ -60,6 +60,11 @@ class SymbolEvaluationError(ValueError):
     """Raised when a user symbol callable returns non-finite values."""
 
 
+def _check_derivative_count(n_derivs) -> None:
+    if not isinstance(n_derivs, (int, np.integer)):
+        raise ValueError(f"n_derivs must be an integer, got {n_derivs!r}")
+
+
 @dataclass(frozen=True)
 class SymbolSpec:
     """Evaluable symbol with its admissibility constants.
@@ -67,9 +72,10 @@ class SymbolSpec:
     ``eval_fn(t, xi)`` takes a scalar time and an (..., d) frequency array
     and returns a complex (...) array.  ``time_coeff``/``xi_profile`` are an
     optional separable factorization psi(t, xi) = time_coeff(t)*xi_profile(xi)
-    used for fast time integration; ``time_coeff`` takes a scalar or an array
-    of times and returns real values of the same shape, and is called once
-    per array of quadrature nodes.  ``time_independent`` marks symbols with
+    used for fast time integration and for :func:`eval_symbol` at an array
+    of times; ``time_coeff`` takes a scalar or an array of times and returns
+    real values of the same shape, and is called once per array of
+    quadrature nodes.  ``time_independent`` marks symbols with
     psi(t, xi) = psi(xi).
     """
 
@@ -90,8 +96,7 @@ class SymbolSpec:
             raise ValueError("kappa, mu, gamma must all be positive and finite")
         if self.d not in (1, 2):
             raise ValueError(f"d must be 1 or 2, got {self.d!r}")
-        if not isinstance(self.n_derivs, (int, np.integer)):
-            raise ValueError(f"n_derivs must be an integer, got {self.n_derivs!r}")
+        _check_derivative_count(self.n_derivs)
         if self.n_derivs < self.d // 2 + 1:
             raise ValueError("n_derivs must be at least floor(d/2)+1")
         if self.class_flag not in (CLASS_S, CLASS_S_T):
@@ -102,14 +107,23 @@ class SymbolSpec:
         return self.time_coeff is not None and self.xi_profile is not None
 
 
-def eval_symbol(spec: SymbolSpec, t: float, xi: np.ndarray) -> np.ndarray:
+def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Evaluate psi at clamped time max(t, 0) on an (..., d) frequency array.
 
-    The clamp extends symbols defined for t >= 0 to the negative times that a
-    window start a < 0 can produce.
+    t is one time, or a 1-d array of times whose values are stacked along a
+    leading axis: a separable symbol's in one evaluation of its coefficient
+    at every time times its profile, any other's in one ``eval_fn`` call
+    per time.  The clamp extends symbols defined for t >= 0 to the negative
+    times that a window start a < 0 can produce.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.asarray(spec.eval_fn(max(float(t), 0.0), xi), dtype=complex)
+    if np.ndim(t) == 0:
+        out = np.asarray(spec.eval_fn(max(float(t), 0.0), xi), dtype=complex)
+    elif spec.separable:
+        times = np.maximum(np.asarray(t, dtype=float), 0.0)
+        out = np.multiply.outer(spec.time_coeff(times), spec.xi_profile(xi)).astype(complex)
+    else:
+        out = np.asarray([spec.eval_fn(max(float(x), 0.0), xi) for x in t], dtype=complex)
     if not np.all(np.isfinite(out)):
         raise SymbolEvaluationError(f"symbol {spec.name!r} returned non-finite values")
     return out
@@ -143,6 +157,8 @@ def power_symbol(
     family satisfies (S1), (S2) and (S3).  ``k_fn`` is called on arrays of
     times, as ``time_coeff`` is.
     """
+    # before mu, whose bound takes range(n_derivs)
+    _check_derivative_count(n_derivs)
     if k_fn is None:
         coeff = lambda t: -kappa + 0.0 * t  # keeps the shape of t, and scalars stay cheap
         time_indep = True

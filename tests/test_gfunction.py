@@ -20,7 +20,7 @@ from lpevo.gfunction import (
     integrated_symbol,
 )
 from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, make_grid, vector_norm
-from lpevo.symbols import SymbolSpec, check_symbol_class, eval_symbol, power_symbol
+from lpevo.symbols import SymbolEvaluationError, SymbolSpec, check_symbol_class, eval_symbol, power_symbol
 
 
 def _grid(n=64, L=np.pi, nt=17, t1=1.0):
@@ -125,6 +125,55 @@ class TestGradedQuadrature:
     def test_rejects_non_finite_window_or_beta(self, a, t, beta):
         with pytest.raises(ValueError):
             graded_quadrature(a, t, beta)
+
+    @pytest.mark.parametrize(
+        "a, times",
+        [(0.0, [1.0, 0.25, 3.0]), (-0.75, [0.3, 0.3 + 1e-9, 17.0]), (0.2, [0.2 + 1e-9])],
+        ids=["a=0", "a<0", "one-time"],
+    )
+    def test_array_of_times_equals_the_scalar_calls(self, a, times):
+        quad = QuadratureSpec(panels=7, order=5, split_levels=3)
+        for beta in (0.25, 1.0, 1.5, 3.0):
+            s, w = graded_quadrature(a, np.array(times), beta, quad)
+            parts = [graded_quadrature(a, t, beta, quad) for t in times]
+            assert np.array_equal(s, np.concatenate([p[0] for p in parts]))
+            assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
+        assert [len(x) for x in graded_quadrature(a, np.array([]), 1.0, quad)] == [0, 0]
+
+    def test_array_of_times_keeps_both_clips(self, monkeypatch):
+        # a rule with nodes at the panel ends puts the first node of every
+        # window on t, and roundoff takes the last one of some below a: both
+        # clips act, and they act per output time as in the scalar calls
+        monkeypatch.setattr(gfunction, "_gl_rule", lambda order: (np.array([-1.0, 1.0]), np.array([1.0, 1.0])))
+        a, times, quad = 0.1, np.array([0.3, 0.9, 1.0, 1.7]), QuadratureSpec(panels=3, order=2, split_levels=1)
+        for beta in (1.0, 1.5, 3.0):
+            s, w = graded_quadrature(a, times, beta, quad)
+            parts = [graded_quadrature(a, float(t), beta, quad) for t in times]
+            assert np.array_equal(s, np.concatenate([p[0] for p in parts]))
+            assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
+            rows = s.reshape(len(times), -1)
+            assert np.array_equal(rows[:, 0], np.nextafter(times, a))
+        # at beta = 1 the last node of the window ending at 0.9, unclipped,
+        # lies below a: u is the top edge of the last of the three panels
+        big_u = 0.9 - a
+        ua, ub = big_u * 2.0 / 3.0, big_u * 3.0 / 3.0
+        assert 0.9 - ((ua + ub) / 2.0 + (ub - ua) / 2.0) < a
+        s, _ = graded_quadrature(a, times, 1.0, quad)
+        assert np.min(s) == a and s.reshape(len(times), -1)[1, -1] == a
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0.5, 0.0], [0.5, -0.1], [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf]],
+        ids=["t=a", "t<a", "nan", "inf", "-inf"],
+    )
+    def test_array_of_times_rejects_a_bad_time(self, times):
+        for t in (np.array(times), times[1] if times[0] == 0.5 else times[0]):
+            with pytest.raises(ValueError, match="window requires finite a < t"):
+                graded_quadrature(0.0, t, 1.0)
+
+    def test_rejects_times_of_more_than_one_axis(self):
+        with pytest.raises(ValueError, match="1-d array"):
+            graded_quadrature(0.0, np.ones((2, 2)), 1.0)
 
     # panels=2.5 once gave window weights summing to 0.6 where 0.5 is exact,
     # and a negative split_levels counted as none
@@ -300,6 +349,27 @@ class TestGTilde:
         f = SpaceTimeField(grid, 1, np.zeros((5, 32, 1)))
         res = g_tilde(f, power_symbol(1.0, 1.0), power_symbol(1.0, 2.0), 0.0, 2.0)
         assert np.all(res.values == 0)
+
+    def test_separable_psi1_not_finite_at_an_output_time_rejected(self):
+        # the stack of a separable psi1, its coefficient at every output time
+        # times its profile, is checked as each evaluation of psi1 is
+        def coeff(t):
+            return np.where(np.asarray(t) > 0.8, np.nan, -1.0)
+
+        def profile(xi):
+            return np.abs(xi[..., 0])
+
+        psi1 = SymbolSpec(
+            eval_fn=lambda t, xi: coeff(t) * profile(xi) + 0j, kappa=1.0, mu=10.0, gamma=1.0, n_derivs=2,
+            time_coeff=coeff, xi_profile=profile,
+        )
+        f = _random_field(1, 16, 1, nt=4, seed=5, real=True)
+        assert np.sum(f.grid.t_grid > 0.8) == 1
+        quad = QuadratureSpec(4, 4, 2)
+        with pytest.raises(SymbolEvaluationError, match="non-finite"):
+            g_tilde(f, psi1, power_symbol(1.0, 2.0), f.grid.a, 3.0, quad)
+        # frozen at a time where it is finite, the same psi1 passes
+        assert np.all(np.isfinite(g_function(f, psi1, power_symbol(1.0, 2.0), 0.5, f.grid.a, 3.0, quad).values))
 
     def test_modulated_psi1_single_mode_oracle(self):
         # |psi1(t, xi0)| enters the integrand at the outer time
@@ -595,11 +665,13 @@ class TestBatchedCore:
             pytest.param(2, 16, 2, True, id="2-16-2-real"),
         ],
     )
-    @pytest.mark.parametrize("kind", ["static", "separable"])
+    @pytest.mark.parametrize("kind", ["static", "separable", "general"])
     def test_one_forward_and_one_inverse_per_batch(self, monkeypatch, kind, d, n, m, real):
-        # one integrated_symbol call and one inverse per batch: one batch per
-        # output time at the default cap, and several, the last partial,
-        # under a cap of 40 nodes of the full lattice
+        # one inverse per batch: one batch per output time at the default
+        # cap, and several, the last partial, under a cap of a few nodes of
+        # the full lattice.  A static or separable psi2's window integrals
+        # come from the node plan, built once per G, so only a general psi2
+        # calls integrated_symbol, once per batch
         calls = {"forward": 0, "inverse": 0, "symbol": []}
 
         def counted(name, fn):
@@ -619,17 +691,21 @@ class TestBatchedCore:
         f = _random_field(d, n, m, nt=5, seed=60, real=real)
         a = 0.25
         live = int(np.sum(f.grid.t_grid > a))
-        nodes = len(graded_quadrature(a, 1.0, 1.5, self.QUAD)[0])
-        # a real field works on the Hermitian half, n // 2 + 1 along the last axis
-        lattice = n ** (d - 1) * (n // 2 + 1 if real else n)
-        for cap, split in ((gfunction._BATCH_ENTRIES, False), (40 * n**d, True)):
+        general = kind == "general"
+        quad, few = (QuadratureSpec(panels=4, order=4, split_levels=2), 10) if general else (self.QUAD, 40)
+        nodes = len(graded_quadrature(a, 1.0, 1.5, quad)[0])
+        # a real field under Hermitian multipliers works on the half lattice,
+        # n // 2 + 1 along the last axis; a general psi2 keeps the full one
+        lattice = n ** (d - 1) * (n // 2 + 1 if real and not general else n)
+        for cap, split in ((gfunction._BATCH_ENTRIES, False), (few * n**d, True)):
             monkeypatch.setattr(gfunction, "_BATCH_ENTRIES", cap)
             calls.update(forward=0, inverse=0, symbol=[])
-            g_function(f, _modulated(1.0, d), _psi2(kind, d), 0.0, a, 3.0, self.QUAD)
+            g_function(f, _modulated(1.0, d), _psi2(kind, d), 0.0, a, 3.0, quad)
             batch = cap // lattice
             sizes = [min(batch, nodes - lo) for lo in range(0, nodes, batch)]
             assert (len(sizes) > 1 and sizes[-1] < batch) == split
-            assert calls == {"forward": 1, "inverse": len(sizes) * live, "symbol": sizes * live}
+            symbol = sizes * live if general else []
+            assert calls == {"forward": 1, "inverse": len(sizes) * live, "symbol": symbol}
 
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
     def test_static_symbols_evaluated_once_per_g(self, variant):
@@ -648,14 +724,76 @@ class TestBatchedCore:
         f = _random_field(1, 64, 2, nt=6, seed=70)
         psi1 = counted(power_symbol(1.0, 1.0))
         psi2 = counted(power_symbol(1.0, 2.0))
+        # a time-independent psi1 gives one row however its time is set, so
+        # g_tilde, whose psi1 tracks the output time, evaluates it once too
         if variant == "g_function":
             g_function(f, psi1, psi2, 0.0, f.grid.a, 3.0, self.QUAD)
-            assert sorted(calls) == sorted([psi1.name, psi2.name])
         else:
             g_tilde(f, psi1, psi2, f.grid.a, 3.0, self.QUAD)
-            # psi1 tracks the output time: once per time after a, and psi2 once
-            assert calls.count(psi2.name) == 1
-            assert calls.count(psi1.name) == len(f.grid.t_grid) - 1
+        assert sorted(calls) == sorted([psi1.name, psi2.name])
+
+
+class TestNodePlan:
+    # graded time nodes and a window start a = 0.1 between two of them: the
+    # windows ending at 0.125 and 0.28125 are shorter than one panel, the
+    # one ending at 0.5 ends on an anchor, and those ending at 1.125 to 2
+    # span several anchors
+    T_GRID = 2.0 * (np.arange(9) / 8.0) ** 2
+    A = 0.1
+    BETA = 1.5
+
+    def _plan(self, psi2, quad=QuadratureSpec()):
+        """The output times, the node plan as a dict and the nodes, one row
+        per output time."""
+        times = self.T_GRID[self.T_GRID > self.A]
+        fields = ("per_time", "weights", "index", "lam", "coeff", "starts")
+        plan = dict(zip(fields, gfunction._node_plan(psi2, self.A, times, self.BETA, quad, self.T_GRID)))
+        s, w = graded_quadrature(self.A, times, self.BETA, quad)
+        assert plan["per_time"] * len(times) == len(s) and np.array_equal(plan["weights"], w)
+        return times, plan, s.reshape(len(times), -1)
+
+    def test_windows_cover_short_anchored_and_long(self):
+        times = self.T_GRID[self.T_GRID > self.A]
+        width = gfunction._PANEL_WIDTH
+        assert width == 0.25 and not np.any(self.T_GRID == self.A)
+        assert np.sum(times - self.A < width) == 2 and 0.5 in times
+        assert np.sum(times - self.A > 4 * width) == 3
+
+    def test_separable_coefficient_integrals_match_the_closed_form(self):
+        amp, rate = 0.5, 2.0
+        psi2 = _modulated(2.0, 1, amp=amp, rate=rate)
+        times, plan, s = self._plan(psi2)
+        got = plan["coeff"].reshape(s.shape)
+        # integral_s^t -(1 + amp e^(-rate r)) dr, with e^(-rate s) - e^(-rate t)
+        # as e^(-rate t) expm1(rate (t - s)), which keeps its digits as s -> t
+        span = times[:, None] - s
+        want = -span - (amp / rate) * np.exp(-rate * times[:, None]) * np.expm1(rate * span)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+        # the same integrals as one integrated_symbol call per output time,
+        # whose profile is 1 at xi = 1
+        for t, row, coeff in zip(times, s, got):
+            np.testing.assert_allclose(coeff, integrated_symbol(psi2, row, float(t), np.array([[1.0]]))[:, 0], rtol=1e-14, atol=0)
+        assert plan["starts"] is None
+
+    @pytest.mark.parametrize("nodes", [1, 2**20], ids=["one-time-per-call", "one-call"])
+    def test_chunks_leave_the_plan_unchanged(self, monkeypatch, nodes):
+        psi2 = _modulated(2.0, 1)
+        _, want, _ = self._plan(psi2)
+        monkeypatch.setattr(gfunction, "_PLAN_NODES", nodes)
+        _, got, _ = self._plan(psi2)
+        assert np.array_equal(got["coeff"], want["coeff"])
+
+    def test_time_independent_and_generic_windows(self):
+        times, plan, s = self._plan(power_symbol(1.0, 2.0))
+        assert np.array_equal(plan["coeff"].reshape(s.shape), times[:, None] - s) and plan["starts"] is None
+        _, plan, s = self._plan(_non_separable(1), QuadratureSpec(4, 4, 2))
+        assert plan["coeff"] is None and np.array_equal(plan["starts"], s.ravel())
+
+    def test_interval_index_and_weight(self):
+        times, plan, s = self._plan(power_symbol(1.0, 2.0))
+        for node, j, lam in zip(s.ravel(), plan["index"], plan["lam"]):
+            want = min(max(int(np.searchsorted(self.T_GRID, node, side="right")) - 1, 0), len(self.T_GRID) - 2)
+            assert j == want and lam == (node - self.T_GRID[j]) / (self.T_GRID[j + 1] - self.T_GRID[j])
 
 
 class TestParsevalOracle:

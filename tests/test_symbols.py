@@ -86,6 +86,13 @@ class TestSymbolSpec:
         with pytest.raises(ValueError, match=match):
             replace(power_symbol(1.0, 1.0), **{field: value})
 
+    # power_symbol bounds mu with range(n_derivs) before it builds the spec,
+    # where 2.5 once raised a TypeError
+    @pytest.mark.parametrize("n_derivs", [2.5, "3", None])
+    def test_power_symbol_rejects_a_non_integer_derivative_count(self, n_derivs):
+        with pytest.raises(ValueError, match="n_derivs must be an integer"):
+            power_symbol(1.0, 1.0, n_derivs=n_derivs)
+
 
 class TestClassCheck:
     def test_power_symbol_passes_all(self):
