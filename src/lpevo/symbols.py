@@ -20,6 +20,14 @@ power symbols is a few 1e-6 of |xi|^(gamma-k) at k = 6, 1e-4 at k = 7 and
 t-derivative of (S3) is a difference of step 1e-2: central where t >= 1e-2,
 and the second-order one-sided (-3f(t) + 4f(t+h) - f(t+2h))/(2h) below,
 so it is second order at t = 0 too.
+
+A symbol marked time-independent runs one fine and one coarse box pass, at
+t = 0, where G evaluates it, and its (S3) constants are exactly 0; any other
+symbol runs both passes at each sample time, and for class S_T the fine one
+again at the (S3) neighbours.  The check trusts what a symbol declares only
+after testing it on the (S1) values at the sample times: a time-independent
+symbol must not change with t, and a separable one's time_coeff*xi_profile
+must be its eval_fn, each to 1e-12 of max |psi|, else ValueError.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ _MAX_ORDER = 7
 # box points per evaluation of the symbol: the boxes of all d = 2 samples at
 # once would hold 96 x 20 x 20 points and their temporaries
 _BOX_POINTS = 2**12
+# how far, relative to max |psi|, the sample values may stray from what a
+# symbol declares: no change in t, or its separable factorization
+_DECLARED_TOL = 1e-12
 
 
 class SymbolEvaluationError(ValueError):
@@ -301,18 +312,26 @@ class _BoxRule:
 def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
     """Sample-based verification of (S1), (S2) and, for class S_T, (S3).
 
-    (S1) is checked on psi at the sample points.  Every xi-derivative with
-    |alpha| <= N is taken by Chebyshev differentiation: per time value, psi
-    is evaluated on the boxes xi + rho[-1, 1]^d, rho = _BOX_RADIUS*|xi|,
-    each a tensor grid of _CHEB_POINTS first-kind Chebyshev points per axis,
-    in calls of at most _BOX_POINTS points, and each d^alpha at the centre
-    is a contraction with cached 1-d weight rows.  A rule of _CHEB_POINTS - 4
-    points on the same boxes gives ``derivative_error``.  The t-derivative
-    of (S3) is a difference of step _T_STEP of the contractions: central
-    where t >= _T_STEP, else the second-order one-sided start, so no sample
-    reaches below t = 0.  Each verdict allows _TOL.  Raises ValueError for
-    N > _MAX_ORDER, where roundoff, which grows like
-    eps*(c*_CHEB_POINTS*|xi|/rho)^k, exceeds _TOL.
+    (S1) is checked on psi at the sample points at the four sample times.
+    The same values test what the symbol declares: a ``time_independent``
+    psi that changes over the sample times by more than _DECLARED_TOL of
+    its largest |psi|, or a separable one whose time_coeff*xi_profile
+    differs from eval_fn by more than _DECLARED_TOL of max |psi| at some
+    sample time, raises ValueError.  Every xi-derivative with |alpha| <= N
+    is taken by Chebyshev differentiation: psi is evaluated on the boxes
+    xi + rho[-1, 1]^d, rho = _BOX_RADIUS*|xi|, each a tensor grid of
+    _CHEB_POINTS first-kind Chebyshev points per axis, in calls of at most
+    _BOX_POINTS points, and each d^alpha at the centre is a contraction with
+    cached 1-d weight rows.  A rule of _CHEB_POINTS - 4 points on the same
+    boxes gives ``derivative_error``.  A time-independent psi runs this fine
+    and this coarse pass once, at t = 0, and its (S3) constants are 0.  Any
+    other psi runs both at each sample time, and for class S_T the fine one
+    also at the (S3) neighbours: the t-derivative is a difference of step
+    _T_STEP of the contractions, central where t >= _T_STEP, else the
+    second-order one-sided start, so no sample reaches below t = 0.  Each
+    verdict allows _TOL.  Raises ValueError for N > _MAX_ORDER, where
+    roundoff, which grows like eps*(c*_CHEB_POINTS*|xi|/rho)^k, exceeds
+    _TOL.
     """
     if spec.n_derivs > _MAX_ORDER:
         raise ValueError(
@@ -334,15 +353,25 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
         return np.array([np.max(ratio[:, order == k]) for k in range(n + 1)])
 
     check_s3 = spec.class_flag == CLASS_S_T
-    s1_margin = -np.inf
+    vals = np.stack([eval_symbol(spec, t, xi) for t in t_values])
+    size = np.max(np.abs(vals), axis=-1)
+    if spec.time_independent and np.max(np.abs(vals - vals[0])) > _DECLARED_TOL * np.max(size):
+        raise ValueError(f"symbol {spec.name!r} is marked time-independent but changes with t")
+    if spec.separable:
+        # at an array of times eval_symbol takes psi from its factors
+        split = eval_symbol(spec, t_values, xi)
+        if np.any(np.max(np.abs(split - vals), axis=-1) > _DECLARED_TOL * size):
+            raise ValueError(f"symbol {spec.name!r}: time_coeff * xi_profile differs from eval_fn")
+    s1_margin = float(np.max(vals.real + spec.kappa * xnorm**spec.gamma))
+    # a time-independent psi has the boxes of t = 0, where G evaluates it,
+    # at every time, and d_t psi = 0, so its (S3) constants stay 0
+    moves = not spec.time_independent
     s2_raw = s2_coarse = s3_raw = np.zeros(n + 1)
-    for t in t_values:
-        vals = eval_symbol(spec, t, xi)
-        s1_margin = max(s1_margin, float(np.max(vals.real + spec.kappa * xnorm**spec.gamma)))
+    for t in t_values if moves else t_values[:1]:
         here = fine.derivatives(spec, t)
         s2_raw = np.maximum(s2_raw, constants(here))
         s2_coarse = np.maximum(s2_coarse, constants(coarse.derivatives(spec, t)))
-        if check_s3:
+        if check_s3 and moves:
             ahead = fine.derivatives(spec, t + _T_STEP)
             if t >= _T_STEP:
                 diff = ahead - fine.derivatives(spec, t - _T_STEP)

@@ -641,9 +641,21 @@ class TestBatchedCore:
         assert np.max(want) > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
-    def test_peak_memory_flat_in_the_node_count(self):
+    def test_peak_memory_flat_in_the_node_count(self, monkeypatch):
         # the batches and their work arrays are capped, so 8 times the
-        # nodes per window leave the transient peak of G where it was
+        # nodes per window leave the transient peak of G where it was.  The
+        # plan alone grows with the nodes, by a weight, lambda and a
+        # coefficient of 8 bytes and a one-byte interval index per node:
+        # 768 nodes per output time add some 58 KB, too little for the 1.05
+        # bound on the 2.5 MiB work arrays to see, so the plan has its own
+        plans, node_plan = [], gfunction._node_plan
+
+        def measured(*args):
+            plan = node_plan(*args)
+            plans.append((len(plan[1]), sum(x.nbytes for x in plan[1:] if x is not None)))
+            return plan
+
+        monkeypatch.setattr(gfunction, "_node_plan", measured)
         f = _random_field(2, 32, 1, nt=4, seed=90)
         psi1, psi2 = _modulated(1.0, 2, amp=0.3, rate=1.0), power_symbol(1.0, 2.0, d=2)
         peaks = []
@@ -655,6 +667,9 @@ class TestBatchedCore:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+        assert [nodes for nodes, _ in plans] == [3 * 96, 3 * 768]
+        for nodes, size in plans:
+            assert size <= 25 * nodes
 
     @pytest.mark.parametrize(
         "d,n,m,real",

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import factorial, prod
 
 import numpy as np
@@ -282,6 +282,55 @@ class TestChebyshevClassCheck:
             spec = power_symbol(1.0, gamma, d=2)
             report = check_symbol_class(spec)
             assert report.derivative_error * spec.mu <= 1e-4 * max(report.s2_constants.values())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0])
+    def test_time_independent_symbol_skips_the_time_loop(self, gamma, d):
+        # the boxes at t = 0 give every constant the loop over the sample
+        # times gives, and (S3) is exactly 0 where the loop's differences
+        # leave roundoff
+        spec = power_symbol(1.0, gamma, d=d)
+        once, looped = (asdict(check_symbol_class(s)) for s in (spec, replace(spec, time_independent=False)))
+        s3, s3_looped = once.pop("s3_constants"), looped.pop("s3_constants")
+        assert once == looped
+        assert sorted(s3) == sorted(s3_looped) == list(range(7))
+        assert all(c == 0.0 for c in s3.values())
+        assert max(s3_looped.values()) <= 1e-12 * max(once["s2_constants"].values())
+
+    @pytest.mark.parametrize("d,calls", [(1, 6), (2, 20)])
+    def test_time_independent_symbol_evaluated_once_per_pass(self, d, calls):
+        # (S1) at the four sample times, then one fine and one coarse box
+        # pass at t = 0: 1 + 1 and 10 + 6 calls of at most _BOX_POINTS
+        # points in d = 1 and d = 2, against 20 and 148 over the time loop
+        spec = power_symbol(1.0, 2.0, d=d)
+        seen = []
+
+        def evaluate(t, xi):
+            seen.append(t)
+            return spec.eval_fn(t, xi)
+
+        check_symbol_class(replace(spec, eval_fn=evaluate))
+        assert len(seen) == calls
+        assert seen[:4] == [0.0, 0.5, 1.0, 2.0] and set(seen[4:]) == {0.0}
+
+    def test_time_independent_mark_checked(self):
+        def evaluate(t, xi):
+            return (-np.sum(xi**2, axis=-1) * (2.0 + np.sin(t))).astype(complex)
+
+        spec = SymbolSpec(eval_fn=evaluate, kappa=1.0, mu=30.0, gamma=2.0, n_derivs=2, time_independent=True)
+        with pytest.raises(ValueError, match="time-independent"):
+            check_symbol_class(spec)
+        assert check_symbol_class(replace(spec, time_independent=False)).passed_s1
+
+    @pytest.mark.parametrize("rate", [None, 2.0], ids=["static", "modulated"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_separable_factorization_checked(self, d, rate):
+        # G integrates time_coeff and multiplies by xi_profile; the check
+        # differentiates eval_fn, so the two must be one symbol
+        spec = power_symbol(1.0, 1.5, d=d, **(_modulation(rate) if rate else {}))
+        doubled = replace(spec, xi_profile=lambda xi: 2.0 * spec.xi_profile(xi))
+        with pytest.raises(ValueError, match="time_coeff \\* xi_profile"):
+            check_symbol_class(doubled)
 
     def test_rejects_orders_beyond_rule_accuracy(self):
         spec = SymbolSpec(
