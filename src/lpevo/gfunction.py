@@ -33,13 +33,14 @@ Layout.  What runs how often:
   frequency factor, the stack of psi1 at every output time (a separable
   psi1's in one evaluation of its coefficient times its profile, one row
   for a psi1 frozen at l or time-independent) with one Hermitian test of
-  it, the work arrays for the largest batch, and the final root; and the
-  node plan.  For every output time after a it holds the quadrature nodes
-  and weights, from one :func:`graded_quadrature` call, the interval index
-  j and the weight lambda of every node, so that a node's transform is
+  it, and the final root; and the node plan.  For every output time after
+  a it holds the quadrature nodes and weights, from one
+  :func:`graded_quadrature` call, the interval index j and the weight
+  lambda of every node, so that a node's transform is
   f_hat[j] + lambda * step[j], and, for a psi2 that splits, the coefficient
   integral integral_s^t c of every window in place of its node; the rest of
   it is built over at most _PLAN_NODES nodes at a time;
+- per worker (below): the work arrays for the largest batch;
 - per output time: the running sum of its batches, and its row of G;
 - per batch of at most _BATCH_ENTRIES nodes x lattice points (one node if
   a lattice is larger): the window multipliers, the plan's coefficient
@@ -47,11 +48,28 @@ Layout.  What runs how often:
   and one product with psi1, in the third work array; the interpolated
   transform times them, in the other two; one inverse transform; and the
   sum of w |u|_V^q, whose terms take the third work array once the
-  multipliers are spent.
+  multipliers are spent, and the square root of q = 3 the first, once the
+  transform is spent.  Only a generic psi2's integrated_symbol call
+  allocates arrays of a batch's size.
 Memory: the plan holds O(T N) scalars per G, for T output times of N nodes
 each: three floats and one index, a byte up to 257 time nodes, per node,
 about 1 MiB for 63 times of 640 nodes.  The batches and their work arrays
-stay capped however many nodes the quadrature has.
+stay capped however many nodes the quadrature has: at the cap, 1 MiB per V
+component in each of the first two arrays and 1 MiB in the third, 5 MiB a
+worker for m = 2.
+
+Workers.  The output times after a are shared among W workers, one per CPU
+this process may run on, at most one per output time and _MAX_WORKERS:
+worker k takes the rows k, k + W, k + 2W, ..., each with its own work
+arrays.  The calling thread works share 0 and a thread started in the call
+each other share; all are joined before G returns, and a worker's exception
+is re-raised by G.  numpy releases the interpreter lock in the transforms
+and the array loops of a batch, so the workers overlap.  A row is built by
+one worker alone, batch by batch in node order, as with one worker, so G is
+bit-identical for every W and every batch size; W = 1 is the serial loop on
+the calling thread.  A psi2 that does not split off its time dependence has
+its eval_fn called by integrated_symbol from the workers, concurrently, so
+that eval_fn must be safe to call from several threads at once.
 
 The field is transformed component-major, as a contiguous (T, m, n^d..., 1)
 array whose trailing singleton is the component axis of the
@@ -81,6 +99,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,6 +128,9 @@ _PANEL_WIDTH = 0.25
 _BATCH_ENTRIES = 2**16
 # ratio of the geometric refinement of the panel touching s = t
 _SPLIT_RATIO = 4.0
+# workers of one G at most: a small cap, since only 2 workers, on a 2-CPU
+# machine, were measured
+_MAX_WORKERS = 4
 # nodes per step of building a node plan, whole output times at a time: the
 # temporaries of a step, a separable psi2's _GL_ORDER coefficient values per
 # node the largest, stay below 128 KiB each
@@ -317,6 +340,16 @@ class GFunctionResult:
             raise ValueError("square-function values must be finite and nonnegative")
 
 
+def _workers(rows: int) -> int:
+    """How many workers share the ``rows`` output times of one G: one per
+    CPU this process may run on, at most one per row and _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, rows, _MAX_WORKERS))
+
+
 def _real_if_exact(x: np.ndarray | None) -> np.ndarray | None:
     """x.real when every imaginary part of x is exactly zero, else x.
 
@@ -334,11 +367,13 @@ def _hermitian(x: np.ndarray, d: int) -> bool:
     return bool(np.array_equal(np.roll(np.flip(x, axes), 1, axes), np.conj(x)))
 
 
-def _half_power(x: np.ndarray, q: float) -> None:
+def _half_power(x: np.ndarray, q: float, scratch: np.ndarray) -> None:
     """x^(q/2) in place, for x >= 0: x sqrt(x) for q = 3, since pow costs
-    about twice a square root and a product; pow for any other q but 2."""
+    about twice a square root and a product, with the root in ``scratch``,
+    floats at least as many as x; pow for any other q but 2."""
     if q == 3.0:
-        x *= np.sqrt(x)
+        root = np.sqrt(x, out=scratch[: x.size].reshape(x.shape))
+        x *= root
     elif q != 2.0:
         x **= q / 2.0
 
@@ -429,64 +464,94 @@ def _g_core(
     per, weights, index, lam, coeff, starts = _node_plan(psi2, a, t_grid[live], beta, quad, t_grid)
     lattice = f_hat.shape[2:-1]
     batch = max(1, _BATCH_ENTRIES // math.prod(lattice))
-    # work arrays for the largest batch, kept for the whole of G: fresh ones
-    # would page-fault on every batch
     shape = (min(batch, per),) + f_hat.shape[1:]
-    spec_buf, rows_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    # floats enough for complex multipliers, viewed as complex for them, and
-    # then for the batch's terms, once the multipliers are spent
-    mult_buf = np.empty(2 * shape[0] * math.prod(lattice))
-    # on the half lattice the real u of a batch goes to the floats of rows_buf,
-    # whose transform rows are spent by then
-    field_floats = rows_buf.view(float).reshape(-1)
     lead = (-1,) + (1,) * grid.d
-    for row, (i, mult1) in enumerate(zip(live, mults1)):
-        acc = np.zeros(spatial)
-        for lo in range(row * per, (row + 1) * per, batch):
-            nodes = slice(lo, min(lo + batch, (row + 1) * per))
-            w = weights[nodes]
-            size = len(w)
-            # the window multipliers exp(integral_s^t psi2) psi1: the
-            # exponents are the plan's coefficient integrals times psi2's
-            # frequency factor, made in place, or, for a psi2 with none, one
-            # integrated_symbol call, dropped before the batch's spectrum
-            if coeff is None:
-                expo = _real_if_exact(integrated_symbol(psi2, starts[nodes], float(t_grid[i]), xi))
-                dtype = np.result_type(expo, mult1)
-                mults = np.exp(expo, out=mult_buf.view(dtype)[: expo.size].reshape(expo.shape))
-                del expo
-            else:
-                dtype = np.result_type(factor2, mult1)
-                mults = mult_buf.view(dtype)[: size * factor2.size].reshape((size,) + lattice)
-                np.exp(np.multiply(coeff[nodes].reshape(lead), factor2, out=mults), out=mults)
-            mults *= mult1
-            # f_hat(s) = f_hat[idx] + lam * step[idx], times the multipliers
-            spec = np.take(step, index[nodes], axis=0, out=spec_buf[:size], mode="clip")
-            spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
-            spec += np.take(f_hat, index[nodes], axis=0, out=rows_buf[:size], mode="clip")
-            spec *= mults.reshape((size, 1) + lattice + (1,))
-            terms = mult_buf[: size * math.prod(spatial)].reshape((size,) + spatial)
-            if real:
-                # |u|_V^2 = sum over components of u^2
-                field = field_floats[: size * f.m * math.prod(spatial)]
-                u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True)
-                np.square(u, out=u)
-                np.sum(u[..., 0], axis=1, out=terms)
-            else:
-                # |u|_V^2 = sum over components of re^2 + im^2
-                sq = lattice_inverse(spec, grid, out=spec).view(float)
-                np.square(sq, out=sq)
-                np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1], out=terms)
-                for c in range(1, f.m):
-                    terms += sq[:, c, ..., 0]
-                    terms += sq[:, c, ..., 1]
-            # w |u|_V^q in place: batch temporaries set the peak memory of G
-            _half_power(terms, q)
-            terms *= w.reshape(lead)
-            # adding acc into the first term keeps the node-by-node sum order
-            terms[0] += acc
-            acc = np.sum(terms, axis=0)
-        out[i] = acc
+    workers = _workers(len(live))
+
+    def share(first: int) -> None:
+        """The rows first, first + workers, ... of G, into ``out``."""
+        # work arrays for the largest batch, kept for the whole share: fresh
+        # ones would page-fault on every batch
+        spec_buf, rows_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        # floats enough for complex multipliers, viewed as complex for them,
+        # and then for the batch's terms, once the multipliers are spent
+        mult_buf = np.empty(2 * shape[0] * math.prod(lattice))
+        # on the half lattice the real u of a batch goes to the floats of
+        # rows_buf, whose transform rows are spent by then
+        field_floats = rows_buf.view(float).reshape(-1)
+        for row in range(first, len(live), workers):
+            i, mult1 = live[row], mults1[row]
+            acc = np.zeros(spatial)
+            for lo in range(row * per, (row + 1) * per, batch):
+                nodes = slice(lo, min(lo + batch, (row + 1) * per))
+                w = weights[nodes]
+                size = len(w)
+                # the window multipliers exp(integral_s^t psi2) psi1: the
+                # exponents are the plan's coefficient integrals times psi2's
+                # frequency factor, made in place, or, for a psi2 with none,
+                # one integrated_symbol call, dropped before the batch's
+                # spectrum
+                if coeff is None:
+                    expo = _real_if_exact(integrated_symbol(psi2, starts[nodes], float(t_grid[i]), xi))
+                    dtype = np.result_type(expo, mult1)
+                    mults = np.exp(expo, out=mult_buf.view(dtype)[: expo.size].reshape(expo.shape))
+                    del expo
+                else:
+                    dtype = np.result_type(factor2, mult1)
+                    mults = mult_buf.view(dtype)[: size * factor2.size].reshape((size,) + lattice)
+                    np.exp(np.multiply(coeff[nodes].reshape(lead), factor2, out=mults), out=mults)
+                mults *= mult1
+                # f_hat(s) = f_hat[idx] + lam * step[idx], times the multipliers
+                spec = np.take(step, index[nodes], axis=0, out=spec_buf[:size], mode="clip")
+                spec *= lam[nodes].reshape((-1,) + (1,) * (spec.ndim - 1))
+                spec += np.take(f_hat, index[nodes], axis=0, out=rows_buf[:size], mode="clip")
+                spec *= mults.reshape((size, 1) + lattice + (1,))
+                terms = mult_buf[: size * math.prod(spatial)].reshape((size,) + spatial)
+                if real:
+                    # |u|_V^2 = sum over components of u^2
+                    field = field_floats[: size * f.m * math.prod(spatial)]
+                    u = lattice_inverse(spec, grid, out=field.reshape((size, f.m) + spatial + (1,)), real=True)
+                    np.square(u, out=u)
+                    np.sum(u[..., 0], axis=1, out=terms)
+                else:
+                    # |u|_V^2 = sum over components of re^2 + im^2
+                    sq = lattice_inverse(spec, grid, out=spec).view(float)
+                    np.square(sq, out=sq)
+                    np.add(sq[:, 0, ..., 0], sq[:, 0, ..., 1], out=terms)
+                    for c in range(1, f.m):
+                        terms += sq[:, c, ..., 0]
+                        terms += sq[:, c, ..., 1]
+                # w |u|_V^q in place, a root in the spent floats of spec_buf:
+                # with a temporary per batch, G's peak memory would depend on
+                # whether the workers' temporaries overlap
+                _half_power(terms, q, spec_buf.view(float).reshape(-1))
+                terms *= w.reshape(lead)
+                # adding acc into the first term keeps the node-by-node sum order
+                terms[0] += acc
+                acc = np.sum(terms, axis=0)
+            out[i] = acc
+
+    errors = []
+
+    def guarded(first: int) -> None:
+        try:
+            share(first)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    # the calling thread works share 0, and a thread started here each other
+    # share; all of them are joined before G returns or raises
+    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        share(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
     np.power(out, 1.0 / q, out=out)
     return GFunctionResult(grid=grid, q=q, values=out)
 

@@ -22,9 +22,13 @@ and the second-order one-sided (-3f(t) + 4f(t+h) - f(t+2h))/(2h) below,
 so it is second order at t = 0 too.
 
 A symbol marked time-independent runs one fine and one coarse box pass, at
-t = 0, where G evaluates it, and its (S3) constants are exactly 0; any other
-symbol runs both passes at each sample time, and for class S_T the fine one
-again at the (S3) neighbours.  The check trusts what a symbol declares only
+t = 0, where G evaluates it, and its (S3) constants are exactly 0.  A
+separable one runs both passes once, on its xi_profile, scaled at each
+sample time by time_coeff(t); its (S3) difference is taken on time_coeff
+before the scaling, so it does not amplify the passes' roundoff by
+1/(2h) = 50, as a difference of two passes would.  Any other symbol runs
+both passes at each sample time, and for class S_T the fine one again at
+the (S3) neighbours.  The check trusts what a symbol declares only
 after testing it on the (S1) values at the sample times: a time-independent
 symbol must not change with t, and a separable one's time_coeff*xi_profile
 must be its eval_fn, each to 1e-12 of max |psi|, else ValueError.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -87,7 +91,9 @@ class SymbolSpec:
     of times; ``time_coeff`` takes a scalar or an array of times and returns
     real values of the same shape, and is called once per array of
     quadrature nodes.  ``time_independent`` marks symbols with
-    psi(t, xi) = psi(xi).
+    psi(t, xi) = psi(xi).  The square function calls the ``eval_fn`` of a
+    symbol that is neither separable nor time-independent from several
+    threads at once, so it must be safe to call concurrently.
     """
 
     eval_fn: Callable[[float, np.ndarray], np.ndarray]
@@ -324,11 +330,13 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
     _BOX_POINTS points, and each d^alpha at the centre is a contraction with
     cached 1-d weight rows.  A rule of _CHEB_POINTS - 4 points on the same
     boxes gives ``derivative_error``.  A time-independent psi runs this fine
-    and this coarse pass once, at t = 0, and its (S3) constants are 0.  Any
-    other psi runs both at each sample time, and for class S_T the fine one
-    also at the (S3) neighbours: the t-derivative is a difference of step
-    _T_STEP of the contractions, central where t >= _T_STEP, else the
-    second-order one-sided start, so no sample reaches below t = 0.  Each
+    and this coarse pass once, at t = 0, and its (S3) constants are 0.  A
+    separable psi runs them once, on xi_profile, times time_coeff at each
+    sample time.  Any other psi runs both at each sample time, and for
+    class S_T the fine one also at the (S3) neighbours.  The t-derivative
+    is a difference of step _T_STEP, of the contractions or of a separable
+    psi's time_coeff times the fine pass: central where t >= _T_STEP, else
+    the second-order one-sided start, so no sample reaches below t = 0.  Each
     verdict allows _TOL.  Raises ValueError for N > _MAX_ORDER, where
     roundoff, which grows like eps*(c*_CHEB_POINTS*|xi|/rho)^k, exceeds
     _TOL.
@@ -366,18 +374,27 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
     # a time-independent psi has the boxes of t = 0, where G evaluates it,
     # at every time, and d_t psi = 0, so its (S3) constants stay 0
     moves = not spec.time_independent
+    if moves and spec.separable:
+        # psi = time_coeff(t) xi_profile(xi): the profile's boxes once, times
+        # the coefficient at each time, whose difference (S3) takes
+        profile = replace(spec, eval_fn=lambda t, xi: spec.xi_profile(xi))
+        fine_boxes, coarse_boxes = fine.derivatives(profile, 0.0), coarse.derivatives(profile, 0.0)
+        fine_at = coarse_at = spec.time_coeff
+    else:
+        fine_boxes = coarse_boxes = 1.0
+        fine_at, coarse_at = (functools.partial(rule.derivatives, spec) for rule in (fine, coarse))
     s2_raw = s2_coarse = s3_raw = np.zeros(n + 1)
     for t in t_values if moves else t_values[:1]:
-        here = fine.derivatives(spec, t)
-        s2_raw = np.maximum(s2_raw, constants(here))
-        s2_coarse = np.maximum(s2_coarse, constants(coarse.derivatives(spec, t)))
+        here = fine_at(t)
+        s2_raw = np.maximum(s2_raw, constants(here * fine_boxes))
+        s2_coarse = np.maximum(s2_coarse, constants(coarse_at(t) * coarse_boxes))
         if check_s3 and moves:
-            ahead = fine.derivatives(spec, t + _T_STEP)
+            ahead = fine_at(t + _T_STEP)
             if t >= _T_STEP:
-                diff = ahead - fine.derivatives(spec, t - _T_STEP)
+                diff = ahead - fine_at(t - _T_STEP)
             else:
-                diff = 4.0 * ahead - 3.0 * here - fine.derivatives(spec, t + 2.0 * _T_STEP)
-            s3_raw = np.maximum(s3_raw, constants(diff / (2.0 * _T_STEP)))
+                diff = 4.0 * ahead - 3.0 * here - fine_at(t + 2.0 * _T_STEP)
+            s3_raw = np.maximum(s3_raw, constants(diff * fine_boxes / (2.0 * _T_STEP)))
 
     s2_margin = float(np.max(s2_raw)) / spec.mu
     # (S3) covers m = 0 and m = 1; the m = 0 part is the (S2) family

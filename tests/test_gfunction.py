@@ -1,4 +1,7 @@
+import collections
 import functools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -688,10 +691,12 @@ class TestBatchedCore:
         # come from the node plan, built once per G, so only a general psi2
         # calls integrated_symbol, once per batch
         calls = {"forward": 0, "inverse": 0, "symbol": []}
+        lock = threading.Lock()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with lock:  # the workers count concurrently
+                    calls[name] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -712,15 +717,25 @@ class TestBatchedCore:
         # a real field under Hermitian multipliers works on the half lattice,
         # n // 2 + 1 along the last axis; a general psi2 keeps the full one
         lattice = n ** (d - 1) * (n // 2 + 1 if real and not general else n)
-        for cap, split in ((gfunction._BATCH_ENTRIES, False), (few * n**d, True)):
-            monkeypatch.setattr(gfunction, "_BATCH_ENTRIES", cap)
-            calls.update(forward=0, inverse=0, symbol=[])
-            g_function(f, _modulated(1.0, d), _psi2(kind, d), 0.0, a, 3.0, quad)
-            batch = cap // lattice
-            sizes = [min(batch, nodes - lo) for lo in range(0, nodes, batch)]
-            assert (len(sizes) > 1 and sizes[-1] < batch) == split
-            symbol = sizes * live if general else []
-            assert calls == {"forward": 1, "inverse": len(sizes) * live, "symbol": symbol}
+        default_cap = gfunction._BATCH_ENTRIES
+        for workers in (1, 2):
+            monkeypatch.setattr(gfunction, "_workers", lambda rows: workers)
+            for cap, split in ((default_cap, False), (few * n**d, True)):
+                monkeypatch.setattr(gfunction, "_BATCH_ENTRIES", cap)
+                calls.update(forward=0, inverse=0, symbol=[])
+                g_function(f, _modulated(1.0, d), _psi2(kind, d), 0.0, a, 3.0, quad)
+                batch = cap // lattice
+                sizes = [min(batch, nodes - lo) for lo in range(0, nodes, batch)]
+                assert (len(sizes) > 1 and sizes[-1] < batch) == split
+                symbol = sizes * live if general else []
+                want = {"forward": 1, "inverse": len(sizes) * live, "symbol": symbol}
+                if workers == 1:
+                    assert calls == want
+                else:
+                    # two workers append their batch sizes in an order that
+                    # thread timing sets: the sizes compare as a multiset
+                    counted_sizes = collections.Counter(calls["symbol"])
+                    assert {**calls, "symbol": counted_sizes} == {**want, "symbol": collections.Counter(symbol)}
 
     @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
     def test_static_symbols_evaluated_once_per_g(self, variant):
@@ -746,6 +761,77 @@ class TestBatchedCore:
         else:
             g_tilde(f, psi1, psi2, f.grid.a, 3.0, self.QUAD)
         assert sorted(calls) == sorted([psi1.name, psi2.name])
+
+
+class TestThreadedCore:
+    # 4 live output times of 144 nodes each on an (n = 32) lattice
+    QUAD = QuadratureSpec(panels=20, order=6, split_levels=4)
+
+    @staticmethod
+    def _g(f, variant, kind, workers, monkeypatch):
+        monkeypatch.setattr(gfunction, "_workers", lambda rows: workers)
+        psi1, psi2 = _modulated(1.0, 1, amp=0.3, rate=1.0), _psi2(kind, 1)
+        quad = TestThreadedCore.QUAD if kind != "general" else QuadratureSpec(panels=4, order=4, split_levels=2)
+        if variant == "g_function":
+            return g_function(f, psi1, psi2, 0.2, 0.25, 3.0, quad).values
+        return g_tilde(f, psi1, psi2, 0.25, 3.0, quad).values
+
+    @pytest.mark.parametrize("m,real", _with_real(2))
+    @pytest.mark.parametrize("kind", ["static", "separable", "general"])
+    @pytest.mark.parametrize("variant", ["g_function", "g_tilde"])
+    @pytest.mark.parametrize("cap", ["default", "few"])
+    def test_bit_identical_for_every_worker_count(self, monkeypatch, cap, variant, kind, m, real):
+        # each output time is summed by one worker, in the serial order, so
+        # G is the same to the bit at 1, 2 and 3 workers, and at more
+        # workers than output times, some of them idle
+        f = _random_field(1, 32, m, nt=5, seed=110, real=real)
+        if cap == "few":
+            _small_batches(monkeypatch, f.grid)
+        live = int(np.sum(f.grid.t_grid > 0.25))
+        serial = self._g(f, variant, kind, 1, monkeypatch)
+        assert live == 4 and np.all(serial[f.grid.t_grid > 0.25] > 0)
+        for workers in (2, 3, live + 2):
+            assert np.array_equal(self._g(f, variant, kind, workers, monkeypatch), serial), workers
+
+    def test_many_workers_under_fast_switching(self, monkeypatch):
+        # more workers than CPUs and output times, switching every
+        # microsecond: a row that a worker lost or wrote twice would show
+        f = _random_field(1, 32, 2, nt=9, seed=111)
+        serial = self._g(f, "g_tilde", "separable", 1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self._g(f, "g_tilde", "separable", 12, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.max(serial) > 0 and np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, workers):
+        # a general psi2 that turns NaN after t = 0.35: the first of the
+        # output times 0.3, 0.5, 0.7 and 0.9, the calling thread's at every
+        # worker count, has its window before it, and the others raise, at 4
+        # workers in the started threads alone
+        def evaluate(t, xi):
+            return np.full(xi.shape[:-1], np.nan if t > 0.35 else -1.0, dtype=complex) * np.sum(xi**2, axis=-1)
+
+        psi2 = SymbolSpec(eval_fn=evaluate, kappa=1.0, mu=10.0, gamma=2.0, n_derivs=2)
+        f = _random_field(1, 32, 2, nt=5, seed=112)
+        monkeypatch.setattr(gfunction, "_workers", lambda rows: workers)
+        before = threading.active_count()
+        with pytest.raises(SymbolEvaluationError):
+            g_function(f, _modulated(1.0, 1), psi2, 0.0, 0.25, 3.0, QuadratureSpec(4, 4, 2))
+        assert threading.active_count() == before
+
+    def test_workers_follow_the_cpus_and_the_rows(self, monkeypatch):
+        monkeypatch.setattr(gfunction.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [gfunction._workers(rows) for rows in (0, 1, 2, 3, 64)] == [1, 1, 2, 3, 3]
+        monkeypatch.setattr(gfunction.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert gfunction._workers(64) == gfunction._MAX_WORKERS
+        # where affinity is not available, the CPU count
+        monkeypatch.delattr(gfunction.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(gfunction.os, "cpu_count", lambda: 2)
+        assert gfunction._workers(64) == 2
 
 
 class TestNodePlan:

@@ -35,16 +35,30 @@ def test_all_names_resolve(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_imports_no_scipy():
-    # a fresh interpreter, so modules the test run imported do not count
+def _modules_after_import() -> set[str]:
+    """sys.modules after importing every module of the package in a fresh
+    interpreter, so modules the test run imported do not count."""
     src = str(Path(lpevo.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import importlib\n"
         f"for name in {MODULES!r}: importlib.import_module(name)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(' '.join(sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_imports_no_scipy():
+    assert sorted(m for m in _modules_after_import() if m.split(".")[0] == "scipy") == []
+
+
+def test_imports_no_executor_or_logging():
+    # the square function starts its worker threads from threading, which
+    # numpy loads anyway; concurrent.futures would import logging, and both
+    # would add to every start-up
+    loaded = _modules_after_import()
+    assert "lpevo.gfunction" in loaded
+    assert {"concurrent.futures", "logging"} & loaded == set()
 
 
 def _name_uses(node: ast.AST) -> collections.Counter:

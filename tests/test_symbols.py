@@ -290,7 +290,8 @@ class TestChebyshevClassCheck:
         # times gives, and (S3) is exactly 0 where the loop's differences
         # leave roundoff
         spec = power_symbol(1.0, gamma, d=d)
-        once, looped = (asdict(check_symbol_class(s)) for s in (spec, replace(spec, time_independent=False)))
+        loop = replace(spec, time_independent=False, time_coeff=None, xi_profile=None)
+        once, looped = (asdict(check_symbol_class(s)) for s in (spec, loop))
         s3, s3_looped = once.pop("s3_constants"), looped.pop("s3_constants")
         assert once == looped
         assert sorted(s3) == sorted(s3_looped) == list(range(7))
@@ -312,6 +313,62 @@ class TestChebyshevClassCheck:
         check_symbol_class(replace(spec, eval_fn=evaluate))
         assert len(seen) == calls
         assert seen[:4] == [0.0, 0.5, 1.0, 2.0] and set(seen[4:]) == {0.0}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_separable_symbol_boxes_taken_once(self, d):
+        # eval_fn gives (S1) at the four sample times; the boxes are the
+        # profile's, one fine and one coarse pass: 1 + 1 and 10 + 6 calls of
+        # at most _BOX_POINTS points in d = 1 and d = 2, after the array of
+        # sample times of the factorization guard.  The time loop of
+        # eval_fn took 20 and 148 calls
+        spec = power_symbol(1.0, 1.5, d=d, **_modulation(2.0))
+        seen, profiles = [], []
+
+        def evaluate(t, xi):
+            seen.append(t)
+            return spec.eval_fn(t, xi)
+
+        def profile(xi):
+            profiles.append(xi.shape)
+            return spec.xi_profile(xi)
+
+        check_symbol_class(replace(spec, eval_fn=evaluate, xi_profile=profile))
+        assert seen == [0.0, 0.5, 1.0, 2.0]
+        assert len(profiles) == (3 if d == 1 else 17)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "gamma,rate", [(0.25, 1.0), (1.0, 2.0), (0.5, 2.0), (1.5, 2.0), (2.0, 2.0), (3.0, 2.0)]
+    )
+    def test_separable_report_matches_the_eval_fn_loop(self, gamma, rate, d):
+        # the same symbol without its factors runs the eval_fn loop.  (S1)
+        # reads the same values; the (S2) constants differ by the box rule's
+        # roundoff, a few 1e-6 at order 6, since time_coeff scales the
+        # contraction instead of the values; the loop's (S3) differences
+        # amplify that by 1/(2 _T_STEP), so they agree to the verdicts'
+        # 1e-3.  (0.25, 1.0) and (1.0, 2.0) are the symbols of the
+        # modulated-graded-1d benchmark workload at d = 1
+        spec = power_symbol(1.0, gamma, d=d, **_modulation(rate))
+        split = check_symbol_class(spec)
+        loop = check_symbol_class(replace(spec, time_coeff=None, xi_profile=None))
+        assert split.s1_margin == loop.s1_margin
+        for got, want, tol in ((split.s2_constants, loop.s2_constants, 1e-5), (split.s3_constants, loop.s3_constants, 1e-3)):
+            assert sorted(got) == sorted(want) == list(range(7))
+            for k in got:
+                assert abs(got[k] - want[k]) <= tol * max(1.0, want[k]), k
+        assert split.s2_margin == pytest.approx(loop.s2_margin, rel=1e-5, abs=1e-9)
+        assert (split.passed_s1, split.passed_s2, split.passed_s3) == (loop.passed_s1, loop.passed_s2, loop.passed_s3)
+
+    @pytest.mark.parametrize("d,gamma", [(1, 1.0), (1, 2.0), (2, 2.0)])
+    def test_separable_time_derivative_zero_where_exact(self, d, gamma):
+        # |xi| in d = 1 and |xi|^2 have no xi-derivatives past order gamma,
+        # so neither has psi's t-derivative: the difference of time_coeff
+        # times one pass leaves the rule's roundoff, below 1e-5, where the
+        # difference of two passes left up to 2.4e-4
+        report = check_symbol_class(power_symbol(1.0, gamma, d=d, **_modulation(2.0)))
+        for k, c in report.s3_constants.items():
+            if k > gamma:
+                assert c <= 1e-5, k
 
     def test_time_independent_mark_checked(self):
         def evaluate(t, xi):
