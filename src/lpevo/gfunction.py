@@ -14,19 +14,19 @@ singularity for a u^(1/beta) Hölder kink of the transformed integrand there.
 Multipliers.  L(l) T(t, s) comes from two multipliers on the frequency
 lattice: :func:`symbol_on_lattice` gives psi1(l, xi), and
 :func:`integrated_symbol` the exponent integral_s^t psi2(r, xi) dr of
-T(t, s), for a scalar or a whole array of window starts s.  The integral is
-exact for time-independent symbols, and otherwise composite Gauss-Legendre
-on panels anchored to one global lattice, with all of a call's panels in
-one evaluation of the separable coefficient or the generic symbol.  One
-panel-integral implementation, :func:`_panel_integrals`, serves
-integrated_symbol and the core's node plan.
+T(t, s), for a scalar or a whole array of window starts s.  The integral
+has one path for every symbol: composite Gauss-Legendre on panels anchored
+to one global lattice, with psi2 at all of a call's panel points in one
+:func:`eval_symbol` call.  One panel-integral implementation,
+:func:`_panel_integrals`, serves integrated_symbol and the core's node plan.
 
 The core works one output time t at a time and batches its s nodes.  Where
-psi2 splits into a time coefficient c and a frequency factor (a
-time-independent psi2, c = 1, or a separable one), T(t, s) is
-exp(integral_s^t c times the factor): the core takes the factor once per G
-and the coefficient integral of every window from its node plan.  Any other
-psi2 takes one :func:`integrated_symbol` call per batch.
+:meth:`SymbolSpec.factors` splits psi2 into a time coefficient c and a
+frequency factor (a time-independent psi2, c = 1, or a separable one),
+T(t, s) is exp(integral_s^t c times the factor): the core takes the factor
+once per G and the coefficient integral of every window from its node plan,
+t - s where c = 1.  Any other psi2 takes one :func:`integrated_symbol` call
+per batch.
 
 Layout.  What runs how often:
 - per G: the forward transform, the time step f_hat[j+1] - f_hat[j], psi2's
@@ -200,63 +200,41 @@ def _panel_integrals(integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarra
     return head.reshape(s.shape + vals.shape[1:]) + above[rows, np.where(inside, below - first, 0)]
 
 
-def _coeff_integrals(symbol: SymbolSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """integral_s^t c(max(r, 0)) dr of a separable symbol's time
-    coefficient c, through :func:`_panel_integrals` with its (rows, K) s
-    and t.
+def _coeff_integrals(symbol: SymbolSpec, coeff: Callable, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """integral_s^t c(max(r, 0)) dr of the time coefficient c = ``coeff`` of
+    ``symbol``, through :func:`_panel_integrals` with its (rows, K) s and t.
 
     The core's Hermitian half of the lattice relies on a real coefficient:
     a nonzero imaginary part of an integral raises ValueError."""
-    coeff = _panel_integrals(lambda r: symbol.time_coeff(np.maximum(r, 0.0)), s, t)
-    if np.iscomplexobj(coeff) and np.any(coeff.imag):
+    total = _panel_integrals(lambda r: coeff(np.maximum(r, 0.0)), s, t)
+    if np.iscomplexobj(total) and np.any(total.imag):
         raise ValueError(f"symbol {symbol.name!r} has a complex time coefficient")
-    return coeff.real
-
-
-def _frequency_factor(symbol: SymbolSpec, xi: np.ndarray) -> np.ndarray | None:
-    """The frequency factor of a symbol that splits off its time dependence:
-    psi(0, xi) when time-independent, the profile when separable, else None.
-
-    Its product with the coefficient integral is the integrated symbol;
-    :func:`_g_core` evaluates it once per G for the node plan's integrals.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if symbol.time_independent:
-        return eval_symbol(symbol, 0.0, xi)
-    if symbol.separable:
-        return np.asarray(symbol.xi_profile(xi), dtype=complex)
-    return None
+    return total.real
 
 
 def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray) -> np.ndarray:
     """integral_s^t psi(r, xi) dr for a scalar or an array of window starts s
     on an (..., d) frequency array, with shape s.shape + xi.shape[:-1].
 
-    Exact to roundoff for time-independent symbols; separable symbols reduce
-    to the time integral of the coefficient, :func:`_coeff_integrals`, times
-    the frequency profile, and their coefficient must be real: a nonzero
-    imaginary part in its integral raises ValueError.  Every s must lie
-    before t.
+    One path for every symbol: :func:`_panel_integrals` of psi at all of the
+    call's panel points, in one :func:`eval_symbol` call, which takes a
+    separable psi from its factors.  s and t must be finite, and every s
+    must lie before t.
     """
     s = np.asarray(s, dtype=float)
+    if not (np.isfinite(t) and np.all(np.isfinite(s))):
+        raise ValueError(f"integrated symbol requires finite s and t, got s={s}, t={t}")
     if np.any(s >= t):
         raise ValueError(f"integrated symbol requires t > s, got max s={np.max(s)}, t={t}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    lead = s.shape + (1,) * (xi.ndim - 1)
-    factor = _frequency_factor(symbol, xi)
-    if symbol.time_independent:
-        return (t - s).reshape(lead) * factor
+    shape = s.shape + xi.shape[:-1]
     if not s.size:  # no window start: no panel to integrate
-        return np.zeros(s.shape + xi.shape[:-1], dtype=complex)
-    ends = np.array([t], dtype=float)
-    if symbol.separable:
-        return _coeff_integrals(symbol, s.reshape(1, -1), ends).reshape(lead) * factor
+        return np.zeros(shape, dtype=complex)
 
     def psi(r: np.ndarray) -> np.ndarray:
-        vals = np.stack([eval_symbol(symbol, x, xi) for x in r.ravel()])
-        return vals.reshape(r.shape + xi.shape[:-1])
+        return eval_symbol(symbol, r.ravel(), xi).reshape(r.shape + xi.shape[:-1])
 
-    return _panel_integrals(psi, s.reshape(1, -1), ends).reshape(s.shape + xi.shape[:-1])
+    return _panel_integrals(psi, s.reshape(1, -1), np.array([t], dtype=float)).reshape(shape)
 
 
 def symbol_on_lattice(symbol: SymbolSpec, l: float | np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -385,16 +363,16 @@ def _node_plan(
     ``t_grid``, output-time-major, from one :func:`graded_quadrature` call:
     the nodes per output time, and per node its weight, its interval index j
     and weight lambda, so that its transform is f_hat[j] + lambda * step[j],
-    and either the integral over its window of psi2's time coefficient (1
-    for a time-independent psi2), or, for a psi2 whose frequency factor does
-    not split off, the node itself: (per_time, weights, index, lam, coeff,
-    starts), with one of coeff and starts None.
+    and either the integral over its window of psi2's time coefficient c
+    from :meth:`SymbolSpec.factors`, or, for a psi2 that does not split,
+    the node itself: (per_time, weights, index, lam, coeff, starts), with
+    one of coeff and starts None.
 
     The rest is built over at most _PLAN_NODES nodes, whole output times, at
     a time, and the coefficient integrals replace the nodes in place: t - s
-    for a time-independent psi2, and :func:`_coeff_integrals` for a
-    separable one."""
+    where c is None, so 1, and :func:`_coeff_integrals` otherwise."""
     s, w = graded_quadrature(a, times, beta, quad)
+    split = psi2.factors()
     per = len(s) // max(len(times), 1)
     windows = s.reshape(len(times), per)
     # the plan's one integer array, in the least type that holds it: a byte
@@ -407,13 +385,13 @@ def _node_plan(
         j = np.clip(np.searchsorted(t_grid, windows[part], side="right") - 1, 0, len(t_grid) - 2)
         index[part] = j
         lam[part] = (windows[part] - t_grid[j]) / (t_grid[j + 1] - t_grid[j])
-        if psi2.time_independent:
+        if split is not None and split[0] is None:
             windows[part] = times[part, None] - windows[part]
-        elif psi2.separable:
-            windows[part] = _coeff_integrals(psi2, windows[part], times[part])
-    if psi2.time_independent or psi2.separable:
-        return per, w, index.ravel(), lam.ravel(), s, None
-    return per, w, index.ravel(), lam.ravel(), None, s
+        elif split is not None:
+            windows[part] = _coeff_integrals(psi2, split[0], windows[part], times[part])
+    if split is None:
+        return per, w, index.ravel(), lam.ravel(), None, s
+    return per, w, index.ravel(), lam.ravel(), s, None
 
 
 def _g_core(
@@ -443,7 +421,8 @@ def _g_core(
     # psi2's frequency factor and psi1 are evaluated once per G, psi1 as a
     # stack in the lattice's shape, one row per output time, even when none
     # follows a, or one row when frozen at l or time-independent
-    factor2 = _frequency_factor(psi2, xi)
+    split2 = psi2.factors()
+    factor2 = None if split2 is None else np.asarray(split2[1](xi), dtype=complex)
     times1 = t_grid[live] if l is None and not psi1.time_independent else np.array([0.0 if l is None else l])
     mults1 = np.reshape(symbol_on_lattice(psi1, times1, grid), (len(times1),) + spatial)
     # the Hermitian half of the lattice serves while u stays real

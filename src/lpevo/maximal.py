@@ -500,10 +500,9 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
 
 @dataclass(frozen=True)
 class FiltrationLevel:
-    """Level n of the nested filtration: time side 2^-n, space side
+    """A level n of the nested filtration: time side 2^-n, space side
     2^-floor(n/gamma), anchored at the box corner."""
 
-    n: int
     gamma: float
     time_side: float
     space_side: float
@@ -543,17 +542,10 @@ def build_filtration_levels(grid: SpectralGrid, gamma: float) -> list[Filtration
             "grid cells do not close the filtration: need floor(log2(1/dt)/gamma) "
             f"== log2(1/dx), got {a_exp}/{gamma} vs {b_exp}"
         )
-    levels = []
-    for n in range(-_COARSE_LEVELS, a_exp + 1):
-        levels.append(
-            FiltrationLevel(
-                n=n,
-                gamma=gamma,
-                time_side=2.0**-n,
-                space_side=2.0 ** -math.floor(n / gamma),
-            )
-        )
-    return levels
+    return [
+        FiltrationLevel(gamma=gamma, time_side=2.0**-n, space_side=2.0 ** -math.floor(n / gamma))
+        for n in range(-_COARSE_LEVELS, a_exp + 1)
+    ]
 
 
 def filtration_sharp(

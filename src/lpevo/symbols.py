@@ -21,17 +21,21 @@ t-derivative of (S3) is a difference of step 1e-2: central where t >= 1e-2,
 and the second-order one-sided (-3f(t) + 4f(t+h) - f(t+2h))/(2h) below,
 so it is second order at t = 0 too.
 
-A symbol marked time-independent runs one fine and one coarse box pass, at
-t = 0, where G evaluates it, and its (S3) constants are exactly 0.  A
-separable one runs both passes once, on its xi_profile, scaled at each
-sample time by time_coeff(t); its (S3) difference is taken on time_coeff
-before the scaling, so it does not amplify the passes' roundoff by
-1/(2h) = 50, as a difference of two passes would.  Any other symbol runs
-both passes at each sample time, and for class S_T the fine one again at
-the (S3) neighbours.  The check trusts what a symbol declares only
-after testing it on the (S1) values at the sample times: a time-independent
-symbol must not change with t, and a separable one's time_coeff*xi_profile
-must be its eval_fn, each to 1e-12 of max |psi|, else ValueError.
+A symbol that SymbolSpec.factors() splits into c(t) p(xi) runs one fine
+and one coarse box pass of p, scaled at each sample time by c(t), and takes
+its (S3) difference on c: a time-independent symbol has c = 1 and
+p = psi(0, .), where G evaluates it, so its (S3) constants are exactly 0.
+Any other symbol runs both passes at each sample time, and for class S_T
+the fine one again at the (S3) neighbours, whose difference amplifies the
+passes' roundoff by 1/(2h) = 50.  On -(1 + e^(-t)/2)|xi|^2 without its
+factors, the raw (S3) constants where the exact one is 0 read 1.41e-4
+(d = 1, order 6) and 2.4e-7 (d = 2, order 4), against 3.2e-7 and 3.6e-10
+split; differencing the box values before the contraction read 1.35e-4 and
+9.5e-8, no cure, so the two-pass difference stays.  The check trusts what
+a symbol declares only after testing it on the (S1) values at the sample
+times: a time-independent symbol must not change with t, and a separable
+one's time_coeff*xi_profile must be its eval_fn, each to 1e-12 of
+max |psi|, else ValueError.
 """
 
 from __future__ import annotations
@@ -86,13 +90,13 @@ class SymbolSpec:
 
     ``eval_fn(t, xi)`` takes a scalar time and an (..., d) frequency array
     and returns a complex (...) array.  ``time_coeff``/``xi_profile`` are an
-    optional separable factorization psi(t, xi) = time_coeff(t)*xi_profile(xi)
-    used for fast time integration and for :func:`eval_symbol` at an array
-    of times; ``time_coeff`` takes a scalar or an array of times and returns
-    real values of the same shape, and is called once per array of
-    quadrature nodes.  ``time_independent`` marks symbols with
-    psi(t, xi) = psi(xi).  The square function calls the ``eval_fn`` of a
-    symbol that is neither separable nor time-independent from several
+    optional separable factorization psi(t, xi) = time_coeff(t)*xi_profile(xi),
+    given both or neither, used by :meth:`factors` and by
+    :func:`eval_symbol` at an array of times; ``time_coeff`` takes a scalar
+    or an array of times and returns real values of the same shape, and is
+    called once per array of quadrature nodes.  ``time_independent`` marks
+    symbols with psi(t, xi) = psi(xi).  The square function calls the
+    ``eval_fn`` of a symbol that :meth:`factors` does not split from several
     threads at once, so it must be safe to call concurrently.
     """
 
@@ -118,10 +122,23 @@ class SymbolSpec:
             raise ValueError("n_derivs must be at least floor(d/2)+1")
         if self.class_flag not in (CLASS_S, CLASS_S_T):
             raise ValueError(f"unknown class flag {self.class_flag!r}")
+        if (self.time_coeff is None) != (self.xi_profile is None):
+            raise ValueError("time_coeff and xi_profile must be given together")
 
     @property
     def separable(self) -> bool:
         return self.time_coeff is not None and self.xi_profile is not None
+
+    def factors(self) -> tuple[Callable | None, Callable] | None:
+        """The split psi(t, xi) = c(t) p(xi) that the square function and the
+        class check read: (None, psi(0, .)) for a time-independent symbol,
+        whose c is 1, (time_coeff, xi_profile) for a separable one, and None
+        for any other."""
+        if self.time_independent:
+            return None, functools.partial(eval_symbol, self, 0.0)
+        if self.separable:
+            return self.time_coeff, self.xi_profile
+        return None
 
 
 def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -133,6 +150,8 @@ def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.n
     per time.  The clamp extends symbols defined for t >= 0 to the negative
     times that a window start a < 0 can produce.
     """
+    if np.ndim(t) > 1:
+        raise ValueError(f"times must be a scalar or a 1-d array, got shape {np.shape(t)}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.ndim(t) == 0:
         out = np.asarray(spec.eval_fn(max(float(t), 0.0), xi), dtype=complex)
@@ -329,14 +348,14 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
     _CHEB_POINTS first-kind Chebyshev points per axis, in calls of at most
     _BOX_POINTS points, and each d^alpha at the centre is a contraction with
     cached 1-d weight rows.  A rule of _CHEB_POINTS - 4 points on the same
-    boxes gives ``derivative_error``.  A time-independent psi runs this fine
-    and this coarse pass once, at t = 0, and its (S3) constants are 0.  A
-    separable psi runs them once, on xi_profile, times time_coeff at each
-    sample time.  Any other psi runs both at each sample time, and for
-    class S_T the fine one also at the (S3) neighbours.  The t-derivative
-    is a difference of step _T_STEP, of the contractions or of a separable
-    psi's time_coeff times the fine pass: central where t >= _T_STEP, else
-    the second-order one-sided start, so no sample reaches below t = 0.  Each
+    boxes gives ``derivative_error``.  A psi that :meth:`SymbolSpec.factors`
+    splits into c(t) p(xi) runs this fine and this coarse pass once, on p,
+    times c at each sample time, with c = 1 for a time-independent psi;
+    any other runs both at each sample time, and for class S_T the fine one
+    also at the (S3) neighbours.  The t-derivative is a difference of step
+    _T_STEP, of c times the fine pass or of two passes, which amplifies
+    their roundoff by 1/(2 _T_STEP): central where t >= _T_STEP, else the
+    second-order one-sided start, so no sample reaches below t = 0.  Each
     verdict allows _TOL.  Raises ValueError for N > _MAX_ORDER, where
     roundoff, which grows like eps*(c*_CHEB_POINTS*|xi|/rho)^k, exceeds
     _TOL.
@@ -371,24 +390,23 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
         if np.any(np.max(np.abs(split - vals), axis=-1) > _DECLARED_TOL * size):
             raise ValueError(f"symbol {spec.name!r}: time_coeff * xi_profile differs from eval_fn")
     s1_margin = float(np.max(vals.real + spec.kappa * xnorm**spec.gamma))
-    # a time-independent psi has the boxes of t = 0, where G evaluates it,
-    # at every time, and d_t psi = 0, so its (S3) constants stay 0
-    moves = not spec.time_independent
-    if moves and spec.separable:
-        # psi = time_coeff(t) xi_profile(xi): the profile's boxes once, times
-        # the coefficient at each time, whose difference (S3) takes
-        profile = replace(spec, eval_fn=lambda t, xi: spec.xi_profile(xi))
-        fine_boxes, coarse_boxes = fine.derivatives(profile, 0.0), coarse.derivatives(profile, 0.0)
-        fine_at = coarse_at = spec.time_coeff
-    else:
+    split = spec.factors()
+    if split is None:
         fine_boxes = coarse_boxes = 1.0
         fine_at, coarse_at = (functools.partial(rule.derivatives, spec) for rule in (fine, coarse))
+    else:
+        # psi = c(t) p(xi): the boxes of p once, times c at each time, whose
+        # difference (S3) takes, 0 for c = 1
+        coeff, profile = split
+        flat = replace(spec, eval_fn=lambda t, xi: profile(xi))
+        fine_boxes, coarse_boxes = fine.derivatives(flat, 0.0), coarse.derivatives(flat, 0.0)
+        fine_at = coarse_at = coeff or (lambda t: 1.0)
     s2_raw = s2_coarse = s3_raw = np.zeros(n + 1)
-    for t in t_values if moves else t_values[:1]:
+    for t in t_values:
         here = fine_at(t)
         s2_raw = np.maximum(s2_raw, constants(here * fine_boxes))
         s2_coarse = np.maximum(s2_coarse, constants(coarse_at(t) * coarse_boxes))
-        if check_s3 and moves:
+        if check_s3:
             ahead = fine_at(t + _T_STEP)
             if t >= _T_STEP:
                 diff = ahead - fine_at(t - _T_STEP)

@@ -3,6 +3,7 @@ import functools
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestGFunctionBasics:
         symbols[which] = power_symbol(1.0, symbols[which].gamma, d=2)
         with pytest.raises(ValueError, match="dimension"):
             g_function(f, symbols["psi1"], symbols["psi2"], 0.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["g_function", "g_tilde"])
+    def test_complex_time_coefficient_rejected(self, frozen):
+        # the node plan integrates a separable psi2's coefficient, and the
+        # half lattice of real fields takes it real
+        grid = _grid(n=32, nt=5)
+        f = SpaceTimeField(grid, 1, np.ones((5, 32, 1)))
+        psi1 = power_symbol(1.0, 1.0)
+        psi2 = replace(_modulated(2.0, 1), time_coeff=lambda r: -(1.0 + 0.5j * r))
+        with pytest.raises(ValueError, match="complex time coefficient"):
+            if frozen:
+                g_function(f, psi1, psi2, 0.0, 0.0, 2.0)
+            else:
+                g_tilde(f, psi1, psi2, 0.0, 2.0)
 
     def test_failing_class_check_warns_not_fatal(self):
         from lpevo.symbols import SymbolSpec

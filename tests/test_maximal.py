@@ -709,7 +709,7 @@ class TestFiltration:
         g = _cells_grid(n=16, L=1.0, T=64)
         h = np.full((64, 16), 2.0)
         sharp, levels = filtration_sharp(h, g, gamma=2.0)
-        assert levels[0].n == 0
+        assert levels[0].time_side == 1.0
         # in-box levels see no oscillation for constants
         assert np.allclose(sharp, 0.0, atol=1e-13)
 

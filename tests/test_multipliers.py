@@ -184,12 +184,16 @@ class TestIntegratedSymbol:
             got = integrated_symbol(_SYMBOL_KINDS[kind](), s, 1.0, xi)
             assert got.shape == s.shape + (3,)
 
-    def test_complex_time_coefficient_rejected(self):
-        # the separable path, and the half lattice of real fields in G,
-        # take a real coefficient
-        spec = dataclasses.replace(_modulated(), time_coeff=lambda r: -(1.0 + 0.5j * r))
-        with pytest.raises(ValueError, match="complex time coefficient"):
-            integrated_symbol(spec, 0.0, 1.0, np.array([1.0]))
+    @pytest.mark.parametrize("s, t", [(0.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
+    @pytest.mark.parametrize("kind", sorted(_SYMBOL_KINDS))
+    def test_rejects_non_finite_s_or_t(self, kind, s, t):
+        # a static symbol once gave NaN, and the others numpy's errors from
+        # building the panels
+        spec = _SYMBOL_KINDS[kind]()
+        with pytest.raises(ValueError, match="finite s and t"):
+            integrated_symbol(spec, s, t, np.array([1.0]))
+        with pytest.raises(ValueError, match="finite s and t"):
+            integrated_symbol(spec, np.array([0.0, s]), t, np.array([1.0]))
 
 
 class TestKernels:

@@ -4,7 +4,8 @@ submodule exports, and every parameter with a default it takes, must have a
 consumer outside the tests; every private helper must have one inside the
 package, and every private constant must be read in its own module; no
 module reaches for another's private names; only ``grid.py`` names numpy's
-FFT; and the package needs numpy alone."""
+FFT; only ``symbols.py`` reads a symbol's factors; and the package needs
+numpy alone."""
 
 import ast
 import collections
@@ -103,6 +104,20 @@ def test_only_grid_names_the_fft():
         if _names_fft(node)
     ]
     assert named == []
+
+
+def test_only_symbols_reads_the_factors():
+    # how a symbol splits into c(t) p(xi) is decided in one place: every
+    # other module asks SymbolSpec.factors()
+    factors = {"separable", "time_coeff", "xi_profile"}
+    read = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "symbols.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in factors
+    ]
+    assert read == []
 
 
 def test_every_private_helper_has_a_consumer_in_the_package():

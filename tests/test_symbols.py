@@ -56,6 +56,16 @@ class TestEvalSymbol:
         assert np.array_equal(got, np.array(want))
         assert got[0, 0] == got[0, 1]
 
+    # a separable symbol once returned a (1, 2, 3) stack for t of shape
+    # (1, 2), and a generic one raised a TypeError
+    @pytest.mark.parametrize("separable", [True, False], ids=["separable", "generic"])
+    def test_rejects_times_of_more_than_one_axis(self, separable):
+        spec = power_symbol(1.0, 2.0, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5)
+        if not separable:
+            spec = replace(spec, time_coeff=None, xi_profile=None)
+        with pytest.raises(ValueError, match="1-d array"):
+            eval_symbol(spec, np.array([[0.0, 1.0]]), np.array([[1.0], [2.0], [3.0]]))
+
     def test_nan_reported_as_evaluation_failure(self):
         bad = SymbolSpec(
             eval_fn=lambda t, xi: np.full(xi.shape[:-1], np.nan, dtype=complex),
@@ -85,6 +95,24 @@ class TestSymbolSpec:
     def test_rejects_dimension_and_derivative_count(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             replace(power_symbol(1.0, 1.0), **{field: value})
+
+    # a lone factor once made the symbol silently generic: not separable,
+    # and G ignored the factor
+    @pytest.mark.parametrize("dropped", ["time_coeff", "xi_profile"])
+    def test_rejects_a_lone_factor(self, dropped):
+        spec = power_symbol(1.0, 2.0, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5)
+        with pytest.raises(ValueError, match="given together"):
+            replace(spec, **{dropped: None})
+
+    def test_factors_by_kind(self):
+        static = power_symbol(1.0, 1.5)
+        modulated = power_symbol(1.0, 1.5, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5)
+        generic = replace(modulated, time_coeff=None, xi_profile=None)
+        xi = np.array([[-2.0], [0.5], [3.0]])
+        coeff, profile = static.factors()
+        assert coeff is None and np.array_equal(profile(xi), eval_symbol(static, 0.0, xi))
+        assert modulated.factors() == (modulated.time_coeff, modulated.xi_profile)
+        assert generic.factors() is None
 
     # power_symbol bounds mu with range(n_derivs) before it builds the spec,
     # where 2.5 once raised a TypeError
