@@ -26,7 +26,10 @@ frequency factor (a time-independent psi2, c = 1, or a separable one),
 T(t, s) is exp(integral_s^t c times the factor): the core takes the factor
 once per G and the coefficient integral of every window from its node plan,
 t - s where c = 1.  Any other psi2 takes one :func:`integrated_symbol` call
-per batch.
+per batch.  Where psi2 may be evaluated is the symbol's rule, not G's:
+eval_symbol and the c that factors() hands out take a time t at max(t, 0),
+eval_symbol refuses a non-finite t, and c is real, so G clamps no symbol
+time and checks no coefficient.
 
 Layout.  What runs how often:
 - per G: the forward transform, the time step f_hat[j+1] - f_hat[j], psi2's
@@ -200,18 +203,6 @@ def _panel_integrals(integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarra
     return head.reshape(s.shape + vals.shape[1:]) + above[rows, np.where(inside, below - first, 0)]
 
 
-def _coeff_integrals(symbol: SymbolSpec, coeff: Callable, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """integral_s^t c(max(r, 0)) dr of the time coefficient c = ``coeff`` of
-    ``symbol``, through :func:`_panel_integrals` with its (rows, K) s and t.
-
-    The core's Hermitian half of the lattice relies on a real coefficient:
-    a nonzero imaginary part of an integral raises ValueError."""
-    total = _panel_integrals(lambda r: coeff(np.maximum(r, 0.0)), s, t)
-    if np.iscomplexobj(total) and np.any(total.imag):
-        raise ValueError(f"symbol {symbol.name!r} has a complex time coefficient")
-    return total.real
-
-
 def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray) -> np.ndarray:
     """integral_s^t psi(r, xi) dr for a scalar or an array of window starts s
     on an (..., d) frequency array, with shape s.shape + xi.shape[:-1].
@@ -261,7 +252,7 @@ class QuadratureSpec:
     def __post_init__(self):
         for name, least in (("panels", 1), ("order", 1), ("split_levels", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -370,7 +361,8 @@ def _node_plan(
 
     The rest is built over at most _PLAN_NODES nodes, whole output times, at
     a time, and the coefficient integrals replace the nodes in place: t - s
-    where c is None, so 1, and :func:`_coeff_integrals` otherwise."""
+    where c is None, so 1, and otherwise :func:`_panel_integrals` of c as
+    factors() hands it out, which clamps its times and is real."""
     s, w = graded_quadrature(a, times, beta, quad)
     split = psi2.factors()
     per = len(s) // max(len(times), 1)
@@ -388,7 +380,7 @@ def _node_plan(
         if split is not None and split[0] is None:
             windows[part] = times[part, None] - windows[part]
         elif split is not None:
-            windows[part] = _coeff_integrals(psi2, split[0], windows[part], times[part])
+            windows[part] = _panel_integrals(split[0], windows[part], times[part])
     if split is None:
         return per, w, index.ravel(), lam.ravel(), None, s
     return per, w, index.ravel(), lam.ravel(), s, None

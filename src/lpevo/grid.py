@@ -43,8 +43,13 @@ __all__ = [
 ]
 
 
+def _is_count(x) -> bool:
+    """Whether x is an integer, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+    return _is_count(n) and n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -102,19 +107,19 @@ class SpectralGrid:
 
 def make_grid(d: int, n: int, half_length: float, t_nodes: Sequence[float]) -> SpectralGrid:
     """Build a grid, validating the lattice conventions."""
-    if d not in (1, 2):
-        raise ValueError(f"spatial dimension must be 1 or 2, got {d}")
+    if not _is_count(d) or d not in (1, 2):
+        raise ValueError(f"spatial dimension must be the integer 1 or 2, got {d!r}")
     if not _is_power_of_two(n) or n < 8:
-        raise ValueError(f"n must be a power of two >= 8, got {n}")
+        raise ValueError(f"n must be an integer power of two >= 8, got {n!r}")
     if not 0 < half_length < np.inf:
         raise ValueError(f"half_length must be positive and finite, got {half_length}")
     t = np.asarray(t_nodes, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("t_nodes must contain at least two nodes")
-    if not np.all(np.diff(t) > 0):
-        raise ValueError("t_nodes must be strictly increasing")
     if not np.all(np.isfinite(t)):
         raise ValueError("t_nodes must be finite")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("t_nodes must be strictly increasing")
     return SpectralGrid(d=d, n=n, half_length=half_length, t_grid=t)
 
 
@@ -127,7 +132,7 @@ class SpaceTimeField:
     values: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+        if not _is_count(self.m) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         values = np.asarray(self.values, dtype=complex)
         if not np.all(np.isfinite(values)):

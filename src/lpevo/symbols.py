@@ -79,9 +79,9 @@ class SymbolEvaluationError(ValueError):
     """Raised when a user symbol callable returns non-finite values."""
 
 
-def _check_derivative_count(n_derivs) -> None:
-    if not isinstance(n_derivs, (int, np.integer)):
-        raise ValueError(f"n_derivs must be an integer, got {n_derivs!r}")
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,14 @@ class SymbolSpec:
     ``eval_fn(t, xi)`` takes a scalar time and an (..., d) frequency array
     and returns a complex (...) array.  ``time_coeff``/``xi_profile`` are an
     optional separable factorization psi(t, xi) = time_coeff(t)*xi_profile(xi),
-    given both or neither, used by :meth:`factors` and by
-    :func:`eval_symbol` at an array of times; ``time_coeff`` takes a scalar
-    or an array of times and returns real values of the same shape, and is
-    called once per array of quadrature nodes.  ``time_independent`` marks
-    symbols with psi(t, xi) = psi(xi).  The square function calls the
-    ``eval_fn`` of a symbol that :meth:`factors` does not split from several
-    threads at once, so it must be safe to call concurrently.
+    given both or neither; ``time_coeff`` takes a scalar or an array of
+    times and returns real values of the same shape.  ``time_independent``
+    marks symbols with psi(t, xi) = psi(xi).  A symbol is given for t >= 0:
+    lpevo calls ``eval_fn`` and ``time_coeff`` only there, through
+    :meth:`factors` and :func:`eval_symbol`, which take max(t, 0).  The
+    square function calls the ``eval_fn`` of a symbol that :meth:`factors`
+    does not split from several threads at once, so it must be safe to call
+    concurrently.
     """
 
     eval_fn: Callable[[float, np.ndarray], np.ndarray]
@@ -115,9 +116,10 @@ class SymbolSpec:
     def __post_init__(self):
         if not all(0 < c < np.inf for c in (self.kappa, self.mu, self.gamma)):
             raise ValueError("kappa, mu, gamma must all be positive and finite")
+        _check_count("d", self.d)
         if self.d not in (1, 2):
             raise ValueError(f"d must be 1 or 2, got {self.d!r}")
-        _check_derivative_count(self.n_derivs)
+        _check_count("n_derivs", self.n_derivs)
         if self.n_derivs < self.d // 2 + 1:
             raise ValueError("n_derivs must be at least floor(d/2)+1")
         if self.class_flag not in (CLASS_S, CLASS_S_T):
@@ -132,37 +134,54 @@ class SymbolSpec:
     def factors(self) -> tuple[Callable | None, Callable] | None:
         """The split psi(t, xi) = c(t) p(xi) that the square function and the
         class check read: (None, psi(0, .)) for a time-independent symbol,
-        whose c is 1, (time_coeff, xi_profile) for a separable one, and None
-        for any other."""
+        whose c is 1, (c, p) for a separable one, and None for any other.
+        c is ``time_coeff`` at max(t, 0) for times of any shape, and real,
+        else ValueError; c and p raise SymbolEvaluationError on a non-finite
+        value, as :func:`eval_symbol` does."""
         if self.time_independent:
             return None, functools.partial(eval_symbol, self, 0.0)
         if self.separable:
-            return self.time_coeff, self.xi_profile
+            return functools.partial(_coefficient, self), lambda xi: _finite(self, self.xi_profile(xi))
         return None
+
+
+def _finite(spec: SymbolSpec, values):
+    """``values``, which a callable of ``spec`` returned, if all are finite."""
+    if not np.all(np.isfinite(values)):
+        raise SymbolEvaluationError(f"symbol {spec.name!r} returned non-finite values")
+    return values
+
+
+def _coefficient(spec: SymbolSpec, t):
+    """``time_coeff`` at max(t, 0), real if its imaginary part is zero."""
+    c = _finite(spec, spec.time_coeff(np.maximum(t, 0.0)))
+    if np.iscomplexobj(c) and np.any(c.imag):
+        raise ValueError(f"symbol {spec.name!r} has a complex time coefficient")
+    return c.real
 
 
 def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Evaluate psi at clamped time max(t, 0) on an (..., d) frequency array.
 
-    t is one time, or a 1-d array of times whose values are stacked along a
-    leading axis: a separable symbol's in one evaluation of its coefficient
-    at every time times its profile, any other's in one ``eval_fn`` call
-    per time.  The clamp extends symbols defined for t >= 0 to the negative
-    times that a window start a < 0 can produce.
+    t is one finite time, or a 1-d array of them whose values are stacked
+    along a leading axis: a separable symbol's in one evaluation of the
+    coefficient that :meth:`SymbolSpec.factors` hands out, at every time,
+    times its profile, any other's in one ``eval_fn`` call per time.  The
+    clamp extends symbols defined for t >= 0 to the negative times that a
+    window start a < 0 can produce.
     """
-    if np.ndim(t) > 1:
-        raise ValueError(f"times must be a scalar or a 1-d array, got shape {np.shape(t)}")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise ValueError(f"symbol times must be finite, in a scalar or a 1-d array, got {t}")
+    times = np.maximum(times, 0.0)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.ndim(t) == 0:
-        out = np.asarray(spec.eval_fn(max(float(t), 0.0), xi), dtype=complex)
+    if times.ndim == 0:
+        out = spec.eval_fn(float(times), xi)
     elif spec.separable:
-        times = np.maximum(np.asarray(t, dtype=float), 0.0)
-        out = np.multiply.outer(spec.time_coeff(times), spec.xi_profile(xi)).astype(complex)
+        out = np.multiply.outer(_coefficient(spec, times), spec.xi_profile(xi))
     else:
-        out = np.asarray([spec.eval_fn(max(float(x), 0.0), xi) for x in t], dtype=complex)
-    if not np.all(np.isfinite(out)):
-        raise SymbolEvaluationError(f"symbol {spec.name!r} returned non-finite values")
-    return out
+        out = [spec.eval_fn(float(x), xi) for x in times]
+    return _finite(spec, np.asarray(out, dtype=complex))
 
 
 def _xi_norm(xi: np.ndarray) -> np.ndarray:
@@ -191,15 +210,16 @@ def power_symbol(
 
     With k differentiable and |k| <= k_bound, |k'| <= k_deriv_bound this
     family satisfies (S1), (S2) and (S3).  ``k_fn`` is called on arrays of
-    times, as ``time_coeff`` is.
+    times, as ``time_coeff`` is, and only at t >= 0: the clamp is
+    :func:`eval_symbol`'s and :meth:`SymbolSpec.factors`'.
     """
     # before mu, whose bound takes range(n_derivs)
-    _check_derivative_count(n_derivs)
+    _check_count("n_derivs", n_derivs)
     if k_fn is None:
         coeff = lambda t: -kappa + 0.0 * t  # keeps the shape of t, and scalars stay cheap
         time_indep = True
     else:
-        coeff = lambda t: -(kappa + k_fn(np.maximum(t, 0.0)))
+        coeff = lambda t: -(kappa + k_fn(t))
         time_indep = False
     profile = lambda xi: _xi_norm(xi) ** gamma
 

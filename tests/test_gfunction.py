@@ -180,7 +180,8 @@ class TestGradedQuadrature:
             graded_quadrature(0.0, np.ones((2, 2)), 1.0)
 
     # panels=2.5 once gave window weights summing to 0.6 where 0.5 is exact,
-    # and a negative split_levels counted as none
+    # a negative split_levels counted as none, and a bool, an integer to
+    # isinstance, counted as 0 or 1
     @pytest.mark.parametrize(
         "knobs",
         [
@@ -191,6 +192,10 @@ class TestGradedQuadrature:
             {"order": 4.0},
             {"split_levels": -1},
             {"split_levels": None},
+            {"panels": True},
+            {"order": True},
+            {"split_levels": True},
+            {"split_levels": False},
         ],
     )
     def test_spec_rejects_non_integer_or_out_of_range_knobs(self, knobs):
@@ -276,6 +281,39 @@ class TestGFunctionBasics:
         psi1 = power_symbol(1.0, 1.0)
         psi2 = replace(_modulated(2.0, 1), time_coeff=lambda r: -(1.0 + 0.5j * r))
         with pytest.raises(ValueError, match="complex time coefficient"):
+            if frozen:
+                g_function(f, psi1, psi2, 0.0, 0.0, 2.0)
+            else:
+                g_tilde(f, psi1, psi2, 0.0, 2.0)
+
+    # l = inf once gave G at the modulation's limit k(inf), l = -inf G at
+    # l = 0 through the symbol's clamp, and l = nan an error about the symbol
+    @pytest.mark.parametrize("l", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("modulated", [True, False], ids=["modulated", "static"])
+    def test_non_finite_symbol_time_rejected(self, l, modulated):
+        grid = _grid(n=16, nt=5)
+        f = SpaceTimeField(grid, 1, np.cos(np.pi * grid.x)[None, :, None] * np.ones((5, 1, 1)))
+        psi1 = _modulated(1.0, 1) if modulated else power_symbol(1.0, 1.0)
+        with pytest.raises(ValueError, match="symbol times must be finite"):
+            g_function(f, psi1, power_symbol(1.0, 2.0), l, 0.0, 2.0)
+
+    # a NaN in a separable psi2's coefficient or profile once reached the
+    # caller only as a non-finite G; as psi1 it already raised the symbol's
+    # error (TestGTilde)
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            {"time_coeff": lambda t: np.where(t > 0.5, np.nan, -1.0)},
+            {"xi_profile": lambda xi: np.where(np.abs(xi[..., 0]) > 5.0, np.nan, xi[..., 0] ** 2)},
+        ],
+        ids=["coefficient", "profile"],
+    )
+    @pytest.mark.parametrize("frozen", [True, False], ids=["g_function", "g_tilde"])
+    def test_separable_psi2_not_finite_rejected(self, factor, frozen):
+        grid = _grid(n=32, nt=5)
+        f = SpaceTimeField(grid, 1, np.ones((5, 32, 1)))
+        psi1, psi2 = power_symbol(1.0, 1.0), replace(_modulated(2.0, 1), **factor)
+        with pytest.raises(SymbolEvaluationError, match="non-finite"):
             if frozen:
                 g_function(f, psi1, psi2, 0.0, 0.0, 2.0)
             else:
@@ -434,6 +472,13 @@ class TestGLpNorm:
         res = GFunctionResult(grid, 2.0, np.full((5, 32), 3.0))
         with pytest.raises(ValueError):
             g_lp_norm(res, p)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_result_rejects_negative_or_nan_values(self, bad):
+        values = np.ones((5, 32))
+        values[2, 7] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GFunctionResult(_grid(n=32, nt=5), 2.0, values)
 
 
 # -- the batched core against node-by-node references -------------------------

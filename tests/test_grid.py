@@ -41,6 +41,27 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 8, 1.0, [0.0, 1.0, 0.5])
 
+    # a bool is an integer to isinstance and 2.0 is in (1, 2): d = True and
+    # d = 2.0 once built a grid, and n = 8.0 raised a TypeError from &; a NaN
+    # node was reported as out of order, since order was checked first
+    @pytest.mark.parametrize(
+        "d, n, t, match",
+        [
+            (3, 8, [0.0, 1.0], "spatial dimension"),
+            (True, 8, [0.0, 1.0], "spatial dimension"),
+            (2.0, 8, [0.0, 1.0], "spatial dimension"),
+            (1, 8.0, [0.0, 1.0], "n must be an integer"),
+            (1, np.float64(16.0), [0.0, 1.0], "n must be an integer"),
+            (1, 8, [0.0], "at least two"),
+            (1, 8, [0.0, np.inf], "finite"),
+            (1, 8, [0.0, np.nan, 1.0], "finite"),
+        ],
+        ids=["d=3", "d=True", "d=2.0", "n=8.0", "n=float64", "one-node", "inf-node", "nan-node"],
+    )
+    def test_rejects_dimension_size_and_time_nodes(self, d, n, t, match):
+        with pytest.raises(ValueError, match=match):
+            make_grid(d, n, 1.0, t)
+
     @pytest.mark.parametrize("half_length", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_half_length_not_positive_and_finite(self, half_length):
         with pytest.raises(ValueError, match="half_length"):
@@ -199,6 +220,10 @@ class TestLatticeArrays:
         got = lattice_inverse(work, g, out=work)
         assert got is work and np.array_equal(got, want)
 
+    def test_rejects_values_without_a_component_axis(self):
+        with pytest.raises(ValueError, match="component axis"):
+            lattice_forward(np.ones(16), _grid_1d(n=16))
+
     def test_real_input(self):
         g = make_grid(1, 16, 1.0, [0.0, 1.0])
         vals = np.random.default_rng(7).normal(size=(16, 1))
@@ -275,8 +300,8 @@ class TestFieldValidation:
             SpaceTimeField(g, 1, np.ones((3, 16, 1)))
 
     # m = 0 used to construct, and G then divided by it; a float m = 1.0
-    # matched the shape of the values
-    @pytest.mark.parametrize("m,width", [(0, 0), (-1, 1), (1.0, 1), (np.float64(2.0), 2)])
+    # and a bool m = True matched the shape of the values
+    @pytest.mark.parametrize("m,width", [(0, 0), (-1, 1), (1.0, 1), (np.float64(2.0), 2), (True, 1)])
     def test_rejects_m_other_than_an_integer_of_at_least_one(self, m, width):
         g = _grid_1d(n=16)
         with pytest.raises(ValueError, match="m must be an integer"):

@@ -329,6 +329,12 @@ def test_complex_input_rejected(operator):
         _OPERATORS[operator](h, g)
 
 
+def test_unknown_axis_rejected():
+    g = make_grid(1, 8, 0.5, (np.arange(8) + 0.5) / 8)
+    with pytest.raises(ValueError, match="axis must be 'space' or 'time'"):
+        maximal_values(np.ones((8, 8)), g, "x")
+
+
 # leading batch axes in space stay allowed (test_batched_equals_row_wise)
 @pytest.mark.parametrize(
     "d,axis,shape",
@@ -723,6 +729,13 @@ class TestFiltration:
         shapes = {maximal_module._window_halfwidths(containment_radius(lvl, g), 2.0, dt, g.dx) for lvl in levels}
         qsharp = _window_sharp(h, shapes)
         assert np.all(fsharp <= 2 * n1**2 * qsharp + 1e-10)
+
+    def test_cells_that_do_not_close_the_filtration_rejected(self):
+        # dt = 2^-5 and dx = 2^-6 at gamma = 1: the finest level would not
+        # be one cell per cube
+        g = _cells_grid(n=64, L=0.5, T=32)
+        with pytest.raises(ValueError, match="do not close the filtration"):
+            build_filtration_levels(g, gamma=1.0)
 
     def test_misaligned_grid_rejected(self):
         g = make_grid(1, 16, 1.0, np.linspace(0.0, 1.0, 10))  # dt not dyadic

@@ -1,7 +1,8 @@
 """Every name that a module of the package exports must resolve, so a
 deleted function cannot leave a stale entry in ``__all__``; every name a
-submodule exports, and every parameter with a default it takes, must have a
-consumer outside the tests; every private helper must have one inside the
+module exports, the package's own re-exports included, and every parameter
+with a default that a submodule's export takes, must have a consumer
+outside the tests; every private helper must have one inside the
 package, and every private constant must be read in its own module; no
 module reaches for another's private names; only ``grid.py`` names numpy's
 FFT; only ``symbols.py`` reads a symbol's factors; and the package needs
@@ -183,11 +184,12 @@ def test_no_module_imports_another_modules_private_name():
 
 def test_every_export_has_a_consumer():
     # consumers are the package's own modules and the benchmark, not tests:
-    # a name only its tests call is surface to delete
+    # a name only its tests call is surface to delete, the package's own
+    # re-exports included
     used = set().union(*(_used_names(p) for p in CONSUMERS))
     unused = [
         f"{name}.{export}"
-        for name in MODULES[1:]
+        for name in MODULES
         for export in importlib.import_module(name).__all__
         if export not in used
     ]

@@ -46,13 +46,15 @@ class TestEvalSymbol:
 
     @pytest.mark.parametrize("k_fn", [None, lambda t: 0.5 * np.exp(-t)], ids=["static", "modulated"])
     def test_time_coeff_takes_arrays(self, k_fn):
-        # the panel quadrature calls time_coeff once per array of nodes; the
-        # modulated coefficient clamps negative times to zero as eval_symbol does
+        # the panel quadrature calls the coefficient that factors() hands out
+        # once per array of nodes; it clamps negative times to zero as
+        # eval_symbol does (the static symbol, unmarked, so that it splits)
         spec = power_symbol(1.0, 2.0, k_fn=k_fn, k_bound=0.5, k_deriv_bound=0.5)
+        coeff, _ = replace(spec, time_independent=False).factors()
         t = np.array([[-1.0, 0.0, 0.3], [0.5, 1.0, 2.0]])
-        got = spec.time_coeff(t)
+        got = coeff(t)
         assert got.shape == t.shape
-        want = [[spec.time_coeff(float(x)) for x in row] for row in t]
+        want = [[coeff(float(x)) for x in row] for row in t]
         assert np.array_equal(got, np.array(want))
         assert got[0, 0] == got[0, 1]
 
@@ -65,6 +67,17 @@ class TestEvalSymbol:
             spec = replace(spec, time_coeff=None, xi_profile=None)
         with pytest.raises(ValueError, match="1-d array"):
             eval_symbol(spec, np.array([[0.0, 1.0]]), np.array([[1.0], [2.0], [3.0]]))
+
+    # inf once evaluated the coefficient's limit and -inf the symbol at 0,
+    # through the clamp; nan failed as the symbol's own non-finite value
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, [0.5, np.inf]], ids=["inf", "-inf", "nan", "array"])
+    @pytest.mark.parametrize("separable", [True, False], ids=["separable", "generic"])
+    def test_rejects_non_finite_times(self, t, separable):
+        spec = power_symbol(1.0, 2.0, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5)
+        if not separable:
+            spec = replace(spec, time_coeff=None, xi_profile=None)
+        with pytest.raises(ValueError, match="symbol times must be finite"):
+            eval_symbol(spec, t, np.array([[1.0], [2.0]]))
 
     def test_nan_reported_as_evaluation_failure(self):
         bad = SymbolSpec(
@@ -86,15 +99,25 @@ class TestSymbolSpec:
             replace(power_symbol(1.0, 2.0), **{constant: value})
 
     # d = 3 and d = 0 used to fail inside check_symbol_class with an
-    # IndexError, and n_derivs = 2.5 with a TypeError
+    # IndexError, and n_derivs = 2.5 with a TypeError; a bool, an integer to
+    # isinstance, and d = 1.0, which is in (1, 2), built a symbol
     @pytest.mark.parametrize(
-        "field, value, match",
-        [("d", 3, "d must be 1 or 2"), ("d", 0, "d must be 1 or 2"), ("n_derivs", 2.5, "n_derivs must be an integer")],
-        ids=["d=3", "d=0", "n_derivs=2.5"],
+        "changes, match",
+        [
+            ({"d": 3}, "d must be 1 or 2"),
+            ({"d": 0}, "d must be 1 or 2"),
+            ({"n_derivs": 2.5}, "n_derivs must be an integer"),
+            ({"d": True}, "d must be an integer"),
+            ({"d": 1.0}, "d must be an integer"),
+            ({"n_derivs": True}, "n_derivs must be an integer"),
+            ({"d": 2, "n_derivs": 1}, "at least floor"),
+            ({"class_flag": "S_X"}, "unknown class flag"),
+        ],
+        ids=["d=3", "d=0", "n_derivs=2.5", "d=True", "d=1.0", "n_derivs=True", "d=2,n_derivs=1", "class_flag"],
     )
-    def test_rejects_dimension_and_derivative_count(self, field, value, match):
+    def test_rejects_dimension_and_derivative_count(self, changes, match):
         with pytest.raises(ValueError, match=match):
-            replace(power_symbol(1.0, 1.0), **{field: value})
+            replace(power_symbol(1.0, 1.0), **changes)
 
     # a lone factor once made the symbol silently generic: not separable,
     # and G ignored the factor
@@ -111,12 +134,43 @@ class TestSymbolSpec:
         xi = np.array([[-2.0], [0.5], [3.0]])
         coeff, profile = static.factors()
         assert coeff is None and np.array_equal(profile(xi), eval_symbol(static, 0.0, xi))
-        assert modulated.factors() == (modulated.time_coeff, modulated.xi_profile)
+        # the declared factors, the coefficient at max(t, 0)
+        coeff, profile = modulated.factors()
+        t = np.array([-1.0, 0.0, 0.5])
+        assert np.array_equal(coeff(t), modulated.time_coeff(np.array([0.0, 0.0, 0.5])))
+        assert np.array_equal(profile(xi), modulated.xi_profile(xi))
         assert generic.factors() is None
+
+    # the coefficient G integrates was once checked for an imaginary part by
+    # G alone, and a NaN in either factor reached G's caller as a NaN G
+    @pytest.mark.parametrize(
+        "name, fn, error, match",
+        [
+            ("time_coeff", lambda t: -(1.0 + 0.5j * t), ValueError, "complex time coefficient"),
+            ("time_coeff", lambda t: np.where(t > 0.5, np.nan, -1.0), SymbolEvaluationError, "non-finite"),
+            ("xi_profile", lambda xi: np.where(xi[..., 0] > 1.5, np.nan, 1.0), SymbolEvaluationError, "non-finite"),
+        ],
+        ids=["complex", "nan-coefficient", "nan-profile"],
+    )
+    def test_factors_refuse_complex_and_non_finite_values(self, name, fn, error, match):
+        modulated = power_symbol(1.0, 1.5, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5)
+        coeff, profile = replace(modulated, **{name: fn}).factors()
+        with pytest.raises(error, match=match):
+            if name == "time_coeff":
+                coeff(np.array([0.25, 1.0]))
+            else:
+                profile(np.array([[1.0], [2.0]]))
+
+    def test_factors_hand_out_a_real_coefficient(self):
+        # a complex dtype with no imaginary part keeps G on real arrays
+        spec = replace(power_symbol(1.0, 1.5), time_independent=False, time_coeff=lambda t: -1.0 + 0j * t)
+        coeff, _ = spec.factors()
+        got = coeff(np.array([-0.5, 0.5]))
+        assert not np.iscomplexobj(got) and np.array_equal(got, [-1.0, -1.0])
 
     # power_symbol bounds mu with range(n_derivs) before it builds the spec,
     # where 2.5 once raised a TypeError
-    @pytest.mark.parametrize("n_derivs", [2.5, "3", None])
+    @pytest.mark.parametrize("n_derivs", [2.5, "3", None, True])
     def test_power_symbol_rejects_a_non_integer_derivative_count(self, n_derivs):
         with pytest.raises(ValueError, match="n_derivs must be an integer"):
             power_symbol(1.0, 1.0, n_derivs=n_derivs)
