@@ -109,7 +109,7 @@ from typing import Callable
 
 import numpy as np
 
-from lpevo.grid import SpaceTimeField, SpectralGrid, lattice_forward, lattice_inverse, lp_norm
+from lpevo.grid import SpaceTimeField, SpectralGrid, lattice_forward, lattice_inverse, lp_norm, real_array
 from lpevo.symbols import SymbolSpec, eval_symbol
 
 __all__ = [
@@ -212,12 +212,12 @@ def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: n
     separable psi from its factors.  s and t must be finite, and every s
     must lie before t.
     """
-    s = np.asarray(s, dtype=float)
+    s = real_array(s, "window starts")
     if not (np.isfinite(t) and np.all(np.isfinite(s))):
         raise ValueError(f"integrated symbol requires finite s and t, got s={s}, t={t}")
     if np.any(s >= t):
         raise ValueError(f"integrated symbol requires t > s, got max s={np.max(s)}, t={t}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = np.atleast_1d(real_array(xi, "frequencies"))
     shape = s.shape + xi.shape[:-1]
     if not s.size:  # no window start: no panel to integrate
         return np.zeros(shape, dtype=complex)
@@ -267,7 +267,7 @@ def graded_quadrature(
     windows follow one another, output time by output time, in two flat
     arrays, each window's equal to those of its own call.
     """
-    times = np.asarray(t, dtype=float)
+    times = real_array(t, "output times")
     if times.ndim > 1:
         raise ValueError(f"output times must be a scalar or a 1-d array, got shape {times.shape}")
     times = times.reshape(-1, 1, 1)

@@ -35,6 +35,7 @@ __all__ = [
     "SpectralGrid",
     "SpaceTimeField",
     "make_grid",
+    "real_array",
     "lattice_forward",
     "lattice_inverse",
     "lebesgue_norm",
@@ -50,6 +51,14 @@ def _is_count(x) -> bool:
 
 def _is_power_of_two(n: int) -> bool:
     return _is_count(n) and n >= 1 and (n & (n - 1)) == 0
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; complex input raises ValueError, since a
+    cast would drop its imaginary part with only a ComplexWarning."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got a complex array")
+    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ class SpectralGrid:
     t_grid: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
+        object.__setattr__(self, "t_grid", real_array(self.t_grid, "t_grid"))
 
     @property
     def dx(self) -> float:
@@ -113,7 +122,7 @@ def make_grid(d: int, n: int, half_length: float, t_nodes: Sequence[float]) -> S
         raise ValueError(f"n must be an integer power of two >= 8, got {n!r}")
     if not 0 < half_length < np.inf:
         raise ValueError(f"half_length must be positive and finite, got {half_length}")
-    t = np.asarray(t_nodes, dtype=float)
+    t = real_array(t_nodes, "t_nodes")
     if t.ndim != 1 or t.size < 2:
         raise ValueError("t_nodes must contain at least two nodes")
     if not np.all(np.isfinite(t)):

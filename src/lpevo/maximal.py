@@ -19,6 +19,12 @@ Conventions shared by every operator here:
   yields an integer window shape.
 
 The sharp function's algorithm is described in :func:`sharp_parabolic`.
+Its shapes run widest first, and each later shape sums only the windows
+whose oscillation can raise the sup so far: Cauchy-Schwarz bounds the L^1
+oscillation by the L^2 one, which window sums of v and v^2 give, and a
+slack derived from the rounding of both sums makes the bound hold for the
+computed values.  A skipped window is one whose oscillation the sup would
+not have taken, so the result is bit-identical to summing every window.
 
 The filtration uses the nested variant of the anisotropic dyadic partition:
 level n has time side 2^-n and space side 2^-floor(n/gamma), so each cube
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lpevo.grid import SpectralGrid
+from lpevo.grid import SpectralGrid, real_array
 
 # floats in one gathered block of sharp_parabolic: (class, row) pairs x
 # points of the lattice wrapped once; larger blocks buy little speed on two
@@ -143,14 +149,6 @@ def _graded_maximal_time(batch: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out.reshape(batch.shape)
 
 
-def _real(values: np.ndarray) -> np.ndarray:
-    """``values`` as floats; complex input raises, since a cast would drop
-    its imaginary part with only a warning."""
-    if np.iscomplexobj(values):
-        raise ValueError("values must be real, got a complex array")
-    return np.asarray(values, dtype=float)
-
-
 def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndarray:
     """Pointwise supremum over radii of window averages of finite,
     nonnegative real cell values, along space (periodic) or time (zero
@@ -161,7 +159,7 @@ def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndar
     In space leading axes batch; in time axis 0 holds the time nodes.
     Time steps equal to a relative 1e-12 take the running-sum rule of
     space, any other grid the graded one, whatever the time unit."""
-    values = _real(values)
+    values = real_array(values, "values")
     if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
         raise ValueError("maximal_values expects finite nonnegative values")
     if axis == "space":
@@ -188,7 +186,7 @@ def maximal_values(values: np.ndarray, grid: SpectralGrid, axis: str) -> np.ndar
 def _space_time_values(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """``values`` as floats, if they are a finite real scalar space-time
     array on ``grid``."""
-    values = _real(values)
+    values = real_array(values, "values")
     if values.shape != (len(grid.t_grid),) + grid.spatial_shape() or not np.all(np.isfinite(values)):
         raise ValueError("values must be a finite scalar space-time array on the grid")
     return values
@@ -390,7 +388,61 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     pair is laid out alike, so each move reads one slab that numpy runs as
     a single inner loop.  A block holds at most _CHUNK_ENTRIES floats (one
     pair if a lattice alone is larger); it, its gather buffer and two pair
-    buffers are allocated once per call, however large the window.
+    buffers are allocated once per call, however large the window.  A
+    shape whose moves read fewer cells than the gather and the transpose
+    copy, moves x n^d <= 2 (n + wrap)^d (on a long lattice, a window that
+    covers the period and leaves one residual move), takes each move
+    straight from the lattice into a (pair, point) buffer instead, with
+    mu' laid out alike.  The sums are the same floats: every operation is
+    elementwise, and ``np.add.reduceat`` adds a segment in one order
+    whatever its layout.
+
+    **Pruning.**  The shapes run widest first, and a later shape sums only
+    the time classes that can raise the running sup.  Over a window of N
+    cells, n_in in the box and out = N - n_in zero cells past it (cells
+    counted as the window sums weight them), let L(a) = (sum_in |v - a| +
+    out |a|) / N and E(a) = sum_in (v - a)^2 + out a^2.  Cauchy-Schwarz
+    gives L(mu) <= (E(mu) / N)^(1/2) at the computed mean mu.  E comes from
+    window sums of u = (v - level) / m, with level the field's mean and m =
+    max(max |v - level|, |level|), taken beside v' in the same strided pass:
+    with nu = (mu - level) / m, S_u = sum_in u (the sum of v' plus side
+    times the sum of (c_r - level) / m) and Q_u = sum_in u^2,
+
+        E(mu) / m^2 = Q_u - 2 nu S_u + n_in nu^2 + out (mu / m)^2.
+
+    In units of m no square overflows, and an offset added to the field
+    does not enter the terms of Q_u or S_u.
+
+    The slack covers the rounding of both computations.  Every sum that
+    either makes (window sums, moves, suffix sums of the sorted rows, the
+    chunks' and the rows' accumulations) adds at most K = 2 (n^d + 2 T) +
+    (2 mt + 1) + d (2 mx + 1) terms, so to first order it errs by at most
+    K eps times the sum of its terms' magnitudes.  Set r = max |v - level|
+    / m and h = |level| / m.  In units of m, |v'| <= 2 r, |mu'| <= r + |nu|,
+    |nu| <= nu_max = r + h out / N + s (r + h) and |mu| <= mu_max = (r + h)
+    (1 + s), where the s terms take the rounding of mu and of the row
+    means, with s = 8 K eps: a factor 2 for the doubled sum of the
+    identity, 2 for second-order terms and 2 to spare.  The L^1
+    computation's terms carry the plan's weight C = c n^d + sum |w - c| per
+    in-box row (c the base weight here), so the computed oscillation is
+    within m d_1 of L(mu), and the computed E(mu) / m^2 within d_2 of the
+    exact one:
+
+        d_1 = s (C count (3 r + nu_max) + out mu_max) / N,
+        d_2 = s (n_in (r + nu_max)^2 + out mu_max^2).
+
+    So B = m ((E(mu) / m^2 + d_2) / N)^(1/2) + m d_1 bounds the computed
+    oscillation; d_2 >= s E(mu) / m^2 also covers the rounding of the
+    square root and of the products by m.  A class is skipped when, at
+    every spatial centre, B is at most the least running sup over the
+    window's in-box cells.  Its windows add to the sup only at those cells,
+    where the max would keep the sup, so they get oscillation 0 instead,
+    which no sup reads.  The kept classes are summed over the plan's chunks
+    with the skipped pairs taken out: a kept class keeps its segments, so
+    every oscillation the sup reads is the same float, and a max over the
+    same floats is exact.  The result is therefore bit-identical to summing
+    every class.  The first shape meets a zero sup, so it keeps every class
+    and takes no bound.
     """
     _check_gamma(gamma)
     values = _space_time_values(values, grid)
@@ -399,12 +451,77 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     return _window_sharp(values, shapes)
 
 
+def _raising_classes(
+    p: _ShapePlan, sharp, mu, sums, squares, level_sums, level: float, reach: float, magnitude: float
+) -> np.ndarray:
+    """Which time classes of plan ``p`` may raise the running ``sharp``:
+    those with a window whose bound B (see :func:`sharp_parabolic`, where
+    ``magnitude`` is m) exceeds the least of ``sharp`` over the window's
+    in-box cells.
+
+    Per class and spatial centre, ``mu`` is the window mean, ``sums`` the
+    window sum of v' and ``squares`` that of ((v - level) / m)^2;
+    ``level_sums`` is the sum of (c_r - level) / m over each class's rows.
+    """
+    T, n, d = sharp.shape[0], sharp.shape[1], sharp.ndim - 1
+    mt, mx = p.mt, p.mx
+    side = (2 * mx + 1) ** d
+    cells = (2 * mt + 1) * side
+    inside = p.count * side
+    outside = cells - inside
+    per_class = (-1,) + (1,) * d
+    # the slack per class, from the largest |v - level|, |nu| and |mu|
+    r, h = reach / magnitude, abs(level) / magnitude
+    slack = 8 * (2 * (n**d + 2 * T) + 2 * mt + 1 + d * (2 * mx + 1)) * np.finfo(float).eps
+    nu_max = r + h * outside / cells + slack * (r + h)
+    mu_max = (r + h) * (1 + slack)
+    carried = p.base * n**d + sum(abs(w) * len(cuts) for w, cuts in p.moves)
+    slack_o2 = slack * (inside * (r + nu_max) ** 2 + outside * mu_max**2)
+    slack_l1 = slack * (carried * p.count * (3 * r + nu_max) + outside * mu_max) / cells
+    # (E(mu) / m^2 + d_2) / N: the in-box deviations from the level less
+    # nu, squared, and mu^2 on each zero cell past the box
+    nu = (mu - level) / magnitude
+    spread = sums / magnitude + (side * level_sums).reshape(per_class)
+    spread *= -2.0 * nu
+    spread += squares
+    spread += inside.reshape(per_class) * nu**2
+    spread += outside.reshape(per_class) * np.square(mu / magnitude)
+    spread += slack_o2.reshape(per_class)
+    spread /= cells
+    bound = np.sqrt(spread, out=spread)
+    bound += slack_l1.reshape(per_class)
+    bound *= magnitude
+    # minus the least running sharp over the in-box cells of each window
+    low = -sharp
+    for ax in range(1, d + 1):
+        pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
+        low = _sliding_max(np.pad(low, pad, mode="wrap"), mx, ax)
+    low = _sliding_max(np.pad(low, [(2 * mt, 2 * mt)] + [(0, 0)] * d, constant_values=-np.inf), mt, 0)[p.rep]
+    # a nan bound keeps its class
+    return ~np.all(bound <= -low, axis=tuple(range(1, d + 1)))
+
+
+def _kept_pairs(chunks, keep: np.ndarray, before: np.ndarray):
+    """The pairs of the kept time classes, chunk by chunk as ``chunks``
+    cut them, with each class renumbered among the kept ones (``before``
+    counts the kept classes before each class).  A kept class keeps its
+    segments, so its sums over them are those of the unfiltered chunks."""
+    for rows, cls, _ in chunks:
+        sel = keep[cls]
+        if sel.any():
+            cls = before[cls[sel]]
+            yield rows[sel], cls, np.flatnonzero(np.diff(cls, prepend=-1))
+
+
 def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarray:
     """The sharp function of a float space-time array over the windows of
     half-widths (mt, mx) in ``shapes``, as :func:`sharp_parabolic` says."""
     T, n, d = values.shape[0], values.shape[1], values.ndim - 1
     spatial = values.shape[1:]
-    plans = [_shape_plan(T, n, d, mt, mx) for mt, mx in sorted(set(shapes) - {(0, 0)})]
+    # widest windows first: they raise the running sup early, so fewer
+    # classes of the narrower ones can raise it
+    order = sorted(set(shapes) - {(0, 0)}, key=lambda s: ((2 * s[0] + 1) * (2 * s[1] + 1) ** d, s), reverse=True)
+    plans = [_shape_plan(T, n, d, mt, mx) for mt, mx in order]
     # the output before the buffers: a long-lived array allocated after
     # them takes the space they free, and the next call's buffers then grow
     # the heap
@@ -420,37 +537,75 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
     ordered = np.sort(centred.reshape(T, -1), axis=1)
     suffix = np.zeros((T, n**d + 1))
     np.cumsum(ordered[:, ::-1], axis=1, out=suffix[:, -2::-1])
+    # the bound's moments, in units of the field's magnitude: the squared
+    # deviations from the field's mean level are window-summed beside v',
+    # the row means' deviations beside the row means
+    level = ref.mean()
+    deviation = values - level
+    reach = float(np.max(np.abs(deviation)))
+    magnitude = max(reach, abs(level)) or 1.0
+    deviation /= magnitude
+    moments = np.stack([centred, np.square(deviation)])
+    row_moments = np.stack([ref, (ref - level) / magnitude])
+    del deviation
     for p in plans:
         mt, mx, count = p.mt, p.mx, p.count
         side = (2 * mx + 1) ** d
         cells = (2 * mt + 1) * side
-        # window sums of v' per row, axis by axis; a window longer than the
-        # period counts cells more than once
-        window = centred
-        for ax in range(1, d + 1):
-            pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
+        # the first shape meets a zero sharp function: it keeps every class
+        # and needs no bound, so its window sums leave the squares out
+        first = p is plans[0]
+        # window sums of v' and of the squares per row, axis by axis; a
+        # window longer than the period counts cells more than once
+        window = moments[:1] if first else moments
+        for ax in range(2, d + 2):
+            pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 2)]
             window = sliding_window_view(np.pad(window, pad, mode="wrap"), 2 * mx + 1, axis=ax).sum(axis=-1)
-        # then along time over zero rows past the box, of v' and of the row
+        # then along time over zero rows past the box, and of the row
         # means: every center -mt..T+mt-1, read at one center of each class
-        pad = [(2 * mt, 2 * mt)] + [(0, 0)] * d
-        sums = sliding_window_view(np.pad(window, pad), 2 * mt + 1, axis=0).sum(axis=-1)[p.rep]
-        ref_sums = sliding_window_view(np.pad(ref, pad[0]), 2 * mt + 1).sum(axis=-1)[p.rep]
+        pad = [(0, 0), (2 * mt, 2 * mt)] + [(0, 0)] * d
+        moment_sums = sliding_window_view(np.pad(window, pad), 2 * mt + 1, axis=1).sum(axis=-1)[:, p.rep]
+        sums = moment_sums[0]
+        row_sums = sliding_window_view(np.pad(row_moments, pad[:2]), 2 * mt + 1, axis=1).sum(axis=-1)[:, p.rep]
+        ref_sums, level_sums = row_sums
         mu = (sums + side * ref_sums.reshape((-1,) + (1,) * d)) / cells
+        if first:
+            keep = np.ones(count.size, dtype=bool)
+        else:
+            keep = _raising_classes(p, sharp, mu, sums, moment_sums[1], level_sums, level, reach, magnitude)
+        kept = np.flatnonzero(keep)
+        before = np.concatenate([[0], np.cumsum(keep)])
+        mu_kept = mu[kept]
 
         wrapped = np.pad(centred, [(0, 0)] + [(0, p.wrap)] * d, mode="wrap")
-        max_sum = np.zeros((count.size,) + spatial)
+        max_sum = np.zeros((kept.size,) + spatial)
         lightest = p.moves[-1][0]
-        for rows, cls, seg in p.chunks:
+        # few moves read the lattice straight, in (pair, point) layout;
+        # more read a transposed (point, pair) block built once per chunk
+        direct = sum(len(cuts) for _, cuts in p.moves) * n**d <= 2 * p.lattice
+        pair_axis = 0 if direct else -1
+        for rows, cls, seg in _kept_pairs(p.chunks, keep, before):
             pairs = rows.size
-            gathered = gather_buf[: pairs * wrapped[0].size].reshape((pairs,) + wrapped.shape[1:])
-            np.take(wrapped, rows, axis=0, out=gathered, mode="clip")
-            block = block_buf[: gathered.size].reshape(wrapped.shape[1:] + (pairs,))
-            np.copyto(block, np.moveaxis(gathered, 0, -1))
-            # mu' of every pair, laid out like the block
-            gathered = gather_buf[: pairs * n**d].reshape((pairs,) + spatial)
-            np.take(mu, cls, axis=0, out=gathered, mode="clip")
-            mu_pairs = mu_buf[: gathered.size].reshape(spatial + (pairs,))
-            np.subtract(np.moveaxis(gathered, 0, -1), ref[rows], out=mu_pairs)
+            if direct:
+                mu_pairs = mu_buf[: pairs * n**d].reshape((pairs,) + spatial)
+                np.take(mu_kept, cls, axis=0, out=mu_pairs, mode="clip")
+                mu_pairs -= ref[rows].reshape((-1,) + (1,) * d)
+                vals = block_buf[: mu_pairs.size].reshape(mu_pairs.shape)
+
+                def read(cut, rows=rows, vals=vals):
+                    return np.take(wrapped[(slice(None),) + cut], rows, axis=0, out=vals, mode="clip")
+
+            else:
+                gathered = gather_buf[: pairs * wrapped[0].size].reshape((pairs,) + wrapped.shape[1:])
+                np.take(wrapped, rows, axis=0, out=gathered, mode="clip")
+                block = block_buf[: gathered.size].reshape(wrapped.shape[1:] + (pairs,))
+                np.copyto(block, np.moveaxis(gathered, 0, -1))
+                # mu' of every pair, laid out like the block
+                gathered = gather_buf[: pairs * n**d].reshape((pairs,) + spatial)
+                np.take(mu_kept, cls, axis=0, out=gathered, mode="clip")
+                mu_pairs = mu_buf[: gathered.size].reshape(spatial + (pairs,))
+                np.subtract(np.moveaxis(gathered, 0, -1), ref[rows], out=mu_pairs)
+                read = block.__getitem__
             tmp = gather_buf[: mu_pairs.size].reshape(mu_pairs.shape)
             acc = acc_buf[: mu_pairs.size].reshape(mu_pairs.shape)
             # sum over moves of weight x max(v', mu'): acc holds the sum over
@@ -462,27 +617,30 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
                     acc *= unit / weight
                 unit = weight
                 for cut in cuts:
-                    np.maximum(block[cut], mu_pairs, out=tmp)
+                    np.maximum(read(cut), mu_pairs, out=tmp)
                     acc += tmp
             # less W mu' / 2 per row (W = side) in the same unit, which is
             # now the lightest weight; the class sums are scaled back below
             np.multiply(mu_pairs, side / (2.0 * lightest), out=tmp)
             acc -= tmp
-            max_sum[cls[seg]] += np.moveaxis(np.add.reduceat(acc, seg, axis=-1), -1, 0)
+            max_sum[cls[seg]] += np.moveaxis(np.add.reduceat(acc, seg, axis=pair_axis), pair_axis, 0)
         if p.base:
-            # base x F_r(mu') over the run of classes holding each in-box row
-            # r, up to a chunk's pairs at a time, in the pair buffers
+            # base x F_r(mu') over the run of kept classes holding each
+            # in-box row r, up to a chunk's pairs at a time, in the pair buffers
             scale = p.base / lightest
             for r, held in enumerate(p.held):
-                for a in held[:: p.step]:
-                    part = slice(a, min(a + p.step, held.stop))
+                run = range(before[held.start], before[held.stop])
+                for a in run[:: p.step]:
+                    part = slice(a, min(a + p.step, run.stop))
                     mu_r = mu_buf[: (part.stop - a) * n**d].reshape((part.stop - a,) + spatial)
-                    np.subtract(mu[part], ref[r], out=mu_r)
+                    np.subtract(mu_kept[part], ref[r], out=mu_r)
                     f_r = _row_max_sum(ordered[r], suffix[r], mu_r, acc_buf[: mu_r.size].reshape(mu_r.shape))
                     f_r *= scale
                     max_sum[part] += f_r
         out_rows = ((2 * mt + 1 - count) * side).reshape((-1,) + (1,) * d)
-        osc = (2.0 * lightest * max_sum - sums + out_rows * np.abs(mu)) / cells
+        # the skipped classes' windows stay at 0, which no sup reads
+        osc = np.zeros_like(mu)
+        osc[kept] = (2.0 * lightest * max_sum - sums[kept] + out_rows[kept] * np.abs(mu_kept)) / cells
         # sup over the window positions containing each point: every center
         # whose window reaches the box is computed, and space wraps
         osc = _sliding_max(osc[p.of_center], mt, 0)
@@ -492,7 +650,7 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
         np.maximum(sharp, osc, out=sharp)
         # this shape's arrays go before the next shape allocates its own, so
         # the transient peak is one shape's, not the sum of two
-        del window, sums, mu, wrapped, max_sum, osc
+        del window, moment_sums, sums, mu, mu_kept, wrapped, max_sum, osc
     return sharp
 
 

@@ -47,6 +47,8 @@ from typing import Callable
 
 import numpy as np
 
+from lpevo.grid import real_array
+
 __all__ = [
     "SymbolSpec",
     "SymbolEvaluationError",
@@ -170,11 +172,11 @@ def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.n
     clamp extends symbols defined for t >= 0 to the negative times that a
     window start a < 0 can produce.
     """
-    times = np.asarray(t, dtype=float)
+    times = real_array(t, "symbol times")
     if times.ndim > 1 or not np.all(np.isfinite(times)):
         raise ValueError(f"symbol times must be finite, in a scalar or a 1-d array, got {t}")
     times = np.maximum(times, 0.0)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = np.atleast_1d(real_array(xi, "frequencies"))
     if times.ndim == 0:
         out = spec.eval_fn(float(times), xi)
     elif spec.separable:

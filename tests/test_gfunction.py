@@ -179,6 +179,12 @@ class TestGradedQuadrature:
         with pytest.raises(ValueError, match="1-d array"):
             graded_quadrature(0.0, np.ones((2, 2)), 1.0)
 
+    def test_rejects_complex_times(self):
+        # a cast to float once dropped the imaginary part with only a
+        # ComplexWarning, and gave the window of the real part
+        with pytest.raises(ValueError, match="output times must be real"):
+            graded_quadrature(0.0, np.array([0.5, 1.0 + 1.0j]), 1.0)
+
     # panels=2.5 once gave window weights summing to 0.6 where 0.5 is exact,
     # a negative split_levels counted as none, and a bool, an integer to
     # isinstance, counted as 0 or 1

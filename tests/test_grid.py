@@ -67,6 +67,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="half_length"):
             make_grid(1, 8, half_length, [0.0, 1.0])
 
+    # a cast to float once dropped the imaginary parts of the time nodes
+    # with only a ComplexWarning, into a grid on their real parts
+    def test_rejects_complex_time_nodes(self):
+        t = np.array([0.0, 1.0 + 1.0j])
+        with pytest.raises(ValueError, match="t_nodes must be real"):
+            make_grid(1, 8, 1.0, t)
+        with pytest.raises(ValueError, match="t_grid must be real"):
+            SpectralGrid(d=1, n=8, half_length=1.0, t_grid=t)
+
     def test_2d_freq_step(self):
         g = make_grid(2, 16, 8.0, [0.0, 0.5, 1.0])
         # direct arithmetic pi*k/L

@@ -487,6 +487,58 @@ class TestSharpParabolic:
         exact = np.max([_sharp_oracle(h, mt, mx) for mt, mx in shapes], axis=0)
         np.testing.assert_allclose(sharp_parabolic(h, g, gamma), exact, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("kind", ["signs", "offset", "trend"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pruned_shapes_oracle(self, d, kind):
+        # several shapes, so the later ones skip the time classes whose bound
+        # cannot raise the running sup (about half of the pairs here): the
+        # result is the direct enumeration's, and bit for bit the largest of
+        # the single-shape results, whose one shape meets a zero sup and
+        # skips nothing.  Signs: |v - mu| is constant on a balanced window,
+        # where the bound is attained; an offset of 1e6 puts the bound's
+        # terms 1e6 above the oscillation, so its oracle runs in long double
+        # at the tolerance of test_offset_costs_no_more_than_the_mean; a
+        # strong trend in time, as G has
+        T, n = 6, 8
+        rng = np.random.default_rng(29)
+        shape = (T,) + (n,) * d
+        trend = np.exp(np.arange(T) / 2.0).reshape((T,) + (1,) * d)
+        h = {
+            "signs": lambda: rng.choice([-1.0, 1.0], size=shape),
+            "offset": lambda: 1e6 + rng.normal(size=shape),
+            "trend": lambda: trend * (1 + 0.1 * rng.normal(size=shape)),
+        }[kind]()
+        shapes = {(0, 1), (1, 1), (1, 3), (2, 2), (3, 5), (4, 9)}
+        out = _window_sharp(h, shapes)
+        assert np.array_equal(out, np.max([_window_sharp(h, {s}) for s in shapes], axis=0))
+        oracle = h.astype(np.longdouble) if kind == "offset" else h
+        exact = np.max([_sharp_oracle(oracle, mt, mx) for mt, mx in shapes], axis=0)
+        np.testing.assert_allclose(out, exact, rtol=5e-10 if kind == "offset" else 1e-12, atol=0.0)
+
+    def test_pruning_skips_most_pairs(self, monkeypatch):
+        # the static-1d grid (d = 1, n = 64, L = 1/2, 64 cell-centred times,
+        # gamma = 1) and a field that grows in time as G does: the bound
+        # leaves about 41% of the default ladder's (class, row) pairs to be
+        # summed, and summing all of them fails this test
+        g = make_grid(1, 64, 0.5, (np.arange(64) + 0.5) / 64)
+        t, x = g.t_grid[:, None], g.x[None, :]
+        h = (1 + 3 * t) * (1 + 0.3 * np.sin(2 * np.pi * x)) + 0.05 * np.random.default_rng(31).normal(size=(64, 64))
+        kept_pairs, summed = maximal_module._kept_pairs, []
+
+        def counting(chunks, keep, before):
+            for chunk in kept_pairs(chunks, keep, before):
+                summed.append(chunk[0].size)
+                yield chunk
+
+        monkeypatch.setattr(maximal_module, "_kept_pairs", counting)
+        sharp_parabolic(h, g, 1.0)
+        shapes = {
+            maximal_module._window_halfwidths(r, 1.0, 1 / 64, g.dx)
+            for r in maximal_module._default_radius_ladder(g, 1.0)
+        } - {(0, 0)}
+        pairs = sum(int(maximal_module._shape_plan(64, 64, 1, mt, mx).count.sum()) for mt, mx in shapes)
+        assert pairs == 21184 and sum(summed) < pairs / 2
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("cap", [1, 100, 1000, 2**15])
     def test_chunk_cap_leaves_values(self, monkeypatch, d, cap):

@@ -184,6 +184,16 @@ class TestIntegratedSymbol:
             got = integrated_symbol(_SYMBOL_KINDS[kind](), s, 1.0, xi)
             assert got.shape == s.shape + (3,)
 
+    @pytest.mark.parametrize("kind", sorted(_SYMBOL_KINDS))
+    def test_rejects_complex_starts_or_frequencies(self, kind):
+        # a cast to float once dropped the imaginary parts with only a
+        # ComplexWarning
+        spec = _SYMBOL_KINDS[kind]()
+        with pytest.raises(ValueError, match="window starts must be real"):
+            integrated_symbol(spec, np.array([0.0, 0.5j]), 1.0, np.array([1.0]))
+        with pytest.raises(ValueError, match="frequencies must be real"):
+            integrated_symbol(spec, 0.0, 1.0, np.array([[1.0], [1.0 + 1.0j]]))
+
     @pytest.mark.parametrize("s, t", [(0.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
     @pytest.mark.parametrize("kind", sorted(_SYMBOL_KINDS))
     def test_rejects_non_finite_s_or_t(self, kind, s, t):

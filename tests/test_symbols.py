@@ -79,6 +79,18 @@ class TestEvalSymbol:
         with pytest.raises(ValueError, match="symbol times must be finite"):
             eval_symbol(spec, t, np.array([[1.0], [2.0]]))
 
+    # a cast to float once dropped the imaginary parts with only a
+    # ComplexWarning, and evaluated the symbol at the real parts
+    @pytest.mark.parametrize("separable", [True, False], ids=["separable", "generic"])
+    def test_rejects_complex_times_and_frequencies(self, separable):
+        spec = power_symbol(1.0, 2.0, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5)
+        if not separable:
+            spec = replace(spec, time_coeff=None, xi_profile=None)
+        with pytest.raises(ValueError, match="symbol times must be real"):
+            eval_symbol(spec, np.array([0.0, 1.0j]), np.array([[1.0], [2.0]]))
+        with pytest.raises(ValueError, match="frequencies must be real"):
+            eval_symbol(spec, 0.5, np.array([[1.0], [2.0 + 1.0j]]))
+
     def test_nan_reported_as_evaluation_failure(self):
         bad = SymbolSpec(
             eval_fn=lambda t, xi: np.full(xi.shape[:-1], np.nan, dtype=complex),
