@@ -206,9 +206,19 @@ def _time_weights(t_grid: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(values: np.ndarray, grid: SpectralGrid, p: float) -> float:
-    """Discrete space-time L^p norm of nonnegative scalar samples (time
-    leading): trapezoid weights in time, cell weights in space.  The measure
-    of :func:`lebesgue_norm` and ``g_lp_norm``, which check p."""
+    """Discrete space-time L^p norm, for finite p >= 1, of finite
+    nonnegative real scalar samples on the grid, time leading:
+    trapezoid weights in time, cell weights in space.  The measure of
+    :func:`lebesgue_norm` and ``g_lp_norm``; anything else raises
+    ValueError."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    values = real_array(values, "values")
+    shape = (len(grid.t_grid),) + grid.spatial_shape()
+    if values.shape != shape:
+        raise ValueError(f"values of shape {values.shape} are not scalar samples on the {shape} grid")
+    if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
+        raise ValueError("lp_norm expects finite nonnegative values")
     w = _time_weights(grid.t_grid).reshape((-1,) + (1,) * grid.d)
     total = np.sum(values**p * w) * grid.cell_volume()
     return float(total ** (1.0 / p))
@@ -216,6 +226,4 @@ def lp_norm(values: np.ndarray, grid: SpectralGrid, p: float) -> float:
 
 def lebesgue_norm(f: SpaceTimeField, p: float) -> float:
     """L^p norm of the V-norm of f, for finite p >= 1 (see :func:`lp_norm`)."""
-    if not 1 <= p < np.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
     return lp_norm(vector_norm(f.values), f.grid, p)

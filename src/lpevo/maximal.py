@@ -19,8 +19,9 @@ Conventions shared by every operator here:
   yields an integer window shape.
 
 The sharp function's algorithm is described in :func:`sharp_parabolic`.
-Its shapes run widest first, and each later shape sums only the windows
-whose oscillation can raise the sup so far: Cauchy-Schwarz bounds the L^1
+Its window sums and maxima reduce runs of N cells in about log2 N passes
+of dyadic blocks.  Its shapes run widest first, and each later shape sums
+only the windows whose oscillation can raise the sup so far: Cauchy-Schwarz bounds the L^1
 oscillation by the L^2 one, which window sums of v and v^2 give, and a
 slack derived from the rounding of both sums makes the bound hold for the
 computed values.  A skipped window is one whose oscillation the sup would
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from lpevo.grid import SpectralGrid, real_array
 
@@ -238,16 +238,50 @@ def _pair_chunks(lo: np.ndarray, count: np.ndarray, step: int):
         yield rows[a : a + step], part, np.flatnonzero(np.diff(part, prepend=-1))
 
 
-def _sliding_max(a: np.ndarray, half: int, axis: int) -> np.ndarray:
-    """Max over the windows a[i..i+2*half] along ``axis``, which comes out
-    2*half entries shorter; windows of doubling width take log passes."""
-    a = np.moveaxis(a, axis, 0)
-    width, span = 2 * half + 1, 1
-    while 2 * span <= width:
-        a = np.maximum(a[:-span], a[span:])
+def _runs(a: np.ndarray, axis: int, op, length, first=None) -> np.ndarray:
+    """``op`` (np.add or np.maximum) over runs of consecutive cells of
+    ``a`` along ``axis``.
+
+    Without ``first`` the axis is periodic, and cell i of the output holds
+    the run of ``length`` cells from i - length // 2 on, mod the period, so
+    a run past the period holds cells more than once.  With ``first``, cell
+    k of the output holds the run first[k] .. first[k] + length[k] - 1
+    inside the axis: the in-box cells of a zero-extended window, the only
+    ones a sum or a maximum needs.
+
+    Level j of the table holds ``op`` over the 2^j cells from each cell on.
+    Each run whose length has bit j takes its next block from it, then two
+    shifted slices build level j + 1 in a second buffer.  A maximum is exact
+    in any grouping, and a sum of N cells still rounds at most N - 1 times
+    on each cell's path.
+    """
+    a = a.swapaxes(0, axis)
+    cells, start = a.shape[0], -np.inf if op is np.maximum else 0.0
+    if first is None:
+        # the n + length - 1 cells the runs read, wrapped by np.take
+        index = np.arange(cells + length - 1) - length // 2
+        out = np.full(a.shape, start)
+    else:
+        index = np.arange(cells)
+        out = np.full(np.shape(first) + a.shape[1:], start)
+    # the cells copied by index, C-ordered so that each level's slices are
+    # contiguous, then a cell of op's identity for the runs a level skips
+    size, top, span = index.size, int(np.max(length)), 1
+    table, spare = np.empty((2, size + 1) + a.shape[1:])
+    np.take(a, index, axis=0, out=table[:size], mode="wrap")
+    table[size] = spare[size] = start
+    while True:
+        done = length & (span - 1)  # the cells each run has taken
+        if first is None and length & span:
+            op(out, table[done : done + cells], out=out)
+        elif first is not None:
+            op(out, table[np.where(length & span, first + done, size)], out=out)
+        if 2 * span > top:
+            return out.swapaxes(0, axis)
+        rows = size - 2 * span + 1
+        op(table[:rows], table[span : span + rows], out=spare[:rows])
+        table, spare = spare, table
         span *= 2
-    # two windows of `span` entries cover one of `width`
-    return np.moveaxis(np.maximum(a[: a.shape[0] - (width - span)], a[width - span :]), 0, axis)
 
 
 def _row_max_sum(ordered: np.ndarray, suffix: np.ndarray, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -268,10 +302,10 @@ class _ShapePlan:
 
     mt: int
     mx: int
+    lo: np.ndarray  # first in-box row of each time class
     count: np.ndarray  # in-box rows of each time class
-    of_center: np.ndarray  # time class of each center -mt..T+mt-1
-    rep: np.ndarray  # one center of each time class, as an index into of_center
-    held: tuple[range, ...]  # the time classes holding each in-box row: one run
+    held_lo: np.ndarray  # first time class holding each in-box row
+    held_count: np.ndarray  # time classes holding each in-box row, a run from held_lo
     wrap: int  # cells past n the lattice wraps on each axis: the largest shift mod n
     base: int  # the base weight c, taken from every residue by one lookup per (pair, point)
     moves: tuple[tuple[int, tuple[tuple[slice, ...], ...]], ...]  # (weight - base, moves), heaviest first
@@ -300,10 +334,10 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int) -> _ShapePlan:
     # or before it
     centers = np.arange(-mt, T + mt)
     first, last = np.maximum(centers - mt, 0), np.minimum(centers + mt, T - 1)
-    keys, rep, of_center = np.unique(first * T + last, return_index=True, return_inverse=True)
-    lo, last = np.divmod(keys, T)
+    lo, last = np.divmod(np.unique(first * T + last), T)
     count = last - lo + 1
-    held = tuple(map(range, np.searchsorted(last, np.arange(T)), np.searchsorted(lo, np.arange(T), "right")))
+    held_lo = np.searchsorted(last, np.arange(T))
+    held_count = np.searchsorted(lo, np.arange(T), "right") - held_lo
     shifts, mult = np.unique(np.arange(-mx, mx + 1) % n, return_counts=True)
     axis_weight = np.zeros(n, dtype=int)
     axis_weight[shifts] = mult
@@ -324,9 +358,9 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int) -> _ShapePlan:
     lattice = (n + wrap) ** d
     step = min(max(1, _CHUNK_ENTRIES // lattice), int(count.sum()))
     chunks = tuple(_pair_chunks(lo, count, step))
-    for a in (count, of_center, rep, *itertools.chain(*chunks)):
+    for a in (lo, count, held_lo, held_count, *itertools.chain(*chunks)):
         a.flags.writeable = False
-    return _ShapePlan(mt, mx, count, of_center, rep, held, wrap, base, moves, lattice, step, chunks)
+    return _ShapePlan(mt, mx, lo, count, held_lo, held_count, wrap, base, moves, lattice, step, chunks)
 
 
 def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.ndarray:
@@ -363,12 +397,13 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     spatial mean c_r first: v' = v - c_r and mu' = mu - c_r keep the terms
     of the identity on the scale of the oscillation rather than of the
     values, so an offset added to the field costs no more digits than it
-    does in the mean.  Only v' is window-summed, by one strided sum per
-    axis; in time it runs over 2 mt zero rows each side and gives every
-    centre from -mt to T + mt - 1.  The row means are summed alike, and a
-    class reads both at one of its centres: mu = (sum_W v' + side sum_r
-    c_r) / cells, with side the cells of a row.  The weight groups are
-    nested (Horner), so each costs one multiply, not one per move.
+    does in the mean.  Only v' is window-summed: along each space axis by
+    a centred periodic run of 2 mx + 1 cells at every point, then along
+    time by one run per class over its in-box rows, since the zero rows
+    past the box add nothing.  The row means are summed by the same runs:
+    mu = (sum_W v' + side sum_r c_r) / cells, with side the cells of a row.
+    The weight groups are nested (Horner), so each costs one multiply, not
+    one per move.
 
     The base weight's sum is c F_r(mu'), with F_r(mu) the sum of max(v', mu)
     over the whole centred row r.  Each row is sorted once per call and
@@ -380,7 +415,11 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     the default ladders of the benchmark grids, so the rounding stays that
     of a sum over the window, however the weight is split.
 
-    Window sums add cells directly.  Plans are cached per grid and shape,
+    Every window sum and maximum, the bound's least running sup and the
+    sup over positions (in time, over the run of classes holding each row)
+    included, is one primitive, ``_runs``: it reads a run of N cells as at
+    most log2 N + 1 blocks of 2^j cells.  Plans are cached per grid and
+    shape,
     and the one-cell window, of oscillation 0, is skipped.  The (class,
     in-box row) pairs are gathered in chunks: a chunk's rows are taken along
     time from a time-first copy of the centred lattice wrapped once, then
@@ -404,7 +443,7 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     out |a|) / N and E(a) = sum_in (v - a)^2 + out a^2.  Cauchy-Schwarz
     gives L(mu) <= (E(mu) / N)^(1/2) at the computed mean mu.  E comes from
     window sums of u = (v - level) / m, with level the field's mean and m =
-    max(max |v - level|, |level|), taken beside v' in the same strided pass:
+    max(max |v - level|, |level|), summed beside v' by the same runs:
     with nu = (mu - level) / m, S_u = sum_in u (the sum of v' plus side
     times the sum of (c_r - level) / m) and Q_u = sum_in u^2,
 
@@ -417,7 +456,10 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     either makes (window sums, moves, suffix sums of the sorted rows, the
     chunks' and the rows' accumulations) adds at most K = 2 (n^d + 2 T) +
     (2 mt + 1) + d (2 mx + 1) terms, so to first order it errs by at most
-    K eps times the sum of its terms' magnitudes.  Set r = max |v - level|
+    K eps times the sum of its terms' magnitudes: in any grouping, such as
+    the runs' dyadic blocks, a sum of N terms rounds at most N - 1 times on
+    each term's path (N. J. Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 4).  Set r = max |v - level|
     / m and h = |level| / m.  In units of m, |v'| <= 2 r, |mu'| <= r + |nu|,
     |nu| <= nu_max = r + h out / N + s (r + h) and |mu| <= mu_max = (r + h)
     (1 + s), where the s terms take the rounding of mu and of the row
@@ -494,9 +536,8 @@ def _raising_classes(
     # minus the least running sharp over the in-box cells of each window
     low = -sharp
     for ax in range(1, d + 1):
-        pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
-        low = _sliding_max(np.pad(low, pad, mode="wrap"), mx, ax)
-    low = _sliding_max(np.pad(low, [(2 * mt, 2 * mt)] + [(0, 0)] * d, constant_values=-np.inf), mt, 0)[p.rep]
+        low = _runs(low, ax, np.maximum, 2 * mx + 1)
+    low = _runs(low, 0, np.maximum, p.count, p.lo)
     # a nan bound keeps its class
     return ~np.all(bound <= -low, axis=tuple(range(1, d + 1)))
 
@@ -559,15 +600,12 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
         # window longer than the period counts cells more than once
         window = moments[:1] if first else moments
         for ax in range(2, d + 2):
-            pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 2)]
-            window = sliding_window_view(np.pad(window, pad, mode="wrap"), 2 * mx + 1, axis=ax).sum(axis=-1)
-        # then along time over zero rows past the box, and of the row
-        # means: every center -mt..T+mt-1, read at one center of each class
-        pad = [(0, 0), (2 * mt, 2 * mt)] + [(0, 0)] * d
-        moment_sums = sliding_window_view(np.pad(window, pad), 2 * mt + 1, axis=1).sum(axis=-1)[:, p.rep]
+            window = _runs(window, ax, np.add, 2 * mx + 1)
+        # then along time over each class's in-box rows, where the zero
+        # rows past the box add nothing, and the row means alike
+        moment_sums = _runs(window, 1, np.add, count, p.lo)
         sums = moment_sums[0]
-        row_sums = sliding_window_view(np.pad(row_moments, pad[:2]), 2 * mt + 1, axis=1).sum(axis=-1)[:, p.rep]
-        ref_sums, level_sums = row_sums
+        ref_sums, level_sums = _runs(row_moments, 1, np.add, count, p.lo)
         mu = (sums + side * ref_sums.reshape((-1,) + (1,) * d)) / cells
         if first:
             keep = np.ones(count.size, dtype=bool)
@@ -577,7 +615,7 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
         before = np.concatenate([[0], np.cumsum(keep)])
         mu_kept = mu[kept]
 
-        wrapped = np.pad(centred, [(0, 0)] + [(0, p.wrap)] * d, mode="wrap")
+        wrapped = centred[(slice(None),) + np.ix_(*[np.arange(n + p.wrap) % n] * d)]
         max_sum = np.zeros((kept.size,) + spatial)
         lightest = p.moves[-1][0]
         # few moves read the lattice straight, in (pair, point) layout;
@@ -628,8 +666,8 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
             # base x F_r(mu') over the run of kept classes holding each
             # in-box row r, up to a chunk's pairs at a time, in the pair buffers
             scale = p.base / lightest
-            for r, held in enumerate(p.held):
-                run = range(before[held.start], before[held.stop])
+            for r, (lo, held) in enumerate(zip(p.held_lo, p.held_count)):
+                run = range(before[lo], before[lo + held])
                 for a in run[:: p.step]:
                     part = slice(a, min(a + p.step, run.stop))
                     mu_r = mu_buf[: (part.stop - a) * n**d].reshape((part.stop - a,) + spatial)
@@ -641,12 +679,11 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
         # the skipped classes' windows stay at 0, which no sup reads
         osc = np.zeros_like(mu)
         osc[kept] = (2.0 * lightest * max_sum - sums[kept] + out_rows[kept] * np.abs(mu_kept)) / cells
-        # sup over the window positions containing each point: every center
-        # whose window reaches the box is computed, and space wraps
-        osc = _sliding_max(osc[p.of_center], mt, 0)
+        # sup over the window positions containing each point: in time, the
+        # run of classes holding its row; space wraps
+        osc = _runs(osc, 0, np.maximum, p.held_count, p.held_lo)
         for ax in range(1, d + 1):
-            pad = [(mx, mx) if k == ax else (0, 0) for k in range(d + 1)]
-            osc = _sliding_max(np.pad(osc, pad, mode="wrap"), mx, ax)
+            osc = _runs(osc, ax, np.maximum, 2 * mx + 1)
         np.maximum(sharp, osc, out=sharp)
         # this shape's arrays go before the next shape allocates its own, so
         # the transient peak is one shape's, not the sum of two

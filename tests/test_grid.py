@@ -9,6 +9,7 @@ from lpevo.grid import (
     lattice_forward,
     lattice_inverse,
     lebesgue_norm,
+    lp_norm,
     make_grid,
     vector_norm,
 )
@@ -291,6 +292,41 @@ class TestLebesgueNorm:
         fu, fv = SpaceTimeField(g, 2, u), SpaceTimeField(g, 2, v)
         fs = SpaceTimeField(g, 2, u + v)
         assert lebesgue_norm(fs, p) <= lebesgue_norm(fu, p) + lebesgue_norm(fv, p) + 1e-12
+
+
+class TestLpNorm:
+    def _grid(self, d=1):
+        return make_grid(d, 8, 1.0, np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_constant_one(self, d):
+        # (2L)^d over a unit time span
+        assert lp_norm(np.ones((5,) + (8,) * d), self._grid(d), 3.0) == pytest.approx(2.0 ** (d / 3), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 8, 1), (4, 8), (5, 8, 8), (5, 16)])
+    def test_rejects_samples_off_the_grid(self, shape):
+        # a (5, 1) array of ones used to broadcast against the weights and
+        # give 0.354
+        with pytest.raises(ValueError, match="not scalar samples"):
+            lp_norm(np.ones(shape), self._grid(), 2.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_or_non_finite_samples(self, bad):
+        # negative samples used to give nan with a RuntimeWarning, nan ones nan
+        values = np.ones((5, 8))
+        values[3, 2] = bad
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            lp_norm(values, self._grid(), 2.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, -2.0, np.inf, np.nan])
+    def test_rejects_p_outside_one_to_infinity(self, p):
+        # p = 0 used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            lp_norm(np.ones((5, 8)), self._grid(), p)
+
+    def test_rejects_complex_samples(self):
+        with pytest.raises(ValueError, match="must be real"):
+            lp_norm(np.ones((5, 8)) + 0j, self._grid(), 2.0)
 
 
 class TestFieldValidation:

@@ -11,6 +11,7 @@ from lpevo import maximal as maximal_module
 from lpevo.grid import make_grid, vector_norm
 from lpevo.maximal import (
     _graded_maximal_time,
+    _runs,
     _window_sharp,
     build_filtration_levels,
     containment_radius,
@@ -394,6 +395,63 @@ def test_gamma_not_finite_and_positive_rejected(operator, gamma):
         _GAMMA_OPERATORS[operator](h, g, gamma)
 
 
+class TestRuns:
+    """The window primitive against enumeration.  The sums run on small
+    integers, which floats add exactly in any order, so both reductions
+    must equal the enumeration bit for bit."""
+
+    _OPS = [(np.add, np.sum), (np.maximum, np.max)]
+
+    @staticmethod
+    def _values(shape, seed, op):
+        rng = np.random.default_rng(seed)
+        if op is np.add:
+            return rng.integers(-50, 51, size=shape).astype(float)
+        return rng.normal(size=shape)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("op, reduce", _OPS, ids=["sum", "max"])
+    def test_periodic_centred_runs_every_width(self, n, op, reduce):
+        # widths 1 .. 2n + 3, past the period and past twice the period
+        a = self._values((3, n, 2), n, op)
+        for width in range(1, 2 * n + 4):
+            cells = [(np.arange(width) + i - width // 2) % n for i in range(n)]
+            expected = np.stack([reduce(a[:, c], axis=1) for c in cells], axis=1)
+            assert np.array_equal(_runs(a, 1, op, width), expected), width
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(min_value=1, max_value=40),
+        spans=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_first_length_runs(self, T, spans, seed):
+        # runs inside a zero-extended axis, given by (first, length): the
+        # whole axis, one cell at each end, and hypothesis's starts and
+        # lengths, which may repeat
+        first = [0, 0, T - 1] + [int(u * (T - 1)) for u, _ in spans]
+        length = [T, 1, 1] + [1 + int(v * (T - f - 1)) for f, (_, v) in zip(first[3:], spans)]
+        first, length = np.array(first), np.array(length)
+        for op, reduce in self._OPS:
+            a = self._values((2, T, 3), seed, op)
+            expected = np.stack([reduce(a[:, f : f + k], axis=1) for f, k in zip(first, length)], axis=1)
+            assert np.array_equal(_runs(a, 1, op, length, first), expected)
+
+    @pytest.mark.parametrize("op, reduce", _OPS, ids=["sum", "max"])
+    def test_each_axis_of_a_2d_field(self, op, reduce):
+        # a stack of d = 2 fields (moments, time, x, y): centred runs on
+        # each space axis, (first, length) runs in time
+        a = self._values((2, 6, 8, 8), 4, op)
+        width = 11
+        cells = [(np.arange(width) + i - width // 2) % 8 for i in range(8)]
+        for ax in (2, 3):
+            expected = np.stack([reduce(np.take(a, c, axis=ax), axis=ax) for c in cells], axis=ax)
+            assert np.array_equal(_runs(a, ax, op, width), expected)
+        first, length = np.array([0, 2, 5, 1]), np.array([6, 3, 1, 4])
+        expected = np.stack([reduce(a[:, f : f + k], axis=1) for f, k in zip(first, length)], axis=1)
+        assert np.array_equal(_runs(a, 1, op, length, first), expected)
+
+
 class TestSharpParabolic:
     def test_constant_is_zero(self):
         g = _cells_grid()
@@ -606,25 +664,23 @@ class TestSharpParabolic:
         # one plan serves every call on its grid and window shape
         plan = maximal_module._shape_plan(6, 8, 2, 1, 3)
         assert maximal_module._shape_plan(6, 8, 2, 1, 3) is plan
-        for a in [plan.count, plan.of_center, plan.rep] + [a for chunk in plan.chunks for a in chunk]:
+        for a in [plan.lo, plan.count, plan.held_lo, plan.held_count] + [a for chunk in plan.chunks for a in chunk]:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
     @settings(max_examples=40, deadline=None)
     @given(T=st.integers(min_value=1, max_value=12), mt=st.integers(min_value=0, max_value=15))
     def test_plan_classes_by_rows(self, T, mt):
-        # the in-box rows of each center's window, enumerated: a class is one
-        # row set, its representative center maps back to it, and the run a
-        # plan keeps for row r is every class whose rows hold r
+        # the in-box rows of each center's window, enumerated: the classes
+        # are the distinct row sets, each once, and the run a plan keeps for
+        # row r is every class whose rows hold r
         plan = maximal_module._shape_plan(T, 8, 1, mt, 1)
-        rows = [set(range(max(c - mt, 0), min(c + mt, T - 1) + 1)) for c in range(-mt, T + mt)]
-        classes = [rows[c] for c in plan.rep]
-        assert np.array_equal(plan.of_center[plan.rep], np.arange(len(classes)))
-        assert all(rows[c] == classes[k] for c, k in enumerate(plan.of_center))
-        assert len(set(map(frozenset, classes))) == len(classes)
-        assert plan.count.tolist() == [len(held) for held in classes]
+        rows = {frozenset(range(max(c - mt, 0), min(c + mt, T - 1) + 1)) for c in range(-mt, T + mt)}
+        classes = [frozenset(range(lo, lo + count)) for lo, count in zip(plan.lo, plan.count)]
+        assert len(classes) == len(rows) and set(classes) == rows
         for r in range(T):
-            assert set(plan.held[r]) == {k for k, held in enumerate(classes) if r in held}
+            held = range(plan.held_lo[r], plan.held_lo[r] + plan.held_count[r])
+            assert set(held) == {k for k, cells in enumerate(classes) if r in cells}
 
     @pytest.mark.parametrize("d, n, T, moves", [(2, 16, 16, 397), (1, 64, 64, 170)], ids=["sharp-2d", "static-1d"])
     def test_default_ladder_moves(self, d, n, T, moves):
@@ -695,6 +751,29 @@ class TestSharpParabolic:
         maps += [lambda a, ax=ax: np.take(a, mirror, axis=ax) for ax in axes]
         for move in maps:
             np.testing.assert_allclose(sharp_parabolic(move(h), g, gamma), move(out), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(min_value=-30, max_value=30),
+        d=st.sampled_from([1, 2]),
+        gamma=st.sampled_from([1.0, 2.0]),
+        kind=st.sampled_from(["offset", "trend"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_power_of_two_scaling_is_exact(self, k, d, gamma, kind, seed):
+        # every sum, mean, difference, square root (of a ratio in units of
+        # the field's magnitude) and bound term scales exactly by 2^k, in
+        # any summation order, so the result does too, bit for bit
+        T, n = (8, 16) if d == 1 else (6, 8)
+        g = make_grid(d, n, 0.5, (np.arange(T) + 0.5) / T)
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(T,) + (n,) * d)
+        if kind == "offset":
+            h += 1e3
+        else:
+            h += np.exp(4.0 * np.arange(T) / T).reshape((T,) + (1,) * d)
+        scale = 2.0**k
+        assert np.array_equal(sharp_parabolic(scale * h, g, gamma), scale * sharp_parabolic(h, g, gamma))
 
     def test_bounded_by_local_averages(self):
         # |h - mu| <= |h| + |mu| gives osc(Q) <= 2 avg_Q |h|.  A window Q of
