@@ -68,9 +68,13 @@ class SpectralGrid:
     Attributes
     ----------
     d : spatial dimension (1 or 2).
-    n : points per spatial axis (power of two).
-    half_length : box half-width L; the box is [-L, L)^d.
-    t_grid : strictly increasing time nodes, t_grid[0] = a, t_grid[-1] = b.
+    n : points per spatial axis, at least 2 (:func:`make_grid` takes powers
+        of two >= 8).
+    half_length : box half-width L > 0, finite; the box is [-L, L)^d.
+    t_grid : at least two finite, strictly increasing time nodes,
+        t_grid[0] = a, t_grid[-1] = b.
+
+    Any other lattice raises ValueError: every operator relies on these.
     """
 
     d: int
@@ -79,7 +83,20 @@ class SpectralGrid:
     t_grid: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", real_array(self.t_grid, "t_grid"))
+        if not _is_count(self.d) or self.d not in (1, 2):
+            raise ValueError(f"spatial dimension must be the integer 1 or 2, got {self.d!r}")
+        if not _is_count(self.n) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        if not 0 < self.half_length < np.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
+        t = real_array(self.t_grid, "t_grid")
+        if t.ndim != 1 or t.size < 2:
+            raise ValueError("t_grid must be one axis of at least two nodes")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t_grid must be finite")
+        if not np.all(np.diff(t) > 0):
+            raise ValueError("t_grid must be strictly increasing")
+        object.__setattr__(self, "t_grid", t)
 
     @property
     def dx(self) -> float:
@@ -115,21 +132,11 @@ class SpectralGrid:
 
 
 def make_grid(d: int, n: int, half_length: float, t_nodes: Sequence[float]) -> SpectralGrid:
-    """Build a grid, validating the lattice conventions."""
-    if not _is_count(d) or d not in (1, 2):
-        raise ValueError(f"spatial dimension must be the integer 1 or 2, got {d!r}")
+    """Build a grid on n points per axis, a power of two >= 8;
+    :class:`SpectralGrid` checks the rest."""
     if not _is_power_of_two(n) or n < 8:
         raise ValueError(f"n must be an integer power of two >= 8, got {n!r}")
-    if not 0 < half_length < np.inf:
-        raise ValueError(f"half_length must be positive and finite, got {half_length}")
-    t = real_array(t_nodes, "t_nodes")
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("t_nodes must contain at least two nodes")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t_nodes must be finite")
-    if not np.all(np.diff(t) > 0):
-        raise ValueError("t_nodes must be strictly increasing")
-    return SpectralGrid(d=d, n=n, half_length=half_length, t_grid=t)
+    return SpectralGrid(d=d, n=n, half_length=half_length, t_grid=real_array(t_nodes, "t_nodes"))
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,10 @@ import numpy as np
 
 from lpevo.grid import SpectralGrid, real_array
 
-# floats in one gathered block of sharp_parabolic: (class, row) pairs x
-# points of the lattice wrapped once; larger blocks buy little speed on two
-# cores and raise the peak memory of an estimate
+# (class, row) pairs x points of the lattice wrapped once, in one chunk of
+# sharp_parabolic: a bound on the floats of its gathered block; larger
+# blocks buy little speed on two cores and raise the peak memory of an
+# estimate
 _CHUNK_ENTRIES = 2**16
 # moves one base-weight lookup costs (a binary search in a sorted row, then
 # k mu + S_k): about 30 at d = 1, n = 64 and 15-20 at d = 2, n = 16 on two
@@ -306,10 +307,9 @@ class _ShapePlan:
     count: np.ndarray  # in-box rows of each time class
     held_lo: np.ndarray  # first time class holding each in-box row
     held_count: np.ndarray  # time classes holding each in-box row, a run from held_lo
-    wrap: int  # cells past n the lattice wraps on each axis: the largest shift mod n
     base: int  # the base weight c, taken from every residue by one lookup per (pair, point)
     moves: tuple[tuple[int, tuple[tuple[slice, ...], ...]], ...]  # (weight - base, moves), heaviest first
-    lattice: int  # points of the lattice wrapped once
+    extent: int  # cells the moves read on each axis: n + the largest residue of a move
     step: int  # pairs per chunk
     chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # the pairs, as _pair_chunks yields them
 
@@ -325,7 +325,8 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int) -> _ShapePlan:
     _LOOKUP_MOVES moves (else 0); every residue whose weight differs from it
     is a move, the slices of the cells s..s+n-1 of the lattice wrapped once,
     carrying the residual weight.  The moves are grouped by residual weight,
-    which may be negative.
+    which may be negative.  A chunk holds _CHUNK_ENTRIES // (n + the largest
+    shift)^d pairs, whatever cells its moves read.
     """
     # the time classes: the distinct in-box row intervals, as (first row,
     # row count), of the windows of centers up to mt rows outside the box.
@@ -354,13 +355,12 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int) -> _ShapePlan:
         for w in kinds[::-1].tolist()
         if w != base
     )
-    wrap = int(shifts[-1])
-    lattice = (n + wrap) ** d
-    step = min(max(1, _CHUNK_ENTRIES // lattice), int(count.sum()))
+    extent = n + int(np.argwhere(weight != base).max())
+    step = min(max(1, _CHUNK_ENTRIES // (n + int(shifts[-1])) ** d), int(count.sum()))
     chunks = tuple(_pair_chunks(lo, count, step))
     for a in (lo, count, held_lo, held_count, *itertools.chain(*chunks)):
         a.flags.writeable = False
-    return _ShapePlan(mt, mx, lo, count, held_lo, held_count, wrap, base, moves, lattice, step, chunks)
+    return _ShapePlan(mt, mx, lo, count, held_lo, held_count, base, moves, extent, step, chunks)
 
 
 def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.ndarray:
@@ -419,22 +419,20 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     sup over positions (in time, over the run of classes holding each row)
     included, is one primitive, ``_runs``: it reads a run of N cells as at
     most log2 N + 1 blocks of 2^j cells.  Plans are cached per grid and
-    shape,
-    and the one-cell window, of oscillation 0, is skipped.  The (class,
-    in-box row) pairs are gathered in chunks: a chunk's rows are taken along
-    time from a time-first copy of the centred lattice wrapped once, then
-    transposed once into a C-ordered (space..., pair) block, and mu' per
-    pair is laid out alike, so each move reads one slab that numpy runs as
-    a single inner loop.  A block holds at most _CHUNK_ENTRIES floats (one
-    pair if a lattice alone is larger); it, its gather buffer and two pair
-    buffers are allocated once per call, however large the window.  A
-    shape whose moves read fewer cells than the gather and the transpose
-    copy, moves x n^d <= 2 (n + wrap)^d (on a long lattice, a window that
-    covers the period and leaves one residual move), takes each move
-    straight from the lattice into a (pair, point) buffer instead, with
-    mu' laid out alike.  The sums are the same floats: every operation is
-    elementwise, and ``np.add.reduceat`` adds a segment in one order
-    whatever its layout.
+    shape, and the one-cell window, of oscillation 0, is skipped.
+
+    Each call wraps the centred lattice once on every space axis, to
+    2 n - 1 cells, with time last.  The (class, in-box row) pairs are
+    summed in chunks, and one gather along time fills a chunk's C-ordered
+    (space..., pair) block.  It takes only the cells the shape's moves read
+    on each axis: n plus the largest residue of a move, which is n for a
+    window that covers the period and leaves one residual move, at residue
+    0.  mu' per pair is laid out alike: one gather from the kept classes'
+    means, which each shape lays out class last once, less the row means.
+    So each move reads one slab that numpy runs as a single inner loop.  A chunk holds _CHUNK_ENTRIES // (n + the largest shift)^d pairs,
+    at least one, so its block holds at most _CHUNK_ENTRIES floats unless
+    a lattice alone is larger; the block and three pair buffers are
+    allocated once per call, however large the window.
 
     **Pruning.**  The shapes run widest first, and a later shape sums only
     the time classes that can raise the running sup.  Over a window of N
@@ -567,10 +565,8 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
     # them takes the space they free, and the next call's buffers then grow
     # the heap
     sharp = np.zeros_like(values)
-    block_buf = np.empty(max((p.step * p.lattice for p in plans), default=0))
-    gather_buf = np.empty_like(block_buf)
-    mu_buf = np.empty(max((p.step for p in plans), default=0) * n**d)
-    acc_buf = np.empty_like(mu_buf)
+    block_buf = np.empty(max((p.step * p.extent**d for p in plans), default=0))
+    mu_buf, acc_buf, tmp_buf = np.empty((3, max((p.step for p in plans), default=0) * n**d))
 
     ref = values.mean(axis=tuple(range(1, d + 1)))  # c_r of every in-box row
     centred = values - ref.reshape((T,) + (1,) * d)
@@ -578,6 +574,9 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
     ordered = np.sort(centred.reshape(T, -1), axis=1)
     suffix = np.zeros((T, n**d + 1))
     np.cumsum(ordered[:, ::-1], axis=1, out=suffix[:, -2::-1])
+    # the centred lattice wrapped once on every space axis, time last: the
+    # cells s..s+n-1 of every shift s mod n, C-ordered for a gather of rows
+    lattice = np.moveaxis(centred, 0, -1)[np.ix_(*[np.arange(2 * n - 1) % n] * d)]
     # the bound's moments, in units of the field's magnitude: the squared
     # deviations from the field's mean level are window-summed beside v',
     # the row means' deviations beside the row means
@@ -614,37 +613,22 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
         kept = np.flatnonzero(keep)
         before = np.concatenate([[0], np.cumsum(keep)])
         mu_kept = mu[kept]
-
-        wrapped = centred[(slice(None),) + np.ix_(*[np.arange(n + p.wrap) % n] * d)]
+        # the kept classes' means class last, as a chunk's pairs take them
+        mu_last = np.moveaxis(mu_kept, 0, -1).copy()
+        source = lattice[(slice(p.extent),) * d]
         max_sum = np.zeros((kept.size,) + spatial)
         lightest = p.moves[-1][0]
-        # few moves read the lattice straight, in (pair, point) layout;
-        # more read a transposed (point, pair) block built once per chunk
-        direct = sum(len(cuts) for _, cuts in p.moves) * n**d <= 2 * p.lattice
-        pair_axis = 0 if direct else -1
         for rows, cls, seg in _kept_pairs(p.chunks, keep, before):
             pairs = rows.size
-            if direct:
-                mu_pairs = mu_buf[: pairs * n**d].reshape((pairs,) + spatial)
-                np.take(mu_kept, cls, axis=0, out=mu_pairs, mode="clip")
-                mu_pairs -= ref[rows].reshape((-1,) + (1,) * d)
-                vals = block_buf[: mu_pairs.size].reshape(mu_pairs.shape)
-
-                def read(cut, rows=rows, vals=vals):
-                    return np.take(wrapped[(slice(None),) + cut], rows, axis=0, out=vals, mode="clip")
-
-            else:
-                gathered = gather_buf[: pairs * wrapped[0].size].reshape((pairs,) + wrapped.shape[1:])
-                np.take(wrapped, rows, axis=0, out=gathered, mode="clip")
-                block = block_buf[: gathered.size].reshape(wrapped.shape[1:] + (pairs,))
-                np.copyto(block, np.moveaxis(gathered, 0, -1))
-                # mu' of every pair, laid out like the block
-                gathered = gather_buf[: pairs * n**d].reshape((pairs,) + spatial)
-                np.take(mu_kept, cls, axis=0, out=gathered, mode="clip")
-                mu_pairs = mu_buf[: gathered.size].reshape(spatial + (pairs,))
-                np.subtract(np.moveaxis(gathered, 0, -1), ref[rows], out=mu_pairs)
-                read = block.__getitem__
-            tmp = gather_buf[: mu_pairs.size].reshape(mu_pairs.shape)
+            # the chunk's C-ordered (space..., pair) block and mu' per pair
+            # alike, so each move reads one slab that numpy runs as a single
+            # inner loop
+            block = block_buf[: p.extent**d * pairs].reshape(source.shape[:-1] + (pairs,))
+            np.take(source, rows, axis=-1, out=block, mode="clip")
+            mu_pairs = mu_buf[: pairs * n**d].reshape(spatial + (pairs,))
+            np.take(mu_last, cls, axis=-1, out=mu_pairs, mode="clip")
+            mu_pairs -= ref[rows]
+            tmp = tmp_buf[: mu_pairs.size].reshape(mu_pairs.shape)
             acc = acc_buf[: mu_pairs.size].reshape(mu_pairs.shape)
             # sum over moves of weight x max(v', mu'): acc holds the sum over
             # the groups so far in units of the last group's weight
@@ -655,13 +639,13 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
                     acc *= unit / weight
                 unit = weight
                 for cut in cuts:
-                    np.maximum(read(cut), mu_pairs, out=tmp)
+                    np.maximum(block[cut], mu_pairs, out=tmp)
                     acc += tmp
             # less W mu' / 2 per row (W = side) in the same unit, which is
             # now the lightest weight; the class sums are scaled back below
             np.multiply(mu_pairs, side / (2.0 * lightest), out=tmp)
             acc -= tmp
-            max_sum[cls[seg]] += np.moveaxis(np.add.reduceat(acc, seg, axis=pair_axis), pair_axis, 0)
+            max_sum[cls[seg]] += np.moveaxis(np.add.reduceat(acc, seg, axis=-1), -1, 0)
         if p.base:
             # base x F_r(mu') over the run of kept classes holding each
             # in-box row r, up to a chunk's pairs at a time, in the pair buffers
@@ -687,7 +671,7 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
         np.maximum(sharp, osc, out=sharp)
         # this shape's arrays go before the next shape allocates its own, so
         # the transient peak is one shape's, not the sum of two
-        del window, moment_sums, sums, mu, mu_kept, wrapped, max_sum, osc
+        del window, moment_sums, sums, mu, mu_kept, mu_last, max_sum, osc
     return sharp
 
 

@@ -215,8 +215,11 @@ def power_symbol(
     times, as ``time_coeff`` is, and only at t >= 0: the clamp is
     :func:`eval_symbol`'s and :meth:`SymbolSpec.factors`'.
     """
-    # before mu, whose bound takes range(n_derivs)
+    # before mu, whose bound takes range(n_derivs) and adds the bounds of k
     _check_count("n_derivs", n_derivs)
+    for name, bound in (("k_bound", k_bound), ("k_deriv_bound", k_deriv_bound)):
+        if not 0 <= bound < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {bound}")
     if k_fn is None:
         coeff = lambda t: -kappa + 0.0 * t  # keeps the shape of t, and scalars stay cheap
         time_indep = True

@@ -77,6 +77,29 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="t_grid must be real"):
             SpectralGrid(d=1, n=8, half_length=1.0, t_grid=t)
 
+    # every operator relies on these, so a grid built directly checks them
+    # too: d = 3, n = 12, L = -1 on decreasing times was once a grid, with
+    # dx = -1/6
+    @pytest.mark.parametrize(
+        "d, n, half_length, t, match",
+        [
+            (3, 12, -1.0, [1.0, 0.0], "spatial dimension"),
+            (True, 6, 1.0, [0.0, 1.0], "spatial dimension"),
+            (1, 1, 1.0, [0.0, 1.0], "n must be an integer >= 2"),
+            (1, 6.0, 1.0, [0.0, 1.0], "n must be an integer"),
+            (1, 6, -1.0, [0.0, 1.0], "half_length"),
+            (1, 6, np.inf, [0.0, 1.0], "half_length"),
+            (1, 6, 1.0, [1.0, 0.0], "strictly increasing"),
+            (1, 6, 1.0, [0.0], "at least two"),
+            (1, 6, 1.0, [[0.0, 1.0]], "one axis"),
+            (1, 6, 1.0, [0.0, np.nan], "finite"),
+        ],
+        ids=["d=3-n=12-L<0", "d=True", "n=1", "n=6.0", "L<0", "L=inf", "decreasing", "one-node", "2-d-nodes", "nan-node"],
+    )
+    def test_a_grid_built_directly_checks_its_lattice(self, d, n, half_length, t, match):
+        with pytest.raises(ValueError, match=match):
+            SpectralGrid(d=d, n=n, half_length=half_length, t_grid=t)
+
     def test_2d_freq_step(self):
         g = make_grid(2, 16, 8.0, [0.0, 0.5, 1.0])
         # direct arithmetic pi*k/L

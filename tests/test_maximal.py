@@ -57,13 +57,15 @@ def _sharp_oracle(h, mt, mx):
 
 # shapes (d, n, T, mt, mx) whose commonest residue weight is not 0, with that
 # base weight, which they take once _LOOKUP_MOVES is 0.  d = 1: 15 of 16
-# residues once; 13 = 8 + 5 cells, twice on five of 8 residues; 19 = 2 * 8 + 3
-# cells, wider than 2n.  d = 2: 7 of 8 residues once per axis; 13 cells per
+# residues once; 13 = 8 + 5 cells, twice on five of 8 residues; 15 = 2 * 8 - 1
+# cells, twice on every residue but 0, whose one move reads 8 cells; 19 = 2 * 8
+# + 3 cells, wider than 2n.  d = 2: 7 of 8 residues once per axis; 13 cells per
 # axis (2 x 1 on 30 residues); 15 = 8 + 7 cells (2 x 2 on 49); 23 = 2 * 8 + 7
 # cells, wider than 2n (3 x 3 on 49)
 _LOOKUP_SHAPES = {
     (1, 16, 8, 2, 7): 1,
     (1, 8, 4, 1, 6): 2,
+    (1, 8, 4, 1, 7): 2,
     (1, 8, 3, 2, 9): 2,
     (2, 8, 6, 1, 3): 1,
     (2, 8, 6, 1, 6): 2,
@@ -514,6 +516,7 @@ class TestSharpParabolic:
             (2, 8, 4, 1, 2),
             (2, 8, 3, 3, 5),
             (2, 8, 4, 12, 1),
+            (2, 8, 4, 2, 0),  # a time window: its one move reads the n cells of residue 0
         ]
         + list(_LOOKUP_SHAPES),
     )
@@ -547,7 +550,7 @@ class TestSharpParabolic:
 
     @pytest.mark.parametrize("kind", ["signs", "offset", "trend"])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_pruned_shapes_oracle(self, d, kind):
+    def test_pruned_shapes_oracle(self, monkeypatch, d, kind):
         # several shapes, so the later ones skip the time classes whose bound
         # cannot raise the running sup (about half of the pairs here): the
         # result is the direct enumeration's, and bit for bit the largest of
@@ -556,7 +559,10 @@ class TestSharpParabolic:
         # where the bound is attained; an offset of 1e6 puts the bound's
         # terms 1e6 above the oscillation, so its oracle runs in long double
         # at the tolerance of test_offset_costs_no_more_than_the_mean; a
-        # strong trend in time, as G has
+        # strong trend in time, as G has.  Then again with every base weight
+        # taken, so that in d = 1 the window (1, 7), 15 = 2 * 8 - 1 cells,
+        # keeps one move, which reads residue 0 alone, as the time window
+        # (2, 0) does in both
         T, n = 6, 8
         rng = np.random.default_rng(29)
         shape = (T,) + (n,) * d
@@ -566,12 +572,14 @@ class TestSharpParabolic:
             "offset": lambda: 1e6 + rng.normal(size=shape),
             "trend": lambda: trend * (1 + 0.1 * rng.normal(size=shape)),
         }[kind]()
-        shapes = {(0, 1), (1, 1), (1, 3), (2, 2), (3, 5), (4, 9)}
-        out = _window_sharp(h, shapes)
-        assert np.array_equal(out, np.max([_window_sharp(h, {s}) for s in shapes], axis=0))
+        shapes = {(0, 1), (1, 1), (1, 3), (2, 0), (2, 2), (3, 5), (1, 7), (4, 9)}
         oracle = h.astype(np.longdouble) if kind == "offset" else h
         exact = np.max([_sharp_oracle(oracle, mt, mx) for mt, mx in shapes], axis=0)
-        np.testing.assert_allclose(out, exact, rtol=5e-10 if kind == "offset" else 1e-12, atol=0.0)
+        for lookup_moves in (maximal_module._LOOKUP_MOVES, 0):
+            _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", lookup_moves)
+            out = _window_sharp(h, shapes)
+            assert np.array_equal(out, np.max([_window_sharp(h, {s}) for s in shapes], axis=0))
+            np.testing.assert_allclose(out, exact, rtol=5e-10 if kind == "offset" else 1e-12, atol=0.0)
 
     def test_pruning_skips_most_pairs(self, monkeypatch):
         # the static-1d grid (d = 1, n = 64, L = 1/2, 64 cell-centred times,
@@ -602,16 +610,18 @@ class TestSharpParabolic:
     def test_chunk_cap_leaves_values(self, monkeypatch, d, cap):
         # chunks of one pair, chunks that cut time classes, one chunk; the
         # second window is longer than the period, so its moves carry
-        # weights 1 and 2 (and 4 in d = 2) in every chunk.  Then, with the
-        # base weight taken whenever it removes a move, the last three take
-        # the lookup, whose runs of classes the cap cuts as well: base
-        # weight 1 (7 of 8 residues), 2 in d = 1 and 2 in d = 2 (13 = 8 + 5
-        # cells), and 3 or 9 (23 = 2 * 8 + 7 cells, wider than 2n)
+        # weights 1 and 2 (and 4 in d = 2) in every chunk, and the time
+        # window's one move reads residue 0 alone.  Then, with the base
+        # weight taken whenever it removes a move, the last four take the
+        # lookup, whose runs of classes the cap cuts as well: base weight 1
+        # (7 of 8 residues), 2 in d = 1 and 2 in d = 2 (13 = 8 + 5 cells), 2
+        # or 4 (15 = 2 * 8 - 1 cells; in d = 1 the one move reads residue 0
+        # alone) and 3 or 9 (23 = 2 * 8 + 7 cells, wider than 2n)
         _set_plan_constant(monkeypatch, "_CHUNK_ENTRIES", cap)
         h = _cap_field(d)
         for lookup_moves, shapes in (
-            (maximal_module._LOOKUP_MOVES, ((4, 2), (4, 6))),
-            (0, ((4, 3), (4, 6), (4, 11))),
+            (maximal_module._LOOKUP_MOVES, ((4, 2), (4, 6), (4, 0))),
+            (0, ((4, 3), (4, 6), (4, 7), (4, 11))),
         ):
             _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", lookup_moves)
             for mt, mx in shapes:
@@ -659,6 +669,18 @@ class TestSharpParabolic:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * maximal_module._CHUNK_ENTRIES * 8 + 16 * h.nbytes
+
+    @pytest.mark.parametrize(
+        "d, mx, lookup, extent",
+        [(1, 3, False, 15), (1, 7, False, 15), (1, 7, True, 8), (2, 0, False, 8), (2, 7, True, 15)],
+    )
+    def test_block_holds_the_cells_the_moves_read(self, monkeypatch, d, mx, lookup, extent):
+        # n plus the largest residue of a move, on each axis: the window
+        # (1, 7) of 15 = 2 * 8 - 1 cells leaves, once it takes its base
+        # weight, one move at residue 0 in d = 1, and moves at residues
+        # (0, k) in d = 2; the time window's one move is residue 0
+        _set_plan_constant(monkeypatch, "_LOOKUP_MOVES", 0 if lookup else 8**d)
+        assert maximal_module._shape_plan(6, 8, d, 1, mx).extent == extent
 
     def test_plans_are_cached_and_read_only(self):
         # one plan serves every call on its grid and window shape

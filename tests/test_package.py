@@ -3,7 +3,8 @@ deleted function cannot leave a stale entry in ``__all__``; every name a
 module exports, the package's own re-exports included, and every parameter
 with a default that a submodule's export takes, must have a consumer
 outside the tests; every private helper must have one inside the
-package, and every private constant must be read in its own module; no
+package, every private constant must be read in its own module, and
+every field of a private dataclass somewhere in the package; no
 module reaches for another's private names; only ``grid.py`` names numpy's
 FFT; only ``symbols.py`` reads a symbol's factors; and the package needs
 numpy alone."""
@@ -159,6 +160,24 @@ def test_every_private_constant_is_read_in_its_module():
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_dataclass_field_is_read_in_the_package():
+    # a field of a private record that no code reads is work its builder
+    # does for nothing, such as a cached plan's layout that a rewrite of its
+    # one reader left behind
+    read = set().union(*(_read_attributes(p) for p in PACKAGE.glob("*.py")))
+    unread = [
+        f"{path.name}:{node.name}.{item.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ClassDef)
+        and _private(node.name)
+        and any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
+    ]
+    assert unread == []
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -188,6 +188,15 @@ class TestSymbolSpec:
             power_symbol(1.0, 1.0, n_derivs=n_derivs)
 
 
+    # mu adds the bounds of k: k_bound = -0.4 once gave mu = 4608 in place
+    # of at least 7680, and an infinite bound was blamed on kappa, mu, gamma
+    @pytest.mark.parametrize("bound", [-0.4, np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["k_bound", "k_deriv_bound"])
+    def test_power_symbol_rejects_a_negative_or_infinite_bound(self, name, bound):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            power_symbol(1.0, 2.0, k_fn=lambda t: 0.5 * np.exp(-t), **{name: bound})
+
+
 class TestClassCheck:
     def test_power_symbol_passes_all(self):
         spec = power_symbol(kappa=1.0, gamma=2.0, n_derivs=2)
