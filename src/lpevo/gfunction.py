@@ -142,8 +142,10 @@ _PLAN_NODES = 2**11
 
 @functools.cache
 def _gl_rule(order: int = _GL_ORDER):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1]; cached, so read-only."""
+    z, w = np.polynomial.legendre.leggauss(order)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 def _panels(integrand: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -205,7 +207,8 @@ def _panel_integrals(integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarra
 
 def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray) -> np.ndarray:
     """integral_s^t psi(r, xi) dr for a scalar or an array of window starts s
-    on an (..., d) frequency array, with shape s.shape + xi.shape[:-1].
+    on an (..., d) frequency array, d the symbol's, with shape
+    s.shape + xi.shape[:-1].
 
     One path for every symbol: :func:`_panel_integrals` of psi at all of the
     call's panel points, in one :func:`eval_symbol` call, which takes a
@@ -218,6 +221,8 @@ def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: n
     if np.any(s >= t):
         raise ValueError(f"integrated symbol requires t > s, got max s={np.max(s)}, t={t}")
     xi = np.atleast_1d(real_array(xi, "frequencies"))
+    if xi.shape[-1] != symbol.d:
+        raise ValueError(f"frequencies must be an (..., {symbol.d}) array, got shape {xi.shape}")
     shape = s.shape + xi.shape[:-1]
     if not s.size:  # no window start: no panel to integrate
         return np.zeros(shape, dtype=complex)

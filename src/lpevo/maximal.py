@@ -224,21 +224,6 @@ def _window_halfwidths(radius: float, gamma: float, dt: float, dx: float) -> tup
     return mt, mx
 
 
-def _pair_chunks(lo: np.ndarray, count: np.ndarray, step: int):
-    """The (class, in-box row) pairs of the time classes, in chunks of at
-    most ``step`` pairs.
-
-    Yields each chunk's rows, the class of each pair and the starts of the
-    class segments (for ``np.add.reduceat``).  A class cut by a chunk edge
-    gives one segment in each chunk.
-    """
-    cls = np.repeat(np.arange(count.size), count)
-    rows = lo[cls] + np.arange(cls.size) - (np.cumsum(count) - count)[cls]
-    for a in range(0, cls.size, step):
-        part = cls[a : a + step]
-        yield rows[a : a + step], part, np.flatnonzero(np.diff(part, prepend=-1))
-
-
 def _runs(a: np.ndarray, axis: int, op, length, first=None) -> np.ndarray:
     """``op`` (np.add or np.maximum) over runs of consecutive cells of
     ``a`` along ``axis``.
@@ -311,13 +296,12 @@ class _ShapePlan:
     moves: tuple[tuple[int, tuple[tuple[slice, ...], ...]], ...]  # (weight - base, moves), heaviest first
     extent: int  # cells the moves read on each axis: n + the largest residue of a move
     step: int  # pairs per chunk
-    chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # the pairs, as _pair_chunks yields them
 
 
 @functools.cache
 def _shape_plan(T: int, n: int, d: int, mt: int, mx: int) -> _ShapePlan:
-    """The time classes, moves and pair chunks of one window shape, a chunk
-    of at most _CHUNK_ENTRIES floats; built once per grid and shape.
+    """The time classes, moves and pairs per chunk of one window shape, a
+    chunk of at most _CHUNK_ENTRIES floats; built once per grid and shape.
 
     Every residue s of the n^d lattice has a weight: the product over axes
     of how many of -mx..mx land on it, 0 off the window.  The base weight is
@@ -357,10 +341,9 @@ def _shape_plan(T: int, n: int, d: int, mt: int, mx: int) -> _ShapePlan:
     )
     extent = n + int(np.argwhere(weight != base).max())
     step = min(max(1, _CHUNK_ENTRIES // (n + int(shifts[-1])) ** d), int(count.sum()))
-    chunks = tuple(_pair_chunks(lo, count, step))
-    for a in (lo, count, held_lo, held_count, *itertools.chain(*chunks)):
+    for a in (lo, count, held_lo, held_count):
         a.flags.writeable = False
-    return _ShapePlan(mt, mx, lo, count, held_lo, held_count, base, moves, extent, step, chunks)
+    return _ShapePlan(mt, mx, lo, count, held_lo, held_count, base, moves, extent, step)
 
 
 def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.ndarray:
@@ -422,17 +405,19 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     shape, and the one-cell window, of oscillation 0, is skipped.
 
     Each call wraps the centred lattice once on every space axis, to
-    2 n - 1 cells, with time last.  The (class, in-box row) pairs are
-    summed in chunks, and one gather along time fills a chunk's C-ordered
-    (space..., pair) block.  It takes only the cells the shape's moves read
-    on each axis: n plus the largest residue of a move, which is n for a
-    window that covers the period and leaves one residual move, at residue
-    0.  mu' per pair is laid out alike: one gather from the kept classes'
-    means, which each shape lays out class last once, less the row means.
-    So each move reads one slab that numpy runs as a single inner loop.  A chunk holds _CHUNK_ENTRIES // (n + the largest shift)^d pairs,
-    at least one, so its block holds at most _CHUNK_ENTRIES floats unless
-    a lattice alone is larger; the block and three pair buffers are
-    allocated once per call, however large the window.
+    2 n - 1 cells, with time last.  A plan keeps the shape, not its pairs:
+    each call cuts the (class, in-box row) pairs of all classes into chunks
+    of _CHUNK_ENTRIES // (n + the largest shift)^d pairs, at least one, and
+    sums a chunk's kept pairs at once.  One gather along time fills a
+    chunk's C-ordered (space..., pair) block.  It takes only the cells the
+    shape's moves read on each axis: n plus the largest residue of a move,
+    which is n for a window that covers the period and leaves one residual
+    move, at residue 0.  mu' per pair is laid out alike: one gather from the
+    kept classes' means, which each shape lays out class last once, less
+    the row means.  So each move reads one slab that numpy runs as a single
+    inner loop.  A block holds at most _CHUNK_ENTRIES floats unless a
+    lattice alone is larger; the block and three pair buffers are allocated
+    once per call, however large the window.
 
     **Pruning.**  The shapes run widest first, and a later shape sums only
     the time classes that can raise the running sup.  Over a window of N
@@ -477,12 +462,11 @@ def sharp_parabolic(values: np.ndarray, grid: SpectralGrid, gamma: float) -> np.
     every spatial centre, B is at most the least running sup over the
     window's in-box cells.  Its windows add to the sup only at those cells,
     where the max would keep the sup, so they get oscillation 0 instead,
-    which no sup reads.  The kept classes are summed over the plan's chunks
-    with the skipped pairs taken out: a kept class keeps its segments, so
-    every oscillation the sup reads is the same float, and a max over the
-    same floats is exact.  The result is therefore bit-identical to summing
-    every class.  The first shape meets a zero sup, so it keeps every class
-    and takes no bound.
+    which no sup reads.  The skipped pairs leave the chunks only after the
+    cut, so a kept class keeps its segments: every oscillation the sup
+    reads is the same float, and a max over the same floats is exact.  The
+    result is therefore bit-identical to summing every class.  The first
+    shape meets a zero sup, so it keeps every class and takes no bound.
     """
     _check_gamma(gamma)
     values = _space_time_values(values, grid)
@@ -540,16 +524,20 @@ def _raising_classes(
     return ~np.all(bound <= -low, axis=tuple(range(1, d + 1)))
 
 
-def _kept_pairs(chunks, keep: np.ndarray, before: np.ndarray):
-    """The pairs of the kept time classes, chunk by chunk as ``chunks``
-    cut them, with each class renumbered among the kept ones (``before``
-    counts the kept classes before each class).  A kept class keeps its
-    segments, so its sums over them are those of the unfiltered chunks."""
-    for rows, cls, _ in chunks:
-        sel = keep[cls]
-        if sel.any():
-            cls = before[cls[sel]]
-            yield rows[sel], cls, np.flatnonzero(np.diff(cls, prepend=-1))
+def _kept_pairs(p: _ShapePlan, keep: np.ndarray, before: np.ndarray):
+    """The pairs of plan ``p``'s kept time classes: the (class, in-box row)
+    pairs of every class, cut into chunks of ``p.step`` pairs, less the
+    skipped ones.  Yields each chunk's kept rows, their classes renumbered
+    among the kept ones (``before`` counts the kept classes before each
+    class) and the class segments' starts, for ``np.add.reduceat``.  Cut
+    before filtering, a kept class keeps its segments and its sums."""
+    cls = np.repeat(np.arange(p.count.size), p.count)
+    rows = p.lo[cls] + np.arange(cls.size) - (np.cumsum(p.count) - p.count)[cls]
+    for a in range(0, cls.size, p.step):
+        sel = a + np.flatnonzero(keep[cls[a : a + p.step]])
+        if sel.size:
+            part = before[cls[sel]]
+            yield rows[sel], part, np.flatnonzero(np.diff(part, prepend=-1))
 
 
 def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarray:
@@ -618,7 +606,7 @@ def _window_sharp(values: np.ndarray, shapes: set[tuple[int, int]]) -> np.ndarra
         source = lattice[(slice(p.extent),) * d]
         max_sum = np.zeros((kept.size,) + spatial)
         lightest = p.moves[-1][0]
-        for rows, cls, seg in _kept_pairs(p.chunks, keep, before):
+        for rows, cls, seg in _kept_pairs(p, keep, before):
             pairs = rows.size
             # the chunk's C-ordered (space..., pair) block and mu' per pair
             # alike, so each move reads one slab that numpy runs as a single

@@ -163,7 +163,8 @@ def _coefficient(spec: SymbolSpec, t):
 
 
 def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate psi at clamped time max(t, 0) on an (..., d) frequency array.
+    """Evaluate psi at clamped time max(t, 0) on an (..., d) frequency array,
+    d the symbol's dimension, else ValueError.
 
     t is one finite time, or a 1-d array of them whose values are stacked
     along a leading axis: a separable symbol's in one evaluation of the
@@ -177,6 +178,8 @@ def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.n
         raise ValueError(f"symbol times must be finite, in a scalar or a 1-d array, got {t}")
     times = np.maximum(times, 0.0)
     xi = np.atleast_1d(real_array(xi, "frequencies"))
+    if xi.shape[-1] != spec.d:
+        raise ValueError(f"frequencies must be an (..., {spec.d}) array, got shape {xi.shape}")
     if times.ndim == 0:
         out = spec.eval_fn(float(times), xi)
     elif spec.separable:
@@ -267,8 +270,9 @@ def _sample_points(d: int) -> tuple[np.ndarray, np.ndarray]:
 class ClassCheckReport:
     """Worst-case margins of the class conditions over the sample set.
 
-    ``s2_constants[k]`` is the raw constant max |d^alpha psi| / |xi|^(gamma-k)
-    over all multi-indices with |alpha| = k; margins divide by mu.
+    Margins divide by mu: ``s1_margin`` is max (Re psi + kappa |xi|^gamma) /
+    mu.  ``s2_constants[k]`` is the raw constant max |d^alpha psi| /
+    |xi|^(gamma-k) over all multi-indices with |alpha| = k.
     ``derivative_error`` is max_k |C_k(N) - C_k(N-4)| / mu, the change in the
     (S2) constants when the same boxes are differentiated with a coarser
     Chebyshev rule: it stays near roundoff for a symbol that is smooth on
@@ -319,14 +323,16 @@ def _chebyshev_rule(n_points: int, max_order: int) -> tuple[np.ndarray, np.ndarr
     transform of the values, so W = [T_m^(k)(0)] @ (values -> c).  The sum
     cancels heavily, so it runs in extended precision where the platform has
     it: rows rounded once to float64 cut the order-6 error on power symbols
-    five- to twentyfold.
+    five- to twentyfold.  Cached, so read-only.
     """
     theta = (2 * np.arange(n_points, dtype=np.longdouble) + 1) * np.arccos(np.longdouble(-1))
     theta /= 2 * n_points
     to_coeffs = (2.0 / n_points) * np.cos(np.outer(np.arange(n_points), theta))
     to_coeffs[0] /= 2
     rows = _chebyshev_at_zero(n_points, max_order).astype(np.longdouble) @ to_coeffs
-    return np.cos(theta).astype(float), rows.astype(float)
+    nodes, rows = np.cos(theta).astype(float), rows.astype(float)
+    nodes.flags.writeable = rows.flags.writeable = False
+    return nodes, rows
 
 
 class _BoxRule:
@@ -414,7 +420,7 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
         split = eval_symbol(spec, t_values, xi)
         if np.any(np.max(np.abs(split - vals), axis=-1) > _DECLARED_TOL * size):
             raise ValueError(f"symbol {spec.name!r}: time_coeff * xi_profile differs from eval_fn")
-    s1_margin = float(np.max(vals.real + spec.kappa * xnorm**spec.gamma))
+    s1_margin = float(np.max(vals.real + spec.kappa * xnorm**spec.gamma)) / spec.mu
     split = spec.factors()
     if split is None:
         fine_boxes = coarse_boxes = 1.0
@@ -451,7 +457,7 @@ def check_symbol_class(spec: SymbolSpec) -> ClassCheckReport:
         s2_constants={k: float(c) for k, c in enumerate(s2_raw)},
         s3_constants={k: float(c) for k, c in enumerate(s3_raw)} if check_s3 else {},
         derivative_error=float(np.max(np.abs(s2_raw - s2_coarse))) / spec.mu,
-        passed_s1=s1_margin <= _TOL * float(spec.mu),
+        passed_s1=s1_margin <= _TOL,
         passed_s2=s2_margin <= 1.0 + _TOL,
         passed_s3=(s3_margin <= 1.0 + _TOL) if check_s3 else None,
     )

@@ -23,7 +23,7 @@ from lpevo.gfunction import (
     graded_quadrature,
     integrated_symbol,
 )
-from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, make_grid, vector_norm
+from lpevo.grid import SpaceTimeField, lattice_forward, lattice_inverse, lebesgue_norm, lp_norm, make_grid, vector_norm
 from lpevo.symbols import SymbolEvaluationError, SymbolSpec, check_symbol_class, eval_symbol, power_symbol
 
 
@@ -207,6 +207,13 @@ class TestGradedQuadrature:
     def test_spec_rejects_non_integer_or_out_of_range_knobs(self, knobs):
         with pytest.raises(ValueError):
             QuadratureSpec(**knobs)
+
+    def test_cached_rule_is_read_only(self):
+        # every caller shares the cached arrays, so an in-place edit would
+        # corrupt every later G
+        for a in _gl_rule(4):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 class TestSingleModeOracle:
@@ -1101,3 +1108,60 @@ class TestInvariances:
         dilated = SpaceTimeField(grid, m, f.values)
         want = self._g(f, variant, q)
         assert np.max(np.abs(self._g(dilated, variant, q) - want)) <= 1e-12 * np.max(want)
+
+
+class TestNegativeControls:
+    """Where the inequality fails, the ratio it bounds must grow under
+    refinement, while the case it holds for stays flat: a bounded ratio on
+    a finite grid says nothing until the laboratory shows it sees growth."""
+
+    def test_p_below_q_grows_under_time_refinement(self):
+        # cos(2 pi x) times the hat at the time node 0.25 of T uniform nodes
+        # has time width eps ~ 1/T, and ||G f||_p / ||f||_p ~ eps^(1/q - 1/p)
+        # once the window has passed, unbounded as eps -> 0 for p < q.  At
+        # T = 17 / 33 / 65 the ratios read 0.7165 / 0.7816 / 0.9049 at
+        # p = 1.2, doublings by 1.091 and 1.158, and 0.6136 / 0.5900 /
+        # 0.5809 at p = q = 2, doublings by 0.962 and 0.985
+        psi1, psi2 = power_symbol(1.0, 1.0), power_symbol(1.0, 2.0)
+        ratios = []
+        for T in (17, 33, 65):
+            grid = make_grid(1, 32, 0.5, np.linspace(0.0, 1.0, T))
+            values = np.zeros((T, 32, 1))
+            values[(T - 1) // 4, :, 0] = np.cos(2 * np.pi * grid.x)
+            f = SpaceTimeField(grid, 1, values)
+            g = g_function(f, psi1, psi2, 0.0, 0.0, 2.0, QuadratureSpec(panels=256))
+            ratios.append([lp_norm(g.values, grid, p) / lebesgue_norm(f, p) for p in (1.2, 2.0)])
+        below, equal = np.array(ratios).T
+        assert np.all(below[1:] / below[:-1] > 1.05)
+        assert np.all(equal[1:] / equal[:-1] < 1.0)
+
+    def test_symbol_outside_s1_grows_under_space_refinement(self):
+        # psi2 = i |xi|^2, the Schroedinger group, smooths nothing, so with
+        # psi1 = -|xi| the step-1 ratio grows like the largest wave number
+        # of the field, here n/4: 9.54 / 17.48 / 34.45 at n = 16 / 32 / 64,
+        # doublings by 1.83 and 1.97.  The heat symbol reads 0.621 / 0.658 /
+        # 0.673, doublings by 1.06 and 1.02.  The class check rejects the
+        # Schroedinger symbol on (S1) alone
+        schroedinger = SymbolSpec(
+            eval_fn=lambda t, xi: 1j * np.sum(xi**2, axis=-1),
+            kappa=1.0,
+            mu=10.0,
+            gamma=2.0,
+            n_derivs=2,
+            time_independent=True,
+        )
+        report = check_symbol_class(schroedinger)
+        assert not report.passed_s1 and report.passed_s2
+        psi1, heat = power_symbol(1.0, 1.0), power_symbol(1.0, 2.0)
+        ratios = []
+        for n in (16, 32, 64):
+            grid = make_grid(1, n, 0.5, np.linspace(0.0, 1.0, 17))
+            rng = np.random.default_rng(3)
+            coeffs = rng.normal(size=(17, n)) + 1j * rng.normal(size=(17, n))
+            values = np.fft.ifft(coeffs * (np.abs(np.fft.fftfreq(n, 1.0 / n)) <= n // 4), axis=1)
+            f = SpaceTimeField(grid, 1, values[..., None])
+            norm = lebesgue_norm(f, 2.0)
+            ratios.append([lp_norm(g_function(f, psi1, psi2, 0.0, 0.0, 2.0).values, grid, 2.0) / norm for psi2 in (schroedinger, heat)])
+        unbounded, bounded = np.array(ratios).T
+        assert np.all(unbounded[1:] / unbounded[:-1] > 1.7)
+        assert np.all(bounded[1:] / bounded[:-1] < 1.1)

@@ -686,7 +686,7 @@ class TestSharpParabolic:
         # one plan serves every call on its grid and window shape
         plan = maximal_module._shape_plan(6, 8, 2, 1, 3)
         assert maximal_module._shape_plan(6, 8, 2, 1, 3) is plan
-        for a in [plan.lo, plan.count, plan.held_lo, plan.held_count] + [a for chunk in plan.chunks for a in chunk]:
+        for a in (plan.lo, plan.count, plan.held_lo, plan.held_count):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 

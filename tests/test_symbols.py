@@ -5,13 +5,14 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
-from lpevo.gfunction import g_function, g_tilde
+from lpevo.gfunction import g_function, g_tilde, integrated_symbol
 from lpevo.grid import SpaceTimeField, make_grid
 from lpevo.symbols import (
     CLASS_S_T,
     _CHEB_POINTS,
     _BoxRule,
     _chebyshev_at_zero,
+    _chebyshev_rule,
     _sample_points,
     SymbolEvaluationError,
     SymbolSpec,
@@ -90,6 +91,24 @@ class TestEvalSymbol:
             eval_symbol(spec, np.array([0.0, 1.0j]), np.array([[1.0], [2.0]]))
         with pytest.raises(ValueError, match="frequencies must be real"):
             eval_symbol(spec, 0.5, np.array([[1.0], [2.0 + 1.0j]]))
+
+    # a 4-vector once read as one d = 1 frequency: -|xi| gave its norm,
+    # -5.477, and a d = 2 symbol took (3, 1) and (3, 5) arrays; with no
+    # window start, integrated_symbol returned shape () for the 4-vector
+    @pytest.mark.parametrize("d, shape", [(1, (4,)), (1, (3, 2)), (2, (3, 1)), (2, (3, 5)), (2, (4,))])
+    @pytest.mark.parametrize("separable", [True, False], ids=["separable", "generic"])
+    def test_rejects_frequencies_of_another_dimension(self, d, shape, separable):
+        spec = power_symbol(1.0, 1.0, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5, d=d)
+        if not separable:
+            spec = replace(spec, time_coeff=None, xi_profile=None)
+        xi = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        match = rf"frequencies must be an \(\.\.\., {d}\) array"
+        for t in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match=match):
+                eval_symbol(spec, t, xi)
+        for starts in (np.array([]), np.array([0.0, 0.5])):
+            with pytest.raises(ValueError, match=match):
+                integrated_symbol(spec, starts, 1.0, xi)
 
     def test_nan_reported_as_evaluation_failure(self):
         bad = SymbolSpec(
@@ -224,6 +243,28 @@ class TestClassCheck:
         report = check_symbol_class(bad)
         assert not report.passed_s1
 
+    def test_s1_margin_in_units_of_mu(self):
+        # -|xi|^2 declared with kappa = 1.001: Re psi + kappa |xi|^2 peaks at
+        # 1e-3 * 64^2 at the largest sample; the margin divides it by mu, as
+        # the (S2) and (S3) margins do, and (S1) passes where it is <= tol
+        for mu, passed in ((5000.0, True), (9.0, False)):
+            spec = SymbolSpec(eval_fn=lambda t, xi: -np.sum(xi**2, axis=-1) + 0j, kappa=1.001, mu=mu, gamma=2.0, n_derivs=2)
+            report = check_symbol_class(spec)
+            assert report.s1_margin == pytest.approx(1e-3 * 64.0**2 / mu, rel=1e-9)
+            assert report.passed_s1 == passed
+
+    def test_class_s_passes_on_s1_and_s2(self):
+        # -|xi|^2 has (S2) constants 1, 2, 2 for orders 0, 1, 2: a class-S
+        # report passes on (S1) and (S2), with no (S3) verdict, and fails
+        # once mu is below the largest constant
+        spec = replace(power_symbol(1.0, 2.0, n_derivs=2), class_flag="S")
+        report = check_symbol_class(spec)
+        assert report.passed_s1 and report.passed_s2 and report.passed_s3 is None
+        assert report.passed
+        small = check_symbol_class(replace(spec, mu=1.5))
+        assert small.passed_s1 and not small.passed_s2
+        assert not small.passed
+
     def test_growing_time_derivative_fails_s3(self):
         # d/dt of -|xi|^2 (2 + sin(t |xi|^2)) grows like |xi|^4
         def evaluate(t, xi):
@@ -287,6 +328,13 @@ def _modulation(rate):
 
 
 class TestChebyshevClassCheck:
+    def test_cached_rule_is_read_only(self):
+        # every class check shares the cached arrays, so an in-place edit
+        # would corrupt every later check
+        for a in _chebyshev_rule(_CHEB_POINTS, 4):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
     def test_1d_constants_match_falling_factorial(self, gamma):
         report = check_symbol_class(power_symbol(1.0, gamma))
