@@ -18,7 +18,8 @@ T(t, s), for a scalar or a whole array of window starts s.  The integral
 has one path for every symbol: composite Gauss-Legendre on panels anchored
 to one global lattice, with psi2 at all of a call's panel points in one
 :func:`eval_symbol` call.  One panel-integral implementation,
-:func:`_panel_integrals`, serves integrated_symbol and the core's node plan.
+:func:`_panel_integrals`, one window end t per call, serves
+integrated_symbol and the core's node plan.
 
 The core works one output time t at a time and batches its s nodes.  Where
 :meth:`SymbolSpec.factors` splits psi2 into a time coefficient c and a
@@ -41,8 +42,8 @@ Layout.  What runs how often:
   :func:`graded_quadrature` call, the interval index j and the weight
   lambda of every node, so that a node's transform is
   f_hat[j] + lambda * step[j], and, for a psi2 that splits, the coefficient
-  integral integral_s^t c of every window in place of its node; the rest of
-  it is built over at most _PLAN_NODES nodes at a time;
+  integral integral_s^t c of every window in place of its node, integrated
+  one output time at a time;
 - per worker (below): the work arrays for the largest batch;
 - per output time: the running sum of its batches, and its row of G;
 - per batch of at most _BATCH_ENTRIES nodes x lattice points (one node if
@@ -56,10 +57,11 @@ Layout.  What runs how often:
   allocates arrays of a batch's size.
 Memory: the plan holds O(T N) scalars per G, for T output times of N nodes
 each: three floats and one index, a byte up to 257 time nodes, per node,
-about 1 MiB for 63 times of 640 nodes.  The batches and their work arrays
-stay capped however many nodes the quadrature has: at the cap, 1 MiB per V
-component in each of the first two arrays and 1 MiB in the third, 5 MiB a
-worker for m = 2.
+about 1 MiB for 63 times of 640 nodes.  Building it takes an intp index
+per node and, for a separable psi2, _GL_ORDER coefficient values per node
+of one output time.  The batches and their work arrays stay capped however
+many nodes the quadrature has: at the cap, 1 MiB per V component in each
+of the first two arrays and 1 MiB in the third, 5 MiB a worker for m = 2.
 
 Workers.  The output times after a are shared among W workers, one per CPU
 this process may run on, at most one per output time and _MAX_WORKERS:
@@ -134,10 +136,6 @@ _SPLIT_RATIO = 4.0
 # workers of one G at most: a small cap, since only 2 workers, on a 2-CPU
 # machine, were measured
 _MAX_WORKERS = 4
-# nodes per step of building a node plan, whole output times at a time: the
-# temporaries of a step, a separable psi2's _GL_ORDER coefficient values per
-# node the largest, stay below 128 KiB each
-_PLAN_NODES = 2**11
 
 
 @functools.cache
@@ -167,42 +165,28 @@ def _panels(integrand: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: n
     return half.reshape((-1,) + (1,) * (vals.ndim - 2)) * total
 
 
-def _panel_integrals(integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """integral_s^t integrand(r) dr for a (rows, K) array s of window starts,
-    those of row i before its end t[i].
+def _panel_integrals(integrand: Callable[[np.ndarray], np.ndarray], s: np.ndarray, t: float) -> np.ndarray:
+    """integral_s^t integrand(r) dr for a 1-d array s of window starts, all
+    before the one end t.
 
     ``integrand`` maps an array r of times to values of shape
     r.shape + tail; the result has shape s.shape + tail.  Composite
-    Gauss-Legendre on panels edged by the multiples of _PANEL_WIDTH, the
-    anchors, all in one call of ``integrand``: each s's first panel, up to
-    the first anchor above it or its row's t; the full panels between the
-    anchors above min(s) and below max(t); and each row's last panel, from
-    the last anchor below its t up to t.  Each window adds to its first
-    panel the sum of the panels above it, taken from its t down, so windows
-    that end at the same t share all their panels but the first.
+    Gauss-Legendre on panels edged by the multiples of _PANEL_WIDTH in
+    (min(s), t), the anchors, and by t, all in one call of ``integrand``:
+    each s's head panel, up to the first edge above it, and the panels
+    between the edges.  Each window adds to its head the sum of the panels
+    above it, taken from t down, so the windows share all their panels but
+    the head.
     """
-    s_min, t_max = np.min(s), np.max(t)
-    anchors = _PANEL_WIDTH * np.arange(np.ceil(s_min / _PANEL_WIDTH), np.floor(t_max / _PANEL_WIDTH) + 1)
-    anchors = anchors[(s_min < anchors) & (anchors < t_max)]
-    rows = np.arange(len(t))[:, None]
-    first = np.searchsorted(anchors, s, side="right")  # the first anchor above each s
-    below = np.searchsorted(anchors, t)[:, None]  # the anchors below each t
-    inside = first < below
-    last = below[:, 0] > 0  # the rows whose last panel starts at an anchor
-    lo = np.concatenate((s.ravel(), anchors[:-1], anchors[below[last, 0] - 1]))
-    ends = np.where(inside, np.append(anchors, 0.0)[first], t[:, None])
-    hi = np.concatenate((ends.ravel(), anchors[1:], t[last]))
-    vals = _panels(integrand, lo, hi)
-    head, full, tops = np.split(vals, [s.size, s.size + max(len(anchors) - 1, 0)])
-    # steps[i, k]: row i's k-th panel down from its t, after a zero, so that
-    # the cumulative sum at k is the sum of its top k panels, taken from t
-    # down; the full panel of index j is row i's k-th for k = below[i] - j
-    steps = np.zeros((len(t), len(anchors) + 2) + vals.shape[1:], dtype=vals.dtype)
-    steps[last, 1] = tops
-    full_index = below - np.arange(2, len(anchors) + 2)
-    steps[:, 2:][full_index >= 0] = full[full_index[full_index >= 0]]
-    above = np.cumsum(steps, axis=1)
-    return head.reshape(s.shape + vals.shape[1:]) + above[rows, np.where(inside, below - first, 0)]
+    s_min = np.min(s)
+    anchors = _PANEL_WIDTH * np.arange(np.ceil(s_min / _PANEL_WIDTH), np.floor(t / _PANEL_WIDTH) + 1)
+    edges = np.append(anchors[(s_min < anchors) & (anchors < t)], t)
+    first = np.searchsorted(edges, s, side="right")  # the first edge above each s
+    vals = _panels(integrand, np.concatenate((s, edges[:-1])), np.concatenate((edges[first], edges[1:])))
+    head, between = vals[: len(s)], vals[len(s) :]
+    # above[k]: the sum of the top k panels, taken from t down, after a zero
+    above = np.cumsum(np.concatenate((np.zeros_like(vals[:1]), between[::-1])), axis=0)
+    return head + above[len(between) - first]
 
 
 def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: np.ndarray) -> np.ndarray:
@@ -230,7 +214,7 @@ def integrated_symbol(symbol: SymbolSpec, s: float | np.ndarray, t: float, xi: n
     def psi(r: np.ndarray) -> np.ndarray:
         return eval_symbol(symbol, r.ravel(), xi).reshape(r.shape + xi.shape[:-1])
 
-    return _panel_integrals(psi, s.reshape(1, -1), np.array([t], dtype=float)).reshape(shape)
+    return _panel_integrals(psi, s.ravel(), float(t)).reshape(shape)
 
 
 def symbol_on_lattice(symbol: SymbolSpec, l: float | np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -354,41 +338,37 @@ def _half_power(x: np.ndarray, q: float, scratch: np.ndarray) -> None:
 
 def _node_plan(
     psi2: SymbolSpec, a: float, times: np.ndarray, beta: float, quad: QuadratureSpec, t_grid: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The quadrature of the output times ``times`` on the time nodes
     ``t_grid``, output-time-major, from one :func:`graded_quadrature` call:
     the nodes per output time, and per node its weight, its interval index j
     and weight lambda, so that its transform is f_hat[j] + lambda * step[j],
-    and either the integral over its window of psi2's time coefficient c
-    from :meth:`SymbolSpec.factors`, or, for a psi2 that does not split,
-    the node itself: (per_time, weights, index, lam, coeff, starts), with
-    one of coeff and starts None.
+    and its window: (per_time, weights, index, lam, windows).
 
-    The rest is built over at most _PLAN_NODES nodes, whole output times, at
-    a time, and the coefficient integrals replace the nodes in place: t - s
-    where c is None, so 1, and otherwise :func:`_panel_integrals` of c as
-    factors() hands it out, which clamps its times and is real."""
+    Where psi2 splits, a node's window is the integral over (s, t) of
+    psi2's time coefficient c from :meth:`SymbolSpec.factors`, made in place
+    of the node: t - s where c is None, so 1, and otherwise one
+    :func:`_panel_integrals` call of c per output time, as factors() hands c
+    out, which clamps its times and is real.  For a psi2 that does not
+    split, the window is the node s itself."""
     s, w = graded_quadrature(a, times, beta, quad)
     split = psi2.factors()
     per = len(s) // max(len(times), 1)
-    windows = s.reshape(len(times), per)
+    j = np.searchsorted(t_grid, s, side="right")
+    j -= 1
+    np.clip(j, 0, len(t_grid) - 2, out=j)
+    lam = s - t_grid[j]
+    lam /= np.diff(t_grid)[j]
     # the plan's one integer array, in the least type that holds it: a byte
     # up to 257 time nodes, where intp would take eight per node
-    index = np.empty(windows.shape, dtype=np.min_scalar_type(len(t_grid) - 2))
-    lam = np.empty(windows.shape)
-    rows = max(1, _PLAN_NODES // max(per, 1))
-    for lo in range(0, len(times), rows):
-        part = slice(lo, lo + rows)
-        j = np.clip(np.searchsorted(t_grid, windows[part], side="right") - 1, 0, len(t_grid) - 2)
-        index[part] = j
-        lam[part] = (windows[part] - t_grid[j]) / (t_grid[j + 1] - t_grid[j])
-        if split is not None and split[0] is None:
-            windows[part] = times[part, None] - windows[part]
-        elif split is not None:
-            windows[part] = _panel_integrals(split[0], windows[part], times[part])
-    if split is None:
-        return per, w, index.ravel(), lam.ravel(), None, s
-    return per, w, index.ravel(), lam.ravel(), s, None
+    index = j.astype(np.min_scalar_type(len(t_grid) - 2))
+    windows = s.reshape(len(times), per)
+    if split is not None and split[0] is None:
+        np.subtract(times[:, None], windows, out=windows)
+    elif split is not None:
+        for t, row in zip(times.tolist(), windows):
+            row[:] = _panel_integrals(split[0], row, t)
+    return per, w, index, lam, s
 
 
 def _g_core(
@@ -437,7 +417,7 @@ def _g_core(
     # serves them all
     mults1 = np.broadcast_to(_real_if_exact(mults1[cut]), (len(live),) + xi.shape[:-1])
     step = f_hat[1:] - f_hat[:-1]
-    per, weights, index, lam, coeff, starts = _node_plan(psi2, a, t_grid[live], beta, quad, t_grid)
+    per, weights, index, lam, windows = _node_plan(psi2, a, t_grid[live], beta, quad, t_grid)
     lattice = f_hat.shape[2:-1]
     batch = max(1, _BATCH_ENTRIES // math.prod(lattice))
     shape = (min(batch, per),) + f_hat.shape[1:]
@@ -467,15 +447,15 @@ def _g_core(
                 # frequency factor, made in place, or, for a psi2 with none,
                 # one integrated_symbol call, dropped before the batch's
                 # spectrum
-                if coeff is None:
-                    expo = _real_if_exact(integrated_symbol(psi2, starts[nodes], float(t_grid[i]), xi))
+                if factor2 is None:
+                    expo = _real_if_exact(integrated_symbol(psi2, windows[nodes], float(t_grid[i]), xi))
                     dtype = np.result_type(expo, mult1)
                     mults = np.exp(expo, out=mult_buf.view(dtype)[: expo.size].reshape(expo.shape))
                     del expo
                 else:
                     dtype = np.result_type(factor2, mult1)
                     mults = mult_buf.view(dtype)[: size * factor2.size].reshape((size,) + lattice)
-                    np.exp(np.multiply(coeff[nodes].reshape(lead), factor2, out=mults), out=mults)
+                    np.exp(np.multiply(windows[nodes].reshape(lead), factor2, out=mults), out=mults)
                 mults *= mult1
                 # f_hat(s) = f_hat[idx] + lam * step[idx], times the multipliers
                 spec = np.take(step, index[nodes], axis=0, out=spec_buf[:size], mode="clip")

@@ -138,12 +138,14 @@ class SymbolSpec:
         class check read: (None, psi(0, .)) for a time-independent symbol,
         whose c is 1, (c, p) for a separable one, and None for any other.
         c is ``time_coeff`` at max(t, 0) for times of any shape, and real,
-        else ValueError; c and p raise SymbolEvaluationError on a non-finite
+        else ValueError; p takes a real (..., d) frequency array, else
+        ValueError; c and p raise SymbolEvaluationError on a non-finite
         value, as :func:`eval_symbol` does."""
         if self.time_independent:
             return None, functools.partial(eval_symbol, self, 0.0)
         if self.separable:
-            return functools.partial(_coefficient, self), lambda xi: _finite(self, self.xi_profile(xi))
+            profile = lambda xi: _finite(self, self.xi_profile(_frequencies(self, xi)))
+            return functools.partial(_coefficient, self), profile
         return None
 
 
@@ -162,6 +164,14 @@ def _coefficient(spec: SymbolSpec, t):
     return c.real
 
 
+def _frequencies(spec: SymbolSpec, xi) -> np.ndarray:
+    """``xi`` as a real (..., d) array, d the symbol's, else ValueError."""
+    xi = np.atleast_1d(real_array(xi, "frequencies"))
+    if xi.shape[-1] != spec.d:
+        raise ValueError(f"frequencies must be an (..., {spec.d}) array, got shape {xi.shape}")
+    return xi
+
+
 def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Evaluate psi at clamped time max(t, 0) on an (..., d) frequency array,
     d the symbol's dimension, else ValueError.
@@ -177,9 +187,7 @@ def eval_symbol(spec: SymbolSpec, t: float | np.ndarray, xi: np.ndarray) -> np.n
     if times.ndim > 1 or not np.all(np.isfinite(times)):
         raise ValueError(f"symbol times must be finite, in a scalar or a 1-d array, got {t}")
     times = np.maximum(times, 0.0)
-    xi = np.atleast_1d(real_array(xi, "frequencies"))
-    if xi.shape[-1] != spec.d:
-        raise ValueError(f"frequencies must be an (..., {spec.d}) array, got shape {xi.shape}")
+    xi = _frequencies(spec, xi)
     if times.ndim == 0:
         out = spec.eval_fn(float(times), xi)
     elif spec.separable:

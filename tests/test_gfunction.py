@@ -920,7 +920,7 @@ class TestNodePlan:
         """The output times, the node plan as a dict and the nodes, one row
         per output time."""
         times = self.T_GRID[self.T_GRID > self.A]
-        fields = ("per_time", "weights", "index", "lam", "coeff", "starts")
+        fields = ("per_time", "weights", "index", "lam", "windows")
         plan = dict(zip(fields, gfunction._node_plan(psi2, self.A, times, self.BETA, quad, self.T_GRID)))
         s, w = graded_quadrature(self.A, times, self.BETA, quad)
         assert plan["per_time"] * len(times) == len(s) and np.array_equal(plan["weights"], w)
@@ -937,7 +937,7 @@ class TestNodePlan:
         amp, rate = 0.5, 2.0
         psi2 = _modulated(2.0, 1, amp=amp, rate=rate)
         times, plan, s = self._plan(psi2)
-        got = plan["coeff"].reshape(s.shape)
+        got = plan["windows"].reshape(s.shape)
         # integral_s^t -(1 + amp e^(-rate r)) dr, with e^(-rate s) - e^(-rate t)
         # as e^(-rate t) expm1(rate (t - s)), which keeps its digits as s -> t
         span = times[:, None] - s
@@ -947,21 +947,51 @@ class TestNodePlan:
         # whose profile is 1 at xi = 1
         for t, row, coeff in zip(times, s, got):
             np.testing.assert_allclose(coeff, integrated_symbol(psi2, row, float(t), np.array([[1.0]]))[:, 0], rtol=1e-14, atol=0)
-        assert plan["starts"] is None
 
-    @pytest.mark.parametrize("nodes", [1, 2**20], ids=["one-time-per-call", "one-call"])
-    def test_chunks_leave_the_plan_unchanged(self, monkeypatch, nodes):
-        psi2 = _modulated(2.0, 1)
-        _, want, _ = self._plan(psi2)
-        monkeypatch.setattr(gfunction, "_PLAN_NODES", nodes)
-        _, got, _ = self._plan(psi2)
-        assert np.array_equal(got["coeff"], want["coeff"])
+    # each output time's windows are integrated in a call of their own, so a
+    # time planned alone must give its row of the full plan, bit for bit
+    @pytest.mark.parametrize("kind", ["static", "separable", "generic"])
+    def test_each_output_time_alone_equals_its_row(self, kind):
+        psi2 = {"static": power_symbol(1.0, 2.0), "separable": _modulated(2.0, 1), "generic": _non_separable(1)}[kind]
+        times, plan, _ = self._plan(psi2)
+        per = plan["per_time"]
+        for i, t in enumerate(times):
+            alone = gfunction._node_plan(psi2, self.A, times[i : i + 1], self.BETA, QuadratureSpec(), self.T_GRID)
+            assert alone[0] == per
+            row = slice(i * per, (i + 1) * per)
+            for got, name in zip(alone[1:], ("weights", "index", "lam", "windows")):
+                assert np.array_equal(got, plan[name][row]), (t, name)
+
+    # c(t) = -(1 + t^7) has degree 7, so 8-point Gauss-Legendre integrates it
+    # exactly on every panel: the windows must match the antiderivative to
+    # rounding, their difference taken as (t - s) sum_k t^k s^(7-k) / 8 so
+    # that short windows keep their digits
+    @staticmethod
+    def _septic_integrals(s, t):
+        s, t = np.broadcast_arrays(s, t)
+        return -(t - s) * (1.0 + sum(t**k * s ** (7 - k) for k in range(8)) / 8.0)
+
+    def test_septic_coefficient_integrals_are_exact(self):
+        psi2 = power_symbol(1.0, 2.0, k_fn=lambda r: r**7, k_bound=2.0**7, k_deriv_bound=7 * 2.0**6)
+        assert gfunction._GL_ORDER == 8
+        # the windows ending at 0.125 lie inside the first panel, those
+        # ending at 0.5 end on an anchor, and those ending at 2 cross up to
+        # seven anchors
+        times, plan, s = self._plan(psi2)
+        want = self._septic_integrals(s, times[:, None])
+        np.testing.assert_allclose(plan["windows"].reshape(s.shape), want, rtol=1e-14, atol=0)
+        # a start on an anchor, an end on one, a window inside the first
+        # panel and one across four anchors and more, each in its own call
+        for starts, t in [([0.25, 0.5, 0.3], 1.0), ([0.1, 0.49], 0.5), ([0.01, 0.2], 0.24), ([0.05, 0.0], 1.3)]:
+            got = integrated_symbol(psi2, np.array(starts), t, np.array([[1.0]]))[:, 0]
+            assert not np.any(got.imag)
+            np.testing.assert_allclose(got.real, self._septic_integrals(np.array(starts), t), rtol=1e-14, atol=0)
 
     def test_time_independent_and_generic_windows(self):
         times, plan, s = self._plan(power_symbol(1.0, 2.0))
-        assert np.array_equal(plan["coeff"].reshape(s.shape), times[:, None] - s) and plan["starts"] is None
+        assert np.array_equal(plan["windows"].reshape(s.shape), times[:, None] - s)
         _, plan, s = self._plan(_non_separable(1), QuadratureSpec(4, 4, 2))
-        assert plan["coeff"] is None and np.array_equal(plan["starts"], s.ravel())
+        assert np.array_equal(plan["windows"], s.ravel())
 
     def test_interval_index_and_weight(self):
         times, plan, s = self._plan(power_symbol(1.0, 2.0))

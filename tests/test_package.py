@@ -4,10 +4,13 @@ module exports, the package's own re-exports included, and every parameter
 with a default that a submodule's export takes, must have a consumer
 outside the tests; every private helper must have one inside the
 package, every private constant must be read in its own module, and
-every field of a private dataclass somewhere in the package; no
-module reaches for another's private names; only ``grid.py`` names numpy's
-FFT; only ``symbols.py`` reads a symbol's factors; and the package needs
-numpy alone."""
+every field of a private dataclass somewhere in the package; every
+private name that a module's text names, in its code, comments or
+docstrings, after whitespace, a backtick or a parenthesis and of two or
+more characters, must be defined in the package, so the text cannot
+outlive a deleted helper or constant; no module reaches for another's
+private names; only ``grid.py`` names numpy's FFT; only ``symbols.py``
+reads a symbol's factors; and the package needs numpy alone."""
 
 import ast
 import collections
@@ -15,6 +18,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +182,45 @@ def test_every_private_dataclass_field_is_read_in_the_package():
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
     ]
     assert unread == []
+
+
+def _defined_names(tree: ast.AST) -> set[str]:
+    """Every name that a module binds: its functions, classes, parameters,
+    assignment targets, stored attributes and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+    return names
+
+
+# a private name as the text names it: after whitespace, a backtick or a
+# parenthesis, or at the start of a line
+_PRIVATE_MENTION = re.compile(r"(?:^|(?<=[\s`(]))(_\w+)", re.MULTILINE)
+
+
+def test_every_private_name_in_the_text_is_defined():
+    # a docstring or comment that names a deleted helper or constant
+    # describes code that is gone
+    texts = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    defined = set().union(*(_defined_names(ast.parse(text, filename=str(p))) for p, text in texts.items()))
+    stale = sorted(
+        {
+            f"{path.name}:{name}"
+            for path, text in texts.items()
+            for name in _PRIVATE_MENTION.findall(text)
+            if _private(name) and name not in defined
+        }
+    )
+    assert stale == []
 
 
 def test_no_module_imports_another_modules_private_name():

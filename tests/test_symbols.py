@@ -192,6 +192,25 @@ class TestSymbolSpec:
             else:
                 profile(np.array([[1.0], [2.0]]))
 
+    # the profile once took any array: at d = 1 the 4-vector (1, 2, 3, 4)
+    # read as one frequency, its norm 5.477, at d = 2 a (3, 5) array gave
+    # shape (3,), and a complex frequency lost its imaginary part with only
+    # a ComplexWarning
+    @pytest.mark.parametrize(
+        "d, xi, match",
+        [
+            (1, [1.0, 2.0, 3.0, 4.0], r"frequencies must be an \(\.\.\., 1\) array"),
+            (2, np.ones((3, 5)), r"frequencies must be an \(\.\.\., 2\) array"),
+            (1, np.array([[1.0 + 1.0j]]), "frequencies must be real"),
+        ],
+        ids=["4-vector", "d=2-by-5", "complex"],
+    )
+    def test_profile_checks_its_frequencies(self, d, xi, match):
+        modulated = power_symbol(1.0, 1.0, k_fn=lambda t: 0.5 * np.exp(-t), k_bound=0.5, k_deriv_bound=0.5, d=d)
+        _, profile = modulated.factors()
+        with pytest.raises(ValueError, match=match):
+            profile(xi)
+
     def test_factors_hand_out_a_real_coefficient(self):
         # a complex dtype with no imaginary part keeps G on real arrays
         spec = replace(power_symbol(1.0, 1.5), time_independent=False, time_coeff=lambda t: -1.0 + 0j * t)
